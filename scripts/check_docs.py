@@ -45,8 +45,16 @@ Eighteen authoritative reference tables are checked:
 This script parses those sections (and only those sections -- other
 tables in the docs may legitimately backtick other things) and fails
 when a kind / metric / field exists in code but is undocumented, or is
-documented but no longer exists.  CI runs it next to the test suite;
-``tests/test_check_docs.py`` runs the same check under pytest.
+documented but no longer exists.
+
+It also lints **documented commands**: every ``repro`` invocation in a
+fenced code block of README.md or docs/ (``python -m repro ...``, a
+profiler's ``-m repro ...``, or a bare ``repro ...``; ``\\``
+continuations joined, pipes and comments cut) must parse with
+``repro.cli.build_parser()``.
+
+CI runs it next to the test suite; ``tests/test_check_docs.py`` runs
+the same check under pytest.
 
 Usage::
 
@@ -55,15 +63,27 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
+import io
 import re
+import shlex
 import sys
 from pathlib import Path
+from typing import Iterable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOC_PATH = REPO_ROOT / "docs" / "observability.md"
 ROBUSTNESS_DOC_PATH = REPO_ROOT / "docs" / "robustness.md"
 PERFORMANCE_DOC_PATH = REPO_ROOT / "docs" / "performance.md"
 SERVING_DOC_PATH = REPO_ROOT / "docs" / "serving.md"
+#: Documents whose commands are linted besides the four above.
+OTHER_COMMAND_DOCS = (REPO_ROOT / "README.md",
+                      REPO_ROOT / "docs" / "tutorial.md",
+                      REPO_ROOT / "docs" / "internals.md")
+
+#: Shell tokens that end the ``repro`` part of a command line.
+_SHELL_STOPS = {"|", "||", "&&", ";", ">", ">>", "2>", "<", "&"}
+_ENV_ASSIGNMENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
 
 #: Section heading -> what its table's first column enumerates.
 SECTIONS = {
@@ -252,6 +272,66 @@ def plan_fields_in_code() -> set[str]:
     return fields
 
 
+def documented_commands(doc_path: Path) -> list[tuple[int, list[str]]]:
+    """``(line, argv)`` of every ``repro`` command in the fenced code
+    blocks of one document; argv is what follows ``repro``."""
+    commands = []
+    in_fence = False
+    pending, start = "", 0
+    for number, line in enumerate(doc_path.read_text().splitlines(), 1):
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+            pending = ""
+            continue
+        if not in_fence:
+            continue
+        if not pending:
+            start = number
+        if line.rstrip().endswith("\\"):
+            pending += line.rstrip()[:-1] + " "
+            continue
+        text, pending = pending + line, ""
+        try:
+            tokens = shlex.split(text, comments=True)
+        except ValueError:
+            continue  # not shell (unbalanced quotes in sample output)
+        for idx, token in enumerate(tokens):
+            if token in _SHELL_STOPS:
+                tokens = tokens[:idx]
+                break
+        while tokens and (tokens[0] == "$" or _ENV_ASSIGNMENT.match(tokens[0])):
+            tokens = tokens[1:]
+        if tokens[:1] == ["repro"]:
+            commands.append((start, tokens[1:]))
+        elif tokens and tokens[0].startswith("python"):
+            for idx in range(1, len(tokens) - 1):
+                if tokens[idx:idx + 2] == ["-m", "repro"]:
+                    commands.append((start, tokens[idx + 2:]))
+                    break
+    return commands
+
+
+def command_problems(doc_paths: Iterable[Path]) -> list[str]:
+    """Documented ``repro`` commands that ``build_parser()`` rejects."""
+    from repro.cli import build_parser
+
+    problems = []
+    for doc_path in doc_paths:
+        for number, argv in documented_commands(doc_path):
+            errors = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(errors), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    build_parser().parse_args(argv)
+            except SystemExit as exc:
+                if exc.code:
+                    reason = errors.getvalue().strip().splitlines()
+                    problems.append(
+                        f"{doc_path.name}:{number}: `repro {shlex.join(argv)}`"
+                        f" does not parse: {reason[-1] if reason else exc.code}")
+    return problems
+
+
 def check(
     doc_path: Path = DOC_PATH,
     robustness_doc_path: Path = ROBUSTNESS_DOC_PATH,
@@ -430,6 +510,10 @@ def check(
     if overlap:
         problems.append(
             f"names in both TELEMETRY and SLO lists: {sorted(overlap)}")
+
+    problems += command_problems([doc_path, robustness_doc_path,
+                                  performance_doc_path, serving_doc_path,
+                                  *OTHER_COMMAND_DOCS])
     return problems
 
 
@@ -444,6 +528,9 @@ def main() -> int:
     fuzz_tokens = documented_fuzz_tokens()
     telemetry_tokens = documented_telemetry_tokens()
     ledger_tokens = documented_ledger_tokens()
+    commands = sum(len(documented_commands(path)) for path in (
+        DOC_PATH, ROBUSTNESS_DOC_PATH, PERFORMANCE_DOC_PATH,
+        SERVING_DOC_PATH, *OTHER_COMMAND_DOCS))
     print(f"check_docs: OK ({len(tokens['kinds'])} event kinds, "
           f"{len(tokens['metrics'])} metrics, "
           f"{len(tokens['span_states'])} span states, "
@@ -462,7 +549,7 @@ def main() -> int:
           f"{len(telemetry_tokens['farm_timeline'])} farm timeline names, "
           f"{len(ledger_tokens['ledger_kinds'])} ledger record kinds, "
           f"{len(ledger_tokens['recovery_kinds'])} recovery-semantics kinds "
-          "in sync)")
+          f"in sync; {commands} documented commands parse)")
     return 0
 
 

@@ -4,7 +4,8 @@ The subsystem has three layers:
 
 * :mod:`repro.checkpoint.snapshot` -- capture/restore of the full
   machine state (clock, VM, run-time layer, disks, fault RNG streams,
-  interpreter cursor, ``RunStats``, and optionally the trace ring);
+  interpreter cursor, ``RunStats``, and an attached observer's metrics
+  -- never its trace events);
 * :mod:`repro.checkpoint.store` -- the versioned, checksummed on-disk
   format, written atomically with a retained ring of the last K
   checkpoints and corruption fallback;

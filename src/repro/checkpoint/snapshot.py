@@ -36,7 +36,7 @@ from repro.vm.page import PageColumns
 
 #: Version of the pickled state layout (independent of the container
 #: format version in :mod:`repro.checkpoint.store`).
-SNAPSHOT_VERSION = 2  # v2: Page ref/dirty/version moved to PageColumns
+SNAPSHOT_VERSION = 3  # v3: the observer's trace ring left the snapshot
 
 
 def _plan_fingerprint(plan) -> str | None:
@@ -174,11 +174,9 @@ def _capture_state(machine, executor) -> dict[str, Any]:
             "units": executor.units,
             "out_of_range_hints": executor.out_of_range_hints,
         },
+        # Metrics only: trace events are per-incarnation artifacts, so
+        # the payload does not grow with trace occupancy.
         "obs": None if machine.obs is None else {
-            "capacity": machine.obs.trace.capacity,
-            "ring": machine.obs.trace._ring,
-            "next": machine.obs.trace._next,
-            "total": machine.obs.trace._total,
             "metrics": _capture_metrics(machine.obs.metrics),
         },
     }
@@ -414,17 +412,10 @@ def _restore_state(machine, executor, state: dict[str, Any]) -> None:
     if (machine.obs is None) != (state["obs"] is None):
         raise CheckpointError("snapshot and machine disagree on observability")
     if machine.obs is not None:
-        obs_state = state["obs"]
-        trace = machine.obs.trace
-        if trace.capacity != obs_state["capacity"]:
-            raise CheckpointError(
-                f"snapshot trace capacity {obs_state['capacity']} != "
-                f"machine's {trace.capacity}"
-            )
-        trace._ring = list(obs_state["ring"])
-        trace._next = obs_state["next"]
-        trace._total = obs_state["total"]
-        _restore_metrics(machine.obs.metrics, obs_state["metrics"])
+        # The resumed incarnation's trace starts empty; its first event
+        # is the runner's checkpoint_restore.
+        machine.obs.trace.clear()
+        _restore_metrics(machine.obs.metrics, state["obs"]["metrics"])
 
 
 # ----------------------------------------------------------------------

@@ -54,6 +54,7 @@ replayed first on every later campaign; see docs/robustness.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -174,11 +175,27 @@ def _checkpoint_from_args(
     )
 
 
-def _make_observer(args: argparse.Namespace) -> Observer | None:
-    """An observer when any observability output was requested."""
-    if getattr(args, "trace", None) or getattr(args, "metrics_out", None):
-        return Observer(capacity=getattr(args, "trace_buffer", 65536))
+def _make_observer(args: argparse.Namespace,
+                   always: bool = False) -> Observer | None:
+    """An observer when any observability output was requested (or
+    ``always``); it records a trace only when ``--trace`` asked for one."""
+    trace = getattr(args, "trace", None)
+    if always or trace or getattr(args, "metrics_out", None):
+        return Observer(capacity=getattr(args, "trace_buffer", 65536),
+                        record_trace=bool(trace))
     return None
+
+
+@contextlib.contextmanager
+def _observations_survive_crash(args: argparse.Namespace,
+                                obs: Observer | None):
+    """A planned crash still writes the dying run's requested artifacts
+    (``main`` then turns it into exit code 3)."""
+    try:
+        yield
+    except ProcessCrash:
+        _write_observations(args, obs)
+        raise
 
 
 def _write_observations(args: argparse.Namespace, obs: Observer | None) -> None:
@@ -282,7 +299,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     platform = _platform_from_args(args)
     observer = _make_observer(args)
     fault_plan = _fault_plan_from_args(args, platform)
-    name, pages, stats = _run_one_variant(args, platform, observer, fault_plan)
+    with _observations_survive_crash(args, observer):
+        name, pages, stats = _run_one_variant(args, platform, observer,
+                                              fault_plan)
     resumed = getattr(args, "resume_from", None)
     print(f"{name} [{args.variant.upper()}] at {pages} data pages "
           f"({'warm' if args.warm else 'cold'} start"
@@ -325,19 +344,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
         _data_pages(args, platform) if getattr(args, "size_class", None) else None
     )
     observer = _make_observer(args)
-    result = compare_app(
-        spec,
-        platform,
-        data_pages=pages,
-        seed=args.seed,
-        warm=args.warm,
-        include_nofilter=args.nofilter,
-        include_adaptive=args.adaptive,
-        observer=observer,
-        fault_plan=_fault_plan_from_args(args, platform),
-        # compare_app re-labels per variant (<app>-O, <app>-P, ...).
-        checkpoint=_checkpoint_from_args(args, spec.name),
-    )
+    with _observations_survive_crash(args, observer):
+        result = compare_app(
+            spec,
+            platform,
+            data_pages=pages,
+            seed=args.seed,
+            warm=args.warm,
+            include_nofilter=args.nofilter,
+            include_adaptive=args.adaptive,
+            observer=observer,
+            fault_plan=_fault_plan_from_args(args, platform),
+            # compare_app re-labels per variant (<app>-O, <app>-P, ...).
+            checkpoint=_checkpoint_from_args(args, spec.name),
+        )
     rows = []
     variants = [result.original, result.prefetch] + list(result.extras.values())
     for run in variants:
@@ -362,10 +382,12 @@ def _attributed_run(
     args: argparse.Namespace, platform: PlatformConfig
 ) -> tuple[str, int, RunStats, Observer, StallAttributor]:
     """Execute one variant with span assembly + stall attribution live."""
-    observer = Observer(capacity=getattr(args, "trace_buffer", 65536))
+    observer = _make_observer(args, always=True)
     attributor = StallAttributor(observer=observer)
     fault_plan = _fault_plan_from_args(args, platform)
-    name, pages, stats = _run_one_variant(args, platform, observer, fault_plan)
+    with _observations_survive_crash(args, observer):
+        name, pages, stats = _run_one_variant(args, platform, observer,
+                                              fault_plan)
     return name, pages, stats, observer, attributor
 
 
@@ -490,6 +512,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.harness.bench import (
         compare_reports,
         find_baseline,
+        is_trajectory_report,
         load_report,
         run_bench,
         smoke_cases,
@@ -498,12 +521,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
     out = Path(args.out)
+    if is_trajectory_report(out) and out.exists():
+        print(f"error: {out} is a committed trajectory report; never "
+              f"rewrite one -- pick a new BENCH_PR<N>.json or another "
+              f"--out", file=sys.stderr)
+        return ExitCode.USAGE
     baseline_path: Path | None = None
     if args.baseline == "auto":
-        baseline_path = find_baseline(out.resolve().parent, exclude=out)
+        baseline_path = find_baseline(out.resolve().parent)
     elif args.baseline != "none":
         baseline_path = Path(args.baseline)
-    # Load before writing: --out may overwrite the committed baseline.
     baseline = load_report(baseline_path) if baseline_path is not None else None
     cases = smoke_cases() if args.smoke else table3_cases() + smoke_cases()
     report = run_bench(
@@ -1279,7 +1306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="perf-trajectory benchmark (writes BENCH_PR<N>.json)",
+        help="perf-trajectory benchmark (gates against BENCH_PR<N>.json)",
         description="Run the pinned EMBAR/MGRID/BUK workload set, write "
                     "a report, and gate simulated cycles against the "
                     "newest committed BENCH_PR<N>.json baseline; exits "
@@ -1289,8 +1316,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--smoke", action="store_true",
                    help="CI mode: only the small golden-trace footprint")
-    p.add_argument("--out", default="BENCH_PR6.json", metavar="FILE",
-                   help="report output path (default BENCH_PR6.json)")
+    p.add_argument("--out", default="bench_report.json", metavar="FILE",
+                   help="report output path (default bench_report.json; "
+                        "an existing BENCH_PR<N>.json is refused)")
     p.add_argument("--baseline", default="auto", metavar="PATH",
                    help="baseline report; 'auto' finds the newest "
                         "BENCH_PR<N>.json next to --out, 'none' disables "

@@ -158,7 +158,7 @@ def check_stall_bound(scenario: Scenario) -> None:
 
 def check_explain_conservation(scenario: Scenario) -> None:
     platform, _original, compiled = _programs(scenario)
-    obs = Observer()
+    obs = Observer(record_trace=False)  # the sink sees every event
     attrib = StallAttributor(observer=obs)
     RUNS.count += 1
     stats = run_variant(compiled, platform, prefetching=True, observer=obs,
@@ -218,7 +218,7 @@ class FilterSoundnessChecker:
 
 def check_filter_soundness(scenario: Scenario) -> None:
     platform, _original, compiled = _programs(scenario)
-    obs = Observer()
+    obs = Observer(record_trace=False)  # the sink sees every event
     machine = Machine(platform, prefetching=True, observer=obs,
                       fault_plan=scenario.fault_plan)
     checker = FilterSoundnessChecker(machine.manager, scenario)
@@ -355,7 +355,7 @@ def _chaos_multiprog(scenario: Scenario, platform) -> None:
     clean = _multiprog_run(scenario, platform, None)
     budget = (clean.elapsed_us * scenario.budget_factor
               + scenario.budget_slack_us)
-    obs = Observer()
+    obs = Observer(record_trace=False)  # the sink sees every event
     sink = StallWaitAccumulator()
     obs.sink = sink
     result = _multiprog_run(scenario, platform, scenario.fault_plan,

@@ -193,6 +193,11 @@ def load_report(path: str | Path) -> dict:
     return report
 
 
+def is_trajectory_report(path: str | Path) -> bool:
+    """Is ``path`` named like a committed ``BENCH_PR<N>.json`` report?"""
+    return _BENCH_NAME.match(Path(path).name) is not None
+
+
 def find_baseline(root: str | Path,
                   exclude: str | Path | None = None) -> Path | None:
     """The newest committed ``BENCH_PR<N>.json`` under ``root``.

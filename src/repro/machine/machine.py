@@ -229,7 +229,8 @@ class Machine:
         # runs route single-page prefetches through the layer.  An
         # attached observer must also see every request (the filter
         # events are part of the trace), so tracing runs take the layer
-        # path too -- it charges identical costs, only wall-clock slows.
+        # path too -- it charges the same costs, summed in another order
+        # (simulated times may differ in their last bits).
         # Fault injection likewise disables the fast path: the fallback
         # gate must consume every request, and a lagged bit vector makes
         # the cached ``raw`` list stale.

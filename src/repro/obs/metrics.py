@@ -159,17 +159,19 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper bound of the q-th bucket."""
+        """Approximate quantile: the upper bound of the q-th bucket,
+        clamped to the observed [min, max] (a bucket bound may lie far
+        outside the values that fell into it)."""
         if not 0.0 <= q <= 1.0:
             raise MachineError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:
             return 0.0
         rank = q * self.count
         seen = 0
-        for idx, n in enumerate(self.buckets):
+        for idx, n in enumerate(self.buckets[:-1]):
             seen += n
             if seen >= rank:
-                return self.bounds[idx] if idx < len(self.bounds) else self.max
+                return min(max(self.bounds[idx], self.min), self.max)
         return self.max
 
     def merge(self, other: "Histogram") -> None:

@@ -21,7 +21,9 @@ label lifecycles without adding a single trace event:
   happens, immune to ring-buffer wraparound.
 
 None of this changes what gets recorded in the ring, so the golden
-trace stays bit-identical whether or not a sink is attached.
+trace stays bit-identical whether or not a sink is attached.  Nor does
+the ring change the run: a metrics-only observer (``record_trace=False``)
+yields the same ``RunStats`` and metrics as a recording one.
 """
 
 from __future__ import annotations
@@ -46,8 +48,12 @@ class Observer:
         self,
         capacity: int = 65536,
         metrics: MetricsRegistry | None = None,
+        record_trace: bool = True,
     ) -> None:
-        self.trace = TraceBuffer(capacity)
+        # record_trace=False makes a metrics-only observer: every event
+        # still reaches the live histograms and the sink, but none is
+        # kept -- for callers that will never write the trace.
+        self.trace = TraceBuffer(capacity, enabled=record_trace)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Pre-bound live histograms so hot-ish paths skip the registry
         # lookup.  Names must stay in sync with OBS_METRIC_NAMES.
@@ -82,7 +88,8 @@ class Observer:
         value: float = 0.0,
         tag: str = "",
     ) -> None:
-        """Record one trace event at simulated time ``ts_us``."""
+        """Emit one event at simulated time ``ts_us`` to the trace (kept
+        only when recording) and the sink."""
         self.trace.emit(ts_us, kind, vpage, npages, value, tag)
         if self.sink is not None:
             self.sink.on_event(ts_us, kind, vpage, npages, value, tag)

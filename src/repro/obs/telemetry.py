@@ -30,9 +30,11 @@ worker dying at any instant can corrupt nothing:
   ``repro serve status --telemetry`` render.
 
 Telemetry is observation-only: workers attach an
-:class:`~repro.obs.observer.Observer` (proven bit-identical), and
-nothing here feeds back into scheduling, so every simulated result
-stays bit-identical to the golden trace with telemetry enabled.
+:class:`~repro.obs.observer.Observer` -- metrics-only unless per-job
+traces were requested -- and nothing here feeds back into scheduling,
+so a job's result is the same whatever the observer mode, checkpoint
+cadence or resume history.  It may differ in the last bits from an
+*unobserved* run (docs/observability.md, *Fidelity over wall-clock*).
 """
 
 from __future__ import annotations
@@ -82,10 +84,10 @@ class TelemetryConfig:
     """Everything the telemetry pipeline tunes.
 
     Enabled by default: aggregation rides the existing result channel
-    and costs one observer per job (proven bit-identical).  Per-job
-    Chrome traces are the expensive part and stay opt-in via
-    ``trace_out`` (the merged farm timeline) -- requesting the timeline
-    implies recording the per-job segments it is built from.
+    and costs one metrics-only observer per job.  Per-job Chrome traces
+    are the expensive part and stay opt-in via ``trace_out`` (the
+    merged farm timeline) -- requesting the timeline implies recording
+    the per-job segments it is built from.
     """
 
     enabled: bool = True

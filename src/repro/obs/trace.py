@@ -99,9 +99,10 @@ class TraceBuffer:
     buffer wraps and the oldest events are overwritten (``dropped``
     counts them).  ``events()`` returns the surviving events oldest
     first.  A buffer constructed with ``enabled=False`` is a pure no-op
-    recorder -- components additionally skip the call entirely when no
-    observer is attached, so disabled-mode cost is a single ``is None``
-    check on their side.
+    recorder that never allocates its ring (a metrics-only
+    :class:`~repro.obs.observer.Observer`) -- components additionally
+    skip the call entirely when no observer is attached, so
+    disabled-mode cost is a single ``is None`` check on their side.
     """
 
     __slots__ = ("capacity", "enabled", "_ring", "_next", "_total")
@@ -111,9 +112,7 @@ class TraceBuffer:
             raise MachineError(f"trace buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.enabled = enabled
-        self._ring: list[TraceEvent | None] = [None] * capacity
-        self._next = 0
-        self._total = 0
+        self.clear()
 
     # ------------------------------------------------------------------
 
@@ -168,7 +167,8 @@ class TraceBuffer:
 
     def clear(self) -> None:
         """Forget everything recorded so far (capacity is kept)."""
-        self._ring = [None] * self.capacity
+        self._ring: list[TraceEvent | None] = (
+            [None] * self.capacity if self.enabled else [])
         self._next = 0
         self._total = 0
 

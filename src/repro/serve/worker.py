@@ -69,10 +69,15 @@ def execute_job(spec, job_dir: Path, resume: bool,
     re-dying), and whatever the simulator raises for poison jobs.
 
     ``observer`` attaches farm telemetry to ``run``/``compare`` jobs
-    (live obs.* histograms plus the per-job trace).  Attaching an
-    observer is proven bit-identical, and the result payload is still
-    computed from a fresh ``RunStats.publish`` registry, so a job run
-    with telemetry returns exactly the bits of one run without.
+    (live obs.* histograms, plus the per-job trace when it records
+    one).  The result payload is computed from a fresh
+    ``RunStats.publish`` registry, so it is the same whether the
+    observer records a trace or not, at any checkpoint cadence and
+    across resumes.  An observer does send every prefetch through the
+    run-time layer (the inline filter is off), which adds the same costs
+    in another order, so an observed result may differ in its last bits
+    from an unobserved one -- which is why ``observed`` is part of the
+    checkpoint signature.
     """
     from repro.apps.registry import get_app
     from repro.checkpoint import CheckpointConfig
@@ -234,8 +239,9 @@ def worker_main(worker_id: int, inbox, beats, results_dir: str,
     ``telemetry`` (from :meth:`repro.obs.telemetry.TelemetryConfig.
     worker_args`) turns on per-job observers: live metric deltas flush
     to ``<dir>/worker<id>.json`` every ``flush_every_s`` and ride the
-    result payload as the final delta; with ``traces_dir`` set, each
-    attempt's Chrome trace lands there for the merged farm timeline.
+    result payload as the final delta.  Only with ``traces_dir`` set do
+    the observers record a trace: each attempt's Chrome trace lands
+    there for the merged farm timeline.
 
     ``hb_path`` mirrors the heartbeat into an on-disk touch-file so a
     controller that replaced a crashed one can judge this worker's
@@ -278,7 +284,8 @@ def worker_main(worker_id: int, inbox, beats, results_dir: str,
         if telemetry is not None:
             from repro.obs.observer import Observer
 
-            observer = Observer()
+            observer = Observer(
+                record_trace=bool(telemetry.get("traces_dir")))
             slot["current"] = (spec, attempt, observer)
         payload: dict[str, Any] = {
             "job_id": spec.job_id,

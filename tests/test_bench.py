@@ -211,6 +211,26 @@ class TestBenchCli:
         assert main(["bench", "--smoke", "--out", str(out)]) == 0
         assert "no benchmark regression" in capsys.readouterr().out
 
+    def test_default_out_is_not_a_trajectory_report(self):
+        from repro.cli import build_parser
+        from repro.harness.bench import is_trajectory_report
+
+        out = build_parser().parse_args(["bench"]).out
+        assert not is_trajectory_report(out)
+        assert not out.startswith("BENCH_PR")
+        assert is_trajectory_report("some/dir/BENCH_PR12.json")
+
+    def test_refuses_to_rewrite_a_committed_report(self, capsys, tmp_path):
+        from repro.cli import main
+        from repro.errors import ExitCode
+
+        committed = tmp_path / "BENCH_PR6.json"
+        committed.write_text('{"schema": "committed"}')
+        assert main(["bench", "--smoke", "--out",
+                     str(committed)]) == ExitCode.USAGE
+        assert committed.read_text() == '{"schema": "committed"}'
+        assert "never rewrite" in capsys.readouterr().err
+
     def test_committed_baseline_matches_current_code(self, capsys):
         """The newest repo-root BENCH_PR<N>.json must reflect today's
         simulator."""

@@ -90,3 +90,41 @@ def test_lint_catches_bench_profile_drift(check_docs, tmp_path):
     mutated.write_text(doc.replace("| `table3` |", "| not-a-row |"))
     problems = check_docs.check(performance_doc_path=mutated)
     assert any("'table3'" in p and "not documented" in p for p in problems)
+
+
+def test_command_extraction_joins_cuts_and_skips_prose(check_docs, tmp_path):
+    doc = tmp_path / "guide.md"
+    doc.write_text(
+        "Run it:\n"
+        "\n"
+        "```sh\n"
+        "PYTHONPATH=src python -m cProfile -s cumulative -m repro run --app buk -p | head\n"
+        "python -m repro --memory-pages 96 run EMBAR \\\n"
+        "    --pages 120 --bogus-flag   # a comment\n"
+        "$ repro top --workdir farm --once --json | jq .slo.ok\n"
+        "make test\n"
+        "```\n"
+        "\n"
+        "`python -m repro run --not-fenced` is prose, not a command.\n")
+    assert check_docs.documented_commands(doc) == [
+        (4, ["run", "--app", "buk", "-p"]),
+        (5, ["--memory-pages", "96", "run", "EMBAR", "--pages", "120",
+             "--bogus-flag"]),
+        (7, ["top", "--workdir", "farm", "--once", "--json"]),
+    ]
+    problems = check_docs.command_problems([doc])
+    assert len(problems) == 2
+    assert problems[0].startswith("guide.md:4:") and "--app" in problems[0]
+    assert problems[1].startswith("guide.md:5:") and "--bogus-flag" in problems[1]
+
+
+def test_lint_catches_a_documented_command_the_cli_rejects(check_docs, tmp_path):
+    """The cProfile recipe once ran ``repro run --app buk -p``, which
+    argparse rejects; reintroducing it must fail the lint."""
+    doc = (REPO_ROOT / "docs" / "performance.md").read_text()
+    assert "run BUK --variant p" in doc
+    mutated = tmp_path / "performance.md"
+    mutated.write_text(doc.replace("run BUK --variant p", "run --app buk -p"))
+    problems = check_docs.check(performance_doc_path=mutated)
+    assert any("`repro run --app buk -p` does not parse" in p
+               for p in problems)

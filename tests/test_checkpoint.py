@@ -14,6 +14,8 @@ into a fresh machine.
 
 import dataclasses
 import json
+import pickle
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from repro.checkpoint import (
     Checkpointer,
     CheckpointStore,
     Snapshot,
+    capture,
     describe_state,
     read_checkpoint_file,
     run_with_recovery,
@@ -40,6 +43,7 @@ from repro.harness.experiment import run_variant
 from repro.interp.executor import Executor
 from repro.machine.machine import Machine
 from repro.obs import Observer, TraceKind
+from repro.serve.worker import DEFAULT_CHECKPOINT_EVERY_US
 
 #: Small out-of-core platform: 64 frames of memory, 80 pages of data.
 CFG = PlatformConfig(memory_pages=64)
@@ -192,6 +196,105 @@ class TestPureObservation:
         assert writes and all(e.kind is TraceKind.CHECKPOINT_WRITE
                               for e in writes)
         assert [e for e in ckpted if e.kind not in _CKPT_KINDS] == plain
+
+
+# ----------------------------------------------------------------------
+# Snapshots carry state and metrics, never trace events
+# ----------------------------------------------------------------------
+
+def _observed_metrics(obs) -> dict:
+    return {name: obs.metrics.get(name).as_dict()
+            for name in obs.metrics.names()
+            if name.startswith(("obs.", "ckpt."))}
+
+
+def _observed_recovery(program, prefetching, record_trace, config):
+    """run_with_recovery with a fresh observer per incarnation, as a
+    process that dies and restarts would have."""
+    observers = []
+
+    def make():
+        obs = Observer(record_trace=record_trace)
+        observers.append(obs)
+        machine = Machine(CFG, prefetching=prefetching, observer=obs)
+        return machine, Executor(machine)
+
+    return run_with_recovery(make, program, config), observers
+
+
+class TestRingFreeSnapshots:
+    def test_payload_does_not_grow_with_trace_occupancy(self, programs):
+        obs = Observer()
+        machine, executor = _factory(True, observer=obs)()
+        executor.run(programs[("EMBAR", True)])
+        before = capture(machine, executor)
+        for k in range(50_000):
+            obs.emit(float(k), TraceKind.FAULT, k, 1, 0.0, "pad")
+        assert obs.trace.total_emitted >= 50_000
+        after = capture(machine, executor)
+        assert len(after.payload) == len(before.payload)
+        assert "ring" not in after.state()["obs"]
+
+    def test_v2_checkpoint_rejected(self, programs, tmp_path):
+        program = programs[("EMBAR", True)]
+        machine, executor = _factory(True)()
+        executor.run(program)
+        snap = capture(machine, executor, label="old")
+        state = snap.state()
+        state["version"] = 2
+        path = tmp_path / "old.00000001.ckpt"
+        path.write_bytes(encode_checkpoint(
+            dict(snap.meta, snapshot_version=2, seq=1),
+            pickle.dumps(state, protocol=4)))
+        fresh, fresh_ex = _factory(True)()
+        setup_checkpointing(fresh, fresh_ex,
+                            CheckpointConfig(label="old", resume_from=path))
+        with pytest.raises(CheckpointError,
+                           match="version 2 is not supported.*reads version 3"):
+            fresh_ex.run(program)
+
+    @pytest.mark.parametrize("variant", ["O", "P"])
+    @pytest.mark.parametrize("app", APP_NAMES)
+    def test_observer_mode_never_changes_results(self, programs, app, variant):
+        """Metrics-only and recording observers give bitwise-identical
+        RunStats and obs.*/ckpt.* metrics, uninterrupted and across a
+        10 ms cadence with one crash and resume."""
+        prefetching = variant == "P"
+        program = programs[(app, prefetching)]
+        plain = {}
+        for record_trace in (True, False):
+            obs = Observer(record_trace=record_trace)
+            machine, executor = _factory(prefetching, observer=obs)()
+            stats = executor.run(program)
+            plain[record_trace] = (dataclasses.asdict(stats),
+                                   _observed_metrics(obs))
+        assert plain[True] == plain[False]
+        base_stats, base_metrics = plain[True]
+
+        config = CheckpointConfig(every_us=DEFAULT_CHECKPOINT_EVERY_US,
+                                  crash_at_us=(stats.elapsed_us / 2,))
+        resumed = {}
+        for record_trace in (True, False):
+            rec, observers = _observed_recovery(program, prefetching,
+                                                record_trace, config)
+            assert (rec.crashes, rec.resumes) == (1, 1)
+            final = observers[-1]
+            resumed[record_trace] = (dataclasses.asdict(rec.stats),
+                                     _observed_metrics(final))
+            # The resumed incarnation's trace starts at the restore and
+            # holds nothing from before the snapshot.
+            events = final.trace.events()
+            if record_trace:
+                restore = events[0]
+                assert restore.kind is TraceKind.CHECKPOINT_RESTORE
+                assert all(e.ts_us >= restore.value for e in events)
+            else:
+                assert events == []
+        assert resumed[True] == resumed[False]
+        stats, metrics = resumed[True]
+        assert stats == base_stats
+        assert {k: v for k, v in metrics.items() if k.startswith("obs.")} \
+            == base_metrics
 
 
 # ----------------------------------------------------------------------
@@ -488,3 +591,45 @@ class TestCli:
         for name in RUN_METRIC_NAMES:
             assert a.get(name) == b.get(name), name
         assert b["ckpt.restores"]["value"] == 1.0
+
+    def test_crashing_run_keeps_its_observations(self, tmp_path, capsys):
+        """A planned crash still writes the dying incarnation's trace
+        and metrics; the resumed run's trace starts at the restore."""
+        from repro.cli import main
+        from repro.obs import validate_chrome_trace
+
+        def instants(path):
+            trace = json.loads(path.read_text())
+            assert validate_chrome_trace(trace) == []
+            return [e for e in trace["traceEvents"] if e["ph"] == "i"]
+
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(
+            '{"version": 1, "seed": 1, "crashes": [300000.0]}\n')
+        ckpt_dir = tmp_path / "ckpts"
+        common = [
+            "--memory-pages", "96", "run", "EMBAR", "--pages", "120",
+            "--faults", str(plan_path), "--checkpoint-dir", str(ckpt_dir),
+        ]
+        crash_trace = tmp_path / "crash_trace.json"
+        crash_metrics = tmp_path / "crash_metrics.json"
+        assert main(common + ["--checkpoint-every", "100000",
+                              "--trace", str(crash_trace),
+                              "--metrics-out", str(crash_metrics)]) == 3
+        err = capsys.readouterr().err
+        died_at = float(re.search(r"crashed at simulated cycle (\d+) us",
+                                  err).group(1))
+        events = instants(crash_trace)
+        assert events
+        assert max(e["ts"] for e in events) <= died_at + 0.5
+        assert any(e["name"] == "checkpoint_write" for e in events)
+        crashed = json.loads(crash_metrics.read_text())["metrics"]
+        assert crashed["ckpt.crashes_delivered"]["value"] == 1.0
+
+        resumed_trace = tmp_path / "resumed_trace.json"
+        assert main(common + ["--resume-from", str(ckpt_dir),
+                              "--trace", str(resumed_trace)]) == 0
+        events = instants(resumed_trace)
+        restore = events[0]
+        assert restore["name"] == "checkpoint_restore"
+        assert all(e["ts"] >= restore["args"]["value"] for e in events)

@@ -26,8 +26,11 @@ from repro.errors import ConfigError, ExitCode
 from repro.obs import Observer
 from repro.obs.export import merge_chrome_traces, validate_chrome_trace
 from repro.obs.metrics import (
+    DEFAULT_BOUNDS_US,
     SLO_METRIC_NAMES,
     TELEMETRY_METRIC_NAMES,
+    TIMELINESS_BOUNDS_US,
+    Histogram,
     MetricsRegistry,
     base_name,
     labeled_name,
@@ -42,7 +45,14 @@ from repro.obs.telemetry import (
     default_slo_rules,
     load_slo_rules,
 )
-from repro.serve import FarmConfig, JobSpec, JobState, RetryPolicy, run_farm
+from repro.serve import (
+    FarmConfig,
+    JobSpec,
+    JobState,
+    RetryPolicy,
+    result_digest,
+    run_farm,
+)
 from repro.serve.worker import execute_job
 
 FAST_RETRY = RetryPolicy(base_s=0.01, cap_s=0.05, seed=1)
@@ -107,6 +117,43 @@ def test_histogram_merge_equals_sequential(a_obs, b_obs):
     # sums can differ from the sequential sum in the last bit
     assert merged.pop("sum") == pytest.approx(sequential.pop("sum"))
     assert merged == sequential
+
+
+_QUANTILES = [k / 20 for k in range(21)] + [0.99, 0.999]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-2e6, 2e6), min_size=1, max_size=20),
+       st.lists(st.floats(-2e6, 2e6), max_size=20),
+       st.sampled_from([BOUNDS, DEFAULT_BOUNDS_US, TIMELINESS_BOUNDS_US]))
+def test_quantile_is_clamped_monotone_and_merge_invariant(a_obs, b_obs,
+                                                          bounds):
+    """A quantile lies in [min, max], rises with q, and reads the same
+    after a merge as after sequential recording."""
+    a, b, seq = (Histogram("h", bounds) for _ in range(3))
+    for v in a_obs:
+        a.observe(v)
+    for v in b_obs:
+        b.observe(v)
+    for v in a_obs + b_obs:
+        seq.observe(v)
+    quantiles = [seq.quantile(q) for q in sorted(_QUANTILES)]
+    assert all(seq.min <= v <= seq.max for v in quantiles)
+    assert quantiles == sorted(quantiles)
+    a.merge(b)
+    assert [a.quantile(q) for q in sorted(_QUANTILES)] == quantiles
+
+
+def test_quantile_never_reports_past_the_slowest_sample():
+    """The 1-worker demo once printed a 60 s p99 for a 37.79 s batch:
+    the bucket bound, not anything observed."""
+    from repro.serve.controller import JOB_LATENCY_BOUNDS_US
+
+    latency = Histogram("serve.job_latency_us", JOB_LATENCY_BOUNDS_US)
+    for seconds in (3.1, 12.0, 37.79):
+        latency.observe(seconds * 1e6)
+    assert latency.quantile(0.99) == 37.79e6  # the bucket bound is 60 s
+    assert latency.quantile(0.0) == 3.1e6
 
 
 @settings(max_examples=40, deadline=None)
@@ -467,6 +514,19 @@ def test_chaos_farm_produces_timeline_tenants_and_verdict(tmp_path):
     # SIGKILLed attempt died before it could write one)
     assert merged["otherData"]["segments"] == [
         f"repro-farm [{telemetry['trace_id']}]", "long.a2"]
+    # The resumed segment is its own incarnation's trace: it opens with
+    # the restore and repeats nothing from before the snapshot.
+    segment = json.loads((tmp_path / "farm" / "traces" / "long.a2.json")
+                         .read_text())
+    events = [ev for ev in segment["traceEvents"] if ev["ph"] == "i"]
+    restore = events[0]
+    assert restore["name"] == "checkpoint_restore"
+    assert all(ev["ts"] >= restore["args"]["value"] for ev in events)
+    # ... and the resumed job still returns the solo run's exact bits.
+    solo_dir = tmp_path / "solo"
+    solo_dir.mkdir()
+    solo = execute_job(spec, solo_dir, resume=False, observer=Observer())
+    assert result_digest(rec.result) == result_digest(solo)
 
     verdict = json.loads(slo_out.read_text())
     assert verdict["ok"] is False
