@@ -29,7 +29,7 @@ docs/observability.md.
 ``--fault-seed N`` to execute under deterministic injected faults; see
 docs/robustness.md.
 
-``run``, ``compare``, and ``bench`` accept ``--checkpoint-every US``,
+``run`` and ``compare`` accept ``--checkpoint-every US``,
 ``--checkpoint-dir DIR``, ``--checkpoint-keep K``, ``--resume-from
 PATH``, and ``--ignore-crash-faults``.  A planned ``process_crash``
 fault (or a pending one from a resumed plan) terminates the process
@@ -538,8 +538,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         progress=lambda case: print(
             f"running {case.app} ({case.profile}: {case.data_pages} pages, "
             f"{case.memory_pages} memory pages) ...", flush=True),
-        # run_case re-labels per entry (<app>-<variant>-<profile>).
-        checkpoint=_checkpoint_from_args(args, "bench"),
         wall_reps=args.wall_reps,
     )
     write_report(out, report)
@@ -1333,7 +1331,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also gate wall_time_s at this fractional growth; "
                         "only meaningful when baseline ran on a comparable "
                         "host (default: off; see docs/observability.md)")
-    add_ckpt_args(p)
 
     p = sub.add_parser("sweep", help="problem-size sweep (Figure 8 style)")
     add_app_args(p)
@@ -1434,8 +1431,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable farm telemetry (worker metric deltas, "
                         "SLO evaluation, telemetry.json snapshots)")
     p.add_argument("--telemetry-every", type=float, default=0.5, metavar="S",
-                   help="telemetry flush/snapshot/SLO cadence "
-                        "(default 0.5 s)")
+                   help="controller telemetry-snapshot and SLO-evaluation "
+                        "cadence (default 0.5 s)")
     p.add_argument("--farm-trace", metavar="FILE", default=None,
                    help="write the merged Perfetto farm timeline here "
                         "(controller spans + per-job traces)")

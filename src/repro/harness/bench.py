@@ -30,7 +30,6 @@ Two case profiles:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 import sys
@@ -40,7 +39,6 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.apps.registry import get_app
-from repro.checkpoint.runner import CheckpointConfig
 from repro.config import PlatformConfig
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
@@ -93,9 +91,7 @@ BENCH_PROFILES = {
 }
 
 
-def run_case(case: BenchCase,
-             checkpoint: CheckpointConfig | None = None,
-             wall_reps: int = 1) -> list[dict]:
+def run_case(case: BenchCase, wall_reps: int = 1) -> list[dict]:
     """Execute one case's O and P variants; returns two report entries.
 
     ``wall_reps`` repeats each variant and records the *minimum* wall
@@ -103,8 +99,7 @@ def run_case(case: BenchCase,
     host noise, which is the estimator closest to the simulator's true
     cost.  Every repetition must produce identical simulated results --
     a mismatch means the simulator is nondeterministic, which is a bug
-    worth crashing on.  Checkpointed runs never repeat (each repetition
-    would rewrite the snapshot chain).
+    worth crashing on.
     """
     if wall_reps < 1:
         raise ConfigError(f"wall_reps must be >= 1, got {wall_reps}")
@@ -114,24 +109,14 @@ def run_case(case: BenchCase,
     compiled = insert_prefetches(
         program, CompilerOptions.from_platform(platform)
     ).program
-    # An inactive config (built only to keep crash-ledger plumbing
-    # wired) does not snapshot, so repetitions are still safe then.
-    checkpointing = checkpoint is not None and checkpoint.active()
-    reps = 1 if checkpointing else wall_reps
     entries = []
     for variant, prog, prefetching in (("O", program, False),
                                        ("P", compiled, True)):
-        ckpt = None
-        if checkpoint is not None:
-            ckpt = dataclasses.replace(
-                checkpoint, label=f"{case.app}-{variant}-{case.profile}"
-            )
         stats = None
         wall = float("inf")
-        for _ in range(reps):
+        for _ in range(wall_reps):
             start = time.perf_counter()
-            rep_stats = run_variant(prog, platform, prefetching=prefetching,
-                                    checkpoint=ckpt)
+            rep_stats = run_variant(prog, platform, prefetching=prefetching)
             wall = min(wall, time.perf_counter() - start)
             if stats is not None and rep_stats != stats:
                 raise ConfigError(
@@ -149,22 +134,20 @@ def run_case(case: BenchCase,
             "sim_elapsed_us": stats.elapsed_us,
             "sim_stall_us": stats.times.idle,
             "wall_time_s": round(wall, 4),
-            "wall_reps": reps,
+            "wall_reps": wall_reps,
         })
     return entries
 
 
 def run_bench(cases: Iterable[BenchCase],
               progress=None,
-              checkpoint: CheckpointConfig | None = None,
               wall_reps: int = 1) -> dict:
     """Run every case and assemble a report object."""
     entries: list[dict] = []
     for case in cases:
         if progress is not None:
             progress(case)
-        entries.extend(run_case(case, checkpoint=checkpoint,
-                                wall_reps=wall_reps))
+        entries.extend(run_case(case, wall_reps=wall_reps))
     return {
         "schema": BENCH_SCHEMA,
         "python": sys.version.split()[0],

@@ -471,7 +471,6 @@ FUZZ_METRIC_NAMES: tuple[str, ...] = (
 #: against this list.
 TELEMETRY_METRIC_NAMES: tuple[str, ...] = (
     "telemetry.deltas_folded",
-    "telemetry.partial_flushes",
     "telemetry.snapshot_writes",
     "telemetry.spans",
     "telemetry.instants",

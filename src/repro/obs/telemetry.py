@@ -7,12 +7,12 @@ the gap with a pipeline built entirely from the farm's existing
 communication fabric -- queues in, atomically written files out -- so a
 worker dying at any instant can corrupt nothing:
 
-* :class:`TelemetryAggregator` -- workers serialize their per-job
-  :class:`~repro.obs.metrics.MetricsRegistry` deltas (periodically via
-  partial-snapshot files, finally over the result channel); the
-  controller folds them into a live farm registry.  Instruments are
-  mergeable by construction, so the rollup equals what one shared
-  registry would have recorded, with per-tenant labeled children
+* :class:`TelemetryAggregator` -- a worker serializes each ``done``
+  attempt's :class:`~repro.obs.metrics.MetricsRegistry` into the result
+  payload it writes anyway; the controller folds one such delta per job
+  into a live farm registry.  Instruments are mergeable by
+  construction, so the rollup equals what one shared registry would
+  have recorded, with per-tenant labeled children
   (``obs.stall_latency_us{tenant=acme}``) on top.
 * :class:`FarmTraceRecorder` -- controller-side spans (``queued`` on
   the admission lane, ``running`` on per-worker lanes) and instants
@@ -91,8 +91,8 @@ class TelemetryConfig:
     """
 
     enabled: bool = True
-    #: Cadence (wall seconds) of worker partial flushes, controller
-    #: snapshot writes, and SLO evaluations.
+    #: Cadence (wall seconds) of controller snapshot writes and SLO
+    #: evaluations.
     flush_every_s: float = 0.5
     #: Merged farm-timeline output path (None = no timeline; setting it
     #: turns on per-job trace capture).
@@ -112,15 +112,11 @@ class TelemetryConfig:
     def job_traces(self) -> bool:
         return self.trace_out is not None
 
-    def worker_args(self, telemetry_dir: str, traces_dir: str) -> dict | None:
+    def worker_args(self, traces_dir: str) -> dict | None:
         """The plain-dict form shipped to worker processes."""
         if not self.enabled:
             return None
-        return {
-            "dir": telemetry_dir,
-            "traces_dir": traces_dir if self.job_traces else None,
-            "flush_every_s": self.flush_every_s,
-        }
+        return {"traces_dir": traces_dir if self.job_traces else None}
 
 
 # ----------------------------------------------------------------------
@@ -128,69 +124,43 @@ class TelemetryConfig:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _Contribution:
-    tenant: str
-    final: bool
-    registry: MetricsRegistry
-
-
 class TelemetryAggregator:
-    """Folds worker registry deltas into one farm-level rollup.
+    """Folds per-job registry deltas into one farm-level rollup.
 
-    Contributions are keyed by ``(job_id, attempt)``; a partial flush
-    *replaces* the previous partial for its attempt (worker snapshots
-    are cumulative, not incremental), and the final delta of a job
-    seals the job -- later stale partials are ignored and earlier
-    partials dropped, so nothing is ever folded twice.  The rollup is
-    recomputed from the surviving contributions, which is what makes
-    "controller totals == sum of worker deltas" hold by construction.
+    One contribution per job: the delta its ``done`` attempt carried on
+    the result payload.  A later delta for a job already folded is
+    ignored, and an attempt that never finishes reports nothing, so no
+    attempt is ever folded twice or folded half-done.  The rollup is
+    recomputed from the contributions, which is what makes "controller
+    totals == sum of worker deltas" hold by construction.
     """
 
     def __init__(self) -> None:
-        self._contributions: dict[tuple[str, int], _Contribution] = {}
-        self._sealed: set[str] = set()
+        self._contributions: dict[str, tuple[str, MetricsRegistry]] = {}
 
-    def ingest(self, job_id: str, attempt: int, tenant: str,
-               metrics: dict, final: bool) -> bool:
-        """Fold one worker delta in; returns False when ignored."""
-        if job_id in self._sealed:
+    def ingest(self, job_id: str, tenant: str, metrics: dict) -> bool:
+        """Fold one job's delta in; returns False when ignored."""
+        if job_id in self._contributions:
             return False
-        registry = MetricsRegistry.from_snapshot(metrics)
-        if final:
-            stale = [key for key in self._contributions if key[0] == job_id]
-            for key in stale:
-                del self._contributions[key]
-            self._sealed.add(job_id)
-        self._contributions[(job_id, attempt)] = _Contribution(
-            tenant=tenant, final=final, registry=registry)
+        self._contributions[job_id] = (
+            tenant, MetricsRegistry.from_snapshot(metrics))
         return True
-
-    def discard(self, job_id: str, attempt: int | None = None) -> None:
-        """Drop partials of a failed/preempted attempt (its retry will
-        re-report; keeping both would double-count)."""
-        stale = [key for key in self._contributions
-                 if key[0] == job_id and not self._contributions[key].final
-                 and (attempt is None or key[1] == attempt)]
-        for key in stale:
-            del self._contributions[key]
 
     def jobs_folded(self) -> int:
         return len(self._contributions)
 
     def tenants(self) -> list[str]:
-        return sorted({c.tenant for c in self._contributions.values()})
+        return sorted({tenant for tenant, _ in self._contributions.values()})
 
     def rollup(self) -> MetricsRegistry:
         """One registry carrying every contribution, twice over: the
         unlabeled family plus per-tenant labeled children."""
         rollup = MetricsRegistry()
-        for contribution in self._contributions.values():
-            rollup.merge(contribution.registry)
-            source = contribution.registry
+        for tenant, source in self._contributions.values():
+            rollup.merge(source)
             for name in source.names():
                 instrument = source.get(name)
-                child = labeled_name(name, tenant=contribution.tenant)
+                child = labeled_name(name, tenant=tenant)
                 if instrument.kind == "counter":
                     rollup.counter(child).merge(instrument)
                 elif instrument.kind == "gauge":
@@ -514,13 +484,10 @@ class FarmTelemetry:
                                 if config.slo_rules is not None
                                 else default_slo_rules())
         self.recorder = FarmTraceRecorder(self.trace_id, workers)
-        self.telemetry_dir = self.workdir / "telemetry"
         self.traces_dir = self.workdir / "traces"
         self.snapshot_path = self.workdir / "telemetry.json"
-        if self.enabled:
-            self.telemetry_dir.mkdir(parents=True, exist_ok=True)
-            if config.job_traces:
-                self.traces_dir.mkdir(parents=True, exist_ok=True)
+        if self.enabled and config.job_traces:
+            self.traces_dir.mkdir(parents=True, exist_ok=True)
         self.registry = MetricsRegistry()
         for name in TELEMETRY_METRIC_NAMES:
             if name in ("telemetry.instruments", "telemetry.tenants"):
@@ -549,8 +516,7 @@ class FarmTelemetry:
     # -- wiring --------------------------------------------------------
 
     def worker_args(self) -> dict | None:
-        return self.config.worker_args(str(self.telemetry_dir),
-                                       str(self.traces_dir))
+        return self.config.worker_args(str(self.traces_dir))
 
     def dispatch_context(self, job_id: str, attempt: int) -> dict[str, Any]:
         """The correlation fields carried by one dispatch message."""
@@ -632,16 +598,16 @@ class FarmTelemetry:
         self._count_instant()
         if state == "done":
             self._tenant_row(tenant)["done"] += 1
-        else:
-            # Only completed attempts contribute to the rollup: a job
-            # that ends shed/quarantined never reported a final delta,
-            # so its in-flight partials must not linger either.
-            self.aggregator.discard(job_id)
 
-    def on_attempt_failed(self, record, reason: str, now_s: float) -> None:
-        """One failed attempt (pre-quarantine): close the span, note
-        the retry, and drop the attempt's partial deltas."""
+    def on_attempt_failed(self, record, reason: str, now_s: float,
+                          retry: bool = True) -> None:
+        """One failed attempt: count it for the tenant and, when the job
+        will retry, close its span and note the retry.  (The attempt
+        that quarantines the job keeps its span for ``on_terminal``.)"""
         if not self.enabled:
+            return
+        self._tenant_row(record.spec.tenant)["failed_attempts"] += 1
+        if not retry:
             return
         ts = self.now_us(now_s)
         job_id = record.spec.job_id
@@ -651,8 +617,6 @@ class FarmTelemetry:
             "retry", ts, self.recorder.ADMISSION_TID,
             {"job_id": job_id, "attempt": record.attempts, "reason": reason})
         self._count_instant()
-        self._tenant_row(record.spec.tenant)["failed_attempts"] += 1
-        self.aggregator.discard(job_id, record.attempts)
 
     def on_preempt(self, record, now_s: float) -> None:
         if not self.enabled:
@@ -666,7 +630,6 @@ class FarmTelemetry:
             {"job_id": job_id, "attempt": record.attempts,
              "tenant": record.spec.tenant})
         self._count_instant()
-        self.aggregator.discard(job_id, record.attempts)
 
     def on_recover(self, readmitted: int, now_s: float) -> None:
         """One controller recovery: the ledger was replayed into a new
@@ -700,7 +663,7 @@ class FarmTelemetry:
         self._count_instant()
 
     def on_result(self, record, payload: dict[str, Any]) -> None:
-        """Fold the final telemetry delta of a finished attempt."""
+        """Fold the telemetry delta a ``done`` attempt's payload carries."""
         if not self.enabled:
             return
         delta = payload.get("telemetry")
@@ -711,8 +674,7 @@ class FarmTelemetry:
             return
         try:
             folded = self.aggregator.ingest(
-                record.spec.job_id, int(delta.get("attempt", record.attempts)),
-                record.spec.tenant, metrics, final=True)
+                record.spec.job_id, record.spec.tenant, metrics)
         except Exception:
             return  # a torn/alien delta must never take the farm down
         if folded:
@@ -721,15 +683,14 @@ class FarmTelemetry:
     # -- the polling tick ----------------------------------------------
 
     def poll(self, now_s: float) -> None:
-        """Flush-cadence work: fold partials, sample counters, write the
-        snapshot, evaluate SLOs.  Called from the collect loop."""
+        """Flush-cadence work: sample counters, write the snapshot,
+        evaluate SLOs.  Called from the collect loop."""
         if not self.enabled:
             return
         if now_s - self._last_flush < self.config.flush_every_s:
             return
         self._last_flush = now_s
         ts = self.now_us(now_s)
-        self._fold_partials()
         state = self.state_fn()
         self.recorder.counter("farm_queue_depth", ts,
                               float(state.get("queue_depth", 0)))
@@ -743,36 +704,6 @@ class FarmTelemetry:
             self._count_instant()
         self._evaluate_slo(ts)
         self.write_snapshot(now_s, final=False)
-
-    def _fold_partials(self) -> None:
-        """Read worker partial-snapshot files (cumulative, atomic)."""
-        try:
-            names = os.listdir(self.telemetry_dir)
-        except OSError:
-            return
-        for name in names:
-            if not (name.startswith("worker") and name.endswith(".json")):
-                continue
-            try:
-                with open(self.telemetry_dir / name) as fh:
-                    partial = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if not isinstance(partial, dict):
-                continue
-            job_id = partial.get("job_id")
-            metrics = partial.get("metrics")
-            if not isinstance(job_id, str) or not isinstance(metrics, dict):
-                continue
-            try:
-                folded = self.aggregator.ingest(
-                    job_id, int(partial.get("attempt", 0)),
-                    str(partial.get("tenant", "default")), metrics,
-                    final=False)
-            except Exception:
-                continue
-            if folded:
-                self.registry.counter("telemetry.partial_flushes").inc()
 
     def farm_view(self) -> MetricsRegistry:
         """The combined registry SLOs and snapshots read: the farm's
@@ -883,7 +814,6 @@ class FarmTelemetry:
         if now_s is None:
             now_s = time.monotonic()
         ts = self.now_us(now_s)
-        self._fold_partials()
         verdict = self._evaluate_slo(ts)
         slo_out = self.config.slo_out or str(self.workdir / "slo_verdict.json")
         atomic_write_json(slo_out, {

@@ -10,9 +10,10 @@ One :class:`Farm` owns the whole supervised-job-farm story:
   lowest-priority running job's worker is killed and the job requeued
   to resume from its newest checkpoint on whichever worker frees up;
 * **failure policy**: every involuntary worker death (chaos SIGKILL,
-  stalled heartbeats, blown per-job deadline, real crash) costs the job
-  one attempt and schedules a retry with exponential backoff + jitter;
-  after ``max_attempts`` failures the job is **quarantined** (poison);
+  a stale heartbeat file, blown per-job deadline, real crash) costs
+  the job one attempt and schedules a retry with exponential backoff +
+  jitter; after ``max_attempts`` failures the job is **quarantined**
+  (poison);
 * **degradation accounting**: the ``serve.*`` metrics registry
   (documented in docs/serving.md, linted by ``scripts/check_docs.py``).
 
@@ -62,6 +63,7 @@ from repro.serve.supervisor import (
     WorkerHandle,
     WorkerPool,
     cleanup_worker_state,
+    heartbeat_age,
     scan_worker_state,
     worker_state_paths,
 )
@@ -197,12 +199,11 @@ class Farm:
             state_fn=self._state_summary,
         )
         self.pool = WorkerPool(
-            config.workers, self.results_dir, self.ckpt_root,
+            config.workers, self.results_dir, self.ckpt_root, self.state_dir,
             hb_interval_s=config.hb_interval_s,
             hb_timeout_s=config.hb_timeout_s,
             checkpoint_every_us=config.checkpoint_every_us,
             telemetry=self.telemetry.worker_args(),
-            state_dir=self.state_dir,
         )
 
     def _journal(self, kind: str, **fields) -> None:
@@ -288,6 +289,7 @@ class Farm:
             record.failures.append(reason)
             record.worker = None
             self.metrics.counter("serve.jobs_failed_attempts").inc()
+            self.telemetry.on_attempt_failed(record, reason, now, retry=False)
             self._finish(
                 record, JobState.QUARANTINED,
                 f"quarantined after {record.attempts} failed attempts",
@@ -491,7 +493,8 @@ class Farm:
                   JobState.SHED: 0, JobState.RUNNING: 0, JobState.PENDING: 0}
         for record in self.records:
             counts[record.state] = counts.get(record.state, 0) + 1
-        now = time.monotonic()
+        busy = self.pool.busy_workers()
+        ages = ((h.worker_id, self.pool.hb_age(h)) for h in busy)
         return {
             "jobs": len(self.records),
             "done": counts[JobState.DONE],
@@ -500,9 +503,9 @@ class Farm:
             "running": counts[JobState.RUNNING],
             "pending": counts[JobState.PENDING],
             "queue_depth": len(self.queue),
-            "workers_busy": len(self.pool.busy_workers()),
-            "hb_age_s": {h.worker_id: self.pool.heartbeat_age(h, now)
-                         for h in self.pool.busy_workers()},
+            "workers_busy": len(busy),
+            "hb_age_s": {worker_id: age for worker_id, age in ages
+                         if age is not None},
         }
 
     # ------------------------------------------------------------------
@@ -714,10 +717,7 @@ class Farm:
                     alive = True
                 except OSError:
                     alive = False
-            try:
-                hb_age = time.time() - hb_path.stat().st_mtime
-            except OSError:
-                hb_age = None
+            hb_age = heartbeat_age(hb_path)
             if not alive or (hb_age is not None
                              and hb_age > self.config.hb_timeout_s):
                 return self._read_result_file(entry.job_id, entry.attempts)

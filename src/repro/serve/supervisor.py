@@ -1,7 +1,7 @@
 """The worker pool and its supervisor: spawn, watch, kill, respawn.
 
 The supervisor's contract is that a worker's death -- however it dies:
-SIGKILL chaos, a stall that stops its heartbeats, a blown per-job
+SIGKILL chaos, a stall that lets its heartbeat go stale, a blown per-job
 deadline, or a genuine crash -- is always converted into the same two
 outcomes: a **fresh worker** in the dead one's slot and a **reschedule
 decision** for whatever job it was running.  The controller only ever
@@ -9,10 +9,10 @@ sees "worker N died while running job J (reason)".
 
 Design notes that keep a kill at *any* instant from wedging the farm:
 
-* Heartbeats live in a lock-free shared double array (one slot per
-  worker).  Aligned 8-byte stores are atomic on every supported
-  platform, and a misread would only delay detection by one tick --
-  crucially there is **no lock a dying worker could orphan**.
+* Liveness is one **heartbeat file** per slot in ``state_dir``, touched
+  by the worker's heartbeat thread; its age is the file's mtime against
+  the wall clock (:func:`heartbeat_age`).  A touch takes no lock, so
+  there is **no lock a dying worker could orphan**.
 * Each worker gets a **fresh inbox queue on respawn**.  A process
   SIGKILLed while blocked in ``Queue.get`` can leave that queue's
   internals unusable; abandoning the queue with the corpse sidesteps
@@ -20,15 +20,14 @@ Design notes that keep a kill at *any* instant from wedging the farm:
 * Workers never share a writable structure with the controller at all:
   results travel as atomically written files (see
   :mod:`repro.serve.worker`).
-* With a ``state_dir``, each slot leaves an on-disk shadow of the
-  heartbeat array: a pidfile written at spawn and a heartbeat touch-file
-  stamped by the worker's heartbeat thread.  Workers are daemonic, but
-  daemon termination happens in the parent's *exit handlers* -- which a
-  SIGKILL of the controller never runs -- so orphaned workers survive a
-  controller crash, finish their in-flight job, write its result file,
-  and block on the dead inbox.  The pid + heartbeat files are how a
-  recovering controller finds them (:func:`scan_worker_state`), adopts
-  the fresh ones' results, and reaps the rest.
+* Next to the heartbeat file, each slot has a pidfile written at spawn.
+  Workers are daemonic, but daemon termination happens in the parent's
+  *exit handlers* -- which a SIGKILL of the controller never runs -- so
+  orphaned workers survive a controller crash, finish their in-flight
+  job, write its result file, and block on the dead inbox.  The pid +
+  heartbeat files are how a recovering controller finds them
+  (:func:`scan_worker_state`), adopts the fresh ones' results, and
+  reaps the rest.
 """
 
 from __future__ import annotations
@@ -64,6 +63,16 @@ def worker_state_paths(state_dir: str | Path,
     return base / f"worker{worker_id}.pid", base / f"worker{worker_id}.hb"
 
 
+def heartbeat_age(hb_path: str | Path) -> float | None:
+    """Seconds since the heartbeat file was last touched (None when it
+    does not exist).  Wall-clock based, so it reads the same from any
+    controller process."""
+    try:
+        return time.time() - os.stat(hb_path).st_mtime
+    except OSError:
+        return None
+
+
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -87,7 +96,6 @@ def scan_worker_state(state_dir: str | Path) -> list[dict]:
     if not base.is_dir():
         return []
     rows = []
-    now = time.time()
     for path in sorted(base.iterdir()):
         match = _PIDFILE_RE.match(path.name)
         if not match:
@@ -100,12 +108,9 @@ def scan_worker_state(state_dir: str | Path) -> list[dict]:
         except (OSError, ValueError, KeyError, TypeError):
             continue
         _, hb_path = worker_state_paths(base, worker_id)
-        try:
-            hb_age = now - hb_path.stat().st_mtime
-        except OSError:
-            hb_age = None
         rows.append({"worker_id": worker_id, "pid": pid,
-                     "alive": _pid_alive(pid), "hb_age_s": hb_age})
+                     "alive": _pid_alive(pid),
+                     "hb_age_s": heartbeat_age(hb_path)})
     return rows
 
 
@@ -161,13 +166,14 @@ class WorkerHandle:
 
 
 class WorkerPool:
-    """``size`` supervised worker processes plus their heartbeat array."""
+    """``size`` supervised worker processes, watched through their
+    pid and heartbeat files in ``state_dir``."""
 
     def __init__(self, size: int, results_dir: str, ckpt_root: str,
+                 state_dir: str | Path,
                  hb_interval_s: float = 0.05, hb_timeout_s: float = 5.0,
                  checkpoint_every_us: float | None = None,
-                 telemetry: dict | None = None,
-                 state_dir: str | Path | None = None) -> None:
+                 telemetry: dict | None = None) -> None:
         if size < 1:
             raise ConfigError(f"worker pool needs >= 1 worker, got {size}")
         if hb_timeout_s <= hb_interval_s:
@@ -187,13 +193,9 @@ class WorkerPool:
         #: Plain-dict telemetry wiring shipped to every worker spawn
         #: (:meth:`repro.obs.telemetry.TelemetryConfig.worker_args`).
         self.telemetry = telemetry
-        #: Where pidfiles and heartbeat touch-files shadow the pool
-        #: (None = no on-disk worker state, the pre-recovery behavior).
-        self.state_dir = Path(state_dir) if state_dir is not None else None
-        if self.state_dir is not None:
-            self.state_dir.mkdir(parents=True, exist_ok=True)
-        # lock=False deliberately: no cross-process lock to orphan.
-        self.beats = self.ctx.Array("d", size, lock=False)
+        #: Where each slot's pidfile and heartbeat file live.
+        self.state_dir = Path(state_dir)
+        self.state_dir.mkdir(parents=True, exist_ok=True)
         self.workers = [WorkerHandle(worker_id=i) for i in range(size)]
 
     # ------------------------------------------------------------------
@@ -203,28 +205,26 @@ class WorkerPool:
     def spawn(self, handle: WorkerHandle) -> None:
         """(Re)start one slot with a fresh process and a fresh inbox."""
         handle.inbox = self.ctx.Queue()
-        self.beats[handle.worker_id] = time.monotonic()
-        hb_path = None
-        if self.state_dir is not None:
-            _, hb_path = worker_state_paths(self.state_dir, handle.worker_id)
-            hb_path = str(hb_path)
+        pid_path, hb_path = worker_state_paths(self.state_dir,
+                                               handle.worker_id)
+        # The first beat, stamped before the process exists, so a fresh
+        # slot is never judged stalled while it starts up.
+        hb_path.touch()
         handle.process = self.ctx.Process(
             target=worker_main,
-            args=(handle.worker_id, handle.inbox, self.beats,
+            args=(handle.worker_id, handle.inbox, str(hb_path),
                   self.results_dir, self.ckpt_root, self.hb_interval_s,
-                  self.checkpoint_every_us, self.telemetry, hb_path),
+                  self.checkpoint_every_us, self.telemetry),
             name=f"repro-worker-{handle.worker_id}",
             daemon=True,
         )
         handle.process.start()
-        if self.state_dir is not None:
-            pid_path, _ = worker_state_paths(self.state_dir, handle.worker_id)
-            atomic_write_json(pid_path, {
-                "version": 1,
-                "worker_id": handle.worker_id,
-                "pid": handle.process.pid,
-                "spawned_t": time.time(),
-            })
+        atomic_write_json(pid_path, {
+            "version": 1,
+            "worker_id": handle.worker_id,
+            "pid": handle.process.pid,
+            "spawned_t": time.time(),
+        })
 
     def start(self) -> None:
         for handle in self.workers:
@@ -268,8 +268,10 @@ class WorkerPool:
     # Detection
     # ------------------------------------------------------------------
 
-    def heartbeat_age(self, handle: WorkerHandle, now: float) -> float:
-        return now - self.beats[handle.worker_id]
+    def hb_age(self, handle: WorkerHandle) -> float | None:
+        """Seconds since this slot's worker last touched its heartbeat."""
+        _, hb_path = worker_state_paths(self.state_dir, handle.worker_id)
+        return heartbeat_age(hb_path)
 
     def failed_workers(
         self, now: float
@@ -277,18 +279,21 @@ class WorkerPool:
         """Slots that need reaping, as ``(handle, kind, detail)``.
 
         Three detectors, checked in order of certainty: the process is
-        gone (``died``: chaos SIGKILL, crash), its heartbeats went quiet
-        (``stalled``: SIGSTOP, wedged interpreter), or its job blew the
-        per-job deadline (``deadline``: hung/overlong work -- heartbeats
-        alone cannot catch this because a busy-looping worker still
-        heartbeats).
+        gone (``died``: chaos SIGKILL, crash), its heartbeat file went
+        stale (``stalled``: SIGSTOP, wedged interpreter), or its job blew
+        the per-job deadline (``deadline``: hung/overlong work -- the
+        heartbeat alone cannot catch this because a busy-looping worker
+        still touches its file).  ``now`` is the monotonic clock the
+        dispatch times were taken on.
         """
         failed = []
         for handle in self.workers:
             if not handle.alive:
                 failed.append((handle, "died", "worker process died"))
-            elif self.heartbeat_age(handle, now) > self.hb_timeout_s:
-                failed.append((handle, "stalled", "heartbeats stopped"))
+                continue
+            age = self.hb_age(handle)
+            if age is not None and age > self.hb_timeout_s:
+                failed.append((handle, "stalled", "heartbeat went stale"))
             elif (handle.job is not None
                   and now - handle.dispatched_at > handle.job.spec.timeout_s):
                 failed.append((
@@ -322,11 +327,9 @@ class WorkerPool:
                 handle.process.join(timeout=5.0)
         # A clean shutdown owes the next controller an empty state dir:
         # leftover pid/heartbeat files are the "orphans here" signal.
-        if self.state_dir is not None:
-            for handle in self.workers:
-                for path in worker_state_paths(self.state_dir,
-                                               handle.worker_id):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
+        for handle in self.workers:
+            for path in worker_state_paths(self.state_dir, handle.worker_id):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass

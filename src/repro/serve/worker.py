@@ -6,14 +6,16 @@ file into the farm's results directory, and goes back to waiting.  All
 policy -- retries, backoff, quarantine, preemption, load shedding --
 lives in the controller; all the worker owes the farm is:
 
-* **heartbeats**: a daemon thread stamps ``time.monotonic()`` into the
-  worker's slot of a shared array every ``hb_interval_s``.  A SIGSTOPped
-  or dead worker stops stamping, which is exactly the signal the
-  supervisor's missed-heartbeat detector keys on.
+* **a heartbeat file**: a daemon thread touches the worker's heartbeat
+  file every ``hb_interval_s``.  A SIGSTOPped or dead worker stops
+  touching it, and the file's mtime going stale is exactly the signal
+  the supervisor's stall detector -- and a recovering controller --
+  keys on.
 * **torn-write freedom**: results go through
   :func:`repro.ioutil.atomic_write_json`, so a SIGKILL mid-report
   leaves either the complete file or nothing -- the controller never
-  parses garbage.
+  parses garbage.  With telemetry on, a ``done`` attempt's metrics ride
+  the same result payload; an attempt that never finishes reports none.
 * **checkpoint discipline**: ``run`` and ``compare`` jobs checkpoint
   into the job's own directory at a fixed simulated cadence, so a job
   killed here resumes on *another* worker from the newest good snapshot
@@ -175,100 +177,36 @@ def execute_job(spec, job_dir: Path, resume: bool,
     return chaos_report_dict(report)
 
 
-def _heartbeat_loop(beats, worker_id: int, interval_s: float,
-                    hb_path: str | None = None) -> None:
-    """Stamp the shared array (and, with ``hb_path``, touch the on-disk
-    heartbeat file -- the shared array dies with the controller that
-    created it, so a *recovering* controller reads freshness from the
-    file's mtime instead)."""
-    import os
-
-    while True:
-        beats[worker_id] = time.monotonic()
-        if hb_path is not None:
-            try:
-                os.utime(hb_path)
-            except OSError:
-                try:
-                    open(hb_path, "w").close()
-                except OSError:
-                    pass
-        time.sleep(interval_s)
-
-
-def _telemetry_flush_loop(slot: dict, worker_id: int, telemetry_dir: str,
-                          interval_s: float) -> None:
-    """Periodically snapshot the current job's observer registry.
-
-    The snapshot is cumulative (the controller replaces, never adds,
-    partials for an attempt) and atomically written, so a worker killed
-    mid-flush leaves the previous complete partial.  The registry is
-    being mutated by the job thread while we serialize it -- the GIL
-    keeps individual reads coherent and a torn iteration just skips
-    this tick.
-    """
-    from repro.ioutil import atomic_write_json as write
-
-    path = Path(telemetry_dir) / f"worker{worker_id}.json"
+def _heartbeat_loop(hb_path: str, interval_s: float) -> None:
+    """Touch the heartbeat file every ``interval_s`` (the spawning pool
+    touched it just before this process started)."""
+    path = Path(hb_path)
     while True:
         time.sleep(interval_s)
-        current = slot.get("current")
-        if current is None:
-            continue
-        spec, attempt, observer = current
         try:
-            write(path, {
-                "job_id": spec.job_id,
-                "attempt": attempt,
-                "tenant": spec.tenant,
-                "worker": worker_id,
-                "final": False,
-                "metrics": observer.metrics.as_dict(),
-            })
-        except Exception:  # noqa: BLE001 -- a live partial is best-effort
-            continue
+            path.touch()
+        except OSError:
+            pass
 
 
-def worker_main(worker_id: int, inbox, beats, results_dir: str,
+def worker_main(worker_id: int, inbox, hb_path: str, results_dir: str,
                 ckpt_root: str, hb_interval_s: float,
                 checkpoint_every_us: float = DEFAULT_CHECKPOINT_EVERY_US,
-                telemetry: dict | None = None,
-                hb_path: str | None = None) -> None:
+                telemetry: dict | None = None) -> None:
     """Worker process entry point (the multiprocessing target).
 
     ``telemetry`` (from :meth:`repro.obs.telemetry.TelemetryConfig.
-    worker_args`) turns on per-job observers: live metric deltas flush
-    to ``<dir>/worker<id>.json`` every ``flush_every_s`` and ride the
-    result payload as the final delta.  Only with ``traces_dir`` set do
+    worker_args`) turns on per-job observers: a ``done`` attempt's
+    metrics ride its result payload.  Only with ``traces_dir`` set do
     the observers record a trace: each attempt's Chrome trace lands
     there for the merged farm timeline.
-
-    ``hb_path`` mirrors the heartbeat into an on-disk touch-file so a
-    controller that replaced a crashed one can judge this worker's
-    freshness (docs/serving.md, *Controller failure & recovery*).
     """
     from repro.serve.jobspec import JobSpec
 
-    beats[worker_id] = time.monotonic()
-    if hb_path is not None:
-        try:
-            open(hb_path, "w").close()
-        except OSError:
-            hb_path = None
-    thread = threading.Thread(
-        target=_heartbeat_loop,
-        args=(beats, worker_id, hb_interval_s, hb_path),
+    threading.Thread(
+        target=_heartbeat_loop, args=(hb_path, hb_interval_s),
         name=f"heartbeat-{worker_id}", daemon=True,
-    )
-    thread.start()
-    slot: dict[str, Any] = {"current": None}
-    if telemetry is not None:
-        threading.Thread(
-            target=_telemetry_flush_loop,
-            args=(slot, worker_id, telemetry["dir"],
-                  telemetry.get("flush_every_s", 0.5)),
-            name=f"telemetry-{worker_id}", daemon=True,
-        ).start()
+    ).start()
     results = Path(results_dir)
     while True:
         try:
@@ -286,7 +224,6 @@ def worker_main(worker_id: int, inbox, beats, results_dir: str,
 
             observer = Observer(
                 record_trace=bool(telemetry.get("traces_dir")))
-            slot["current"] = (spec, attempt, observer)
         payload: dict[str, Any] = {
             "job_id": spec.job_id,
             "attempt": attempt,
@@ -308,17 +245,10 @@ def worker_main(worker_id: int, inbox, beats, results_dir: str,
         except BaseException as exc:  # noqa: BLE001 -- poison jobs may raise anything
             payload.update(state="failed",
                            error=f"{type(exc).__name__}: {exc}")
-        slot["current"] = None
         payload["wall_s"] = round(time.perf_counter() - start, 4)
         if observer is not None:
             if payload["state"] == "done":
-                payload["telemetry"] = {
-                    "job_id": spec.job_id,
-                    "attempt": attempt,
-                    "tenant": spec.tenant,
-                    "final": True,
-                    "metrics": observer.metrics.as_dict(),
-                }
+                payload["telemetry"] = {"metrics": observer.metrics.as_dict()}
             if telemetry.get("traces_dir"):
                 _write_job_trace(telemetry["traces_dir"], spec.job_id,
                                  attempt, observer, payload)

@@ -18,6 +18,10 @@ seconds range; strike delays land mid-job on any plausible host.
 """
 
 import asyncio
+import os
+import time
+
+import pytest
 
 from repro.errors import ExitCode
 from repro.faults.farm import FarmChaosPlan, WorkerFault
@@ -30,6 +34,11 @@ from repro.serve import (
     RetryPolicy,
     demo_jobs,
     run_farm,
+)
+from repro.serve.supervisor import (
+    WorkerPool,
+    scan_worker_state,
+    worker_state_paths,
 )
 from repro.serve.worker import execute_job
 
@@ -98,6 +107,35 @@ def test_stalled_worker_is_detected_and_job_resumes(tmp_path):
     assert rec.result == baseline
     assert report.metrics.value("serve.worker_stalls") == 1
     assert report.metrics.value("serve.heartbeat_timeouts") >= 1
+
+
+def test_stale_heartbeat_file_is_the_stall_signal(tmp_path):
+    """Liveness is the heartbeat file's mtime: backdating it makes the
+    supervisor judge the slot stalled, and the recovery scan reads the
+    same age.  The long interval keeps the worker from re-touching the
+    file while the test looks at it."""
+    pool = WorkerPool(1, tmp_path / "results", tmp_path / "ckpt",
+                      tmp_path / "workers", hb_interval_s=30.0,
+                      hb_timeout_s=60.0)
+    pool.start()
+    try:
+        (handle,) = pool.workers
+        _, hb_path = worker_state_paths(pool.state_dir, 0)
+        assert pool.failed_workers(time.monotonic()) == []
+        stale = time.time() - 120.0
+        os.utime(hb_path, (stale, stale))
+        failed = pool.failed_workers(time.monotonic())
+        assert [(h.worker_id, kind) for h, kind, _ in failed] == [
+            (0, "stalled")]
+        (row,) = scan_worker_state(pool.state_dir)
+        assert row["alive"]
+        assert row["hb_age_s"] == pytest.approx(120.0, abs=5.0)
+        assert pool.hb_age(handle) == pytest.approx(row["hb_age_s"],
+                                                    abs=1.0)
+    finally:
+        pool.shutdown()
+    assert not handle.alive
+    assert scan_worker_state(pool.state_dir) == []
 
 
 def test_poison_job_is_quarantined_after_max_attempts(tmp_path):

@@ -7,7 +7,7 @@ Three layers are pinned here:
   sequentially, per instrument kind.  This is the algebra the whole
   cross-worker aggregation rests on: if it holds, the controller's
   rollup equals what one shared registry would have seen.
-* **the pipeline pieces** -- aggregator sealing/discard semantics, SLO
+* **the pipeline pieces** -- one aggregator delta per job, SLO
   rule validation and evaluation, trace-recorder output, and
   ``merge_chrome_traces`` producing a single valid timeline.
 * **the farm end to end** -- a real (small) farm run whose controller
@@ -201,39 +201,19 @@ def _delta(value: float) -> dict:
     return reg.as_dict()
 
 
-def test_aggregator_partial_is_cumulative_not_incremental():
+def test_aggregator_ignores_a_second_delta_for_a_job():
     agg = TelemetryAggregator()
-    assert agg.ingest("j1", 1, "acme", _delta(3), final=False)
-    assert agg.ingest("j1", 1, "acme", _delta(5), final=False)  # replaces
-    assert agg.rollup().value("jobs.c") == 5
+    assert agg.ingest("j1", "acme", _delta(3))
+    assert not agg.ingest("j1", "acme", _delta(100))
+    assert agg.rollup().value("jobs.c") == 3
     assert agg.jobs_folded() == 1
-
-
-def test_aggregator_final_seals_and_drops_stale_partials():
-    agg = TelemetryAggregator()
-    agg.ingest("j1", 1, "acme", _delta(3), final=False)
-    agg.ingest("j1", 2, "acme", _delta(7), final=True)
-    # the failed attempt's partial is gone; only the final delta counts
-    assert agg.rollup().value("jobs.c") == 7
-    # a stale partial arriving after the seal is ignored
-    assert not agg.ingest("j1", 1, "acme", _delta(100), final=False)
-    assert agg.rollup().value("jobs.c") == 7
-
-
-def test_aggregator_discard_drops_partials_keeps_finals():
-    agg = TelemetryAggregator()
-    agg.ingest("j1", 1, "acme", _delta(3), final=False)
-    agg.ingest("j2", 1, "globex", _delta(11), final=True)
-    agg.discard("j1")
-    agg.discard("j2")  # finals survive a discard
-    assert agg.rollup().value("jobs.c") == 11
-    assert agg.tenants() == ["globex"]
+    assert agg.tenants() == ["acme"]
 
 
 def test_aggregator_rollup_has_tenant_children():
     agg = TelemetryAggregator()
-    agg.ingest("j1", 1, "acme", _delta(3), final=True)
-    agg.ingest("j2", 1, "globex", _delta(5), final=True)
+    agg.ingest("j1", "acme", _delta(3))
+    agg.ingest("j2", "globex", _delta(5))
     rollup = agg.rollup()
     assert rollup.value("jobs.c") == 8  # unlabeled = farm-wide total
     assert rollup.value(labeled_name("jobs.c", tenant="acme")) == 3
@@ -535,6 +515,41 @@ def test_chaos_farm_produces_timeline_tenants_and_verdict(tmp_path):
     assert rows["impossible-latency"]["ok"] is False
     assert rows["no-shedding"]["ok"] is True
     assert report.metrics is not None  # serve registry untouched by SLOs
+
+
+def test_killed_attempt_contributes_nothing(tmp_path):
+    """A job SIGKILLed mid-run and quarantined leaves no trace in the
+    rollup: its attempt never reported, so nothing was folded -- however
+    often the controller polled while it ran."""
+    from repro.faults.farm import FarmChaosPlan, WorkerFault
+
+    spec = JobSpec(kind="run", app="MGRID", pages=480, memory_pages=96,
+                   job_id="doomed", seed=2, tenant="acme", max_attempts=1)
+    chaos = FarmChaosPlan(faults=(
+        WorkerFault(on_start=1, delay_s=0.5, op="kill"),))
+    config = FarmConfig(workers=1, retry=FAST_RETRY,
+                        telemetry=TelemetryConfig(flush_every_s=0.1))
+    workdir = tmp_path / "farm"
+    report = run_farm([spec], config, workdir, chaos=chaos)
+    assert report.records[0].state == JobState.QUARANTINED
+    assert report.telemetry["jobs_folded"] == 0
+    snapshot = json.loads((workdir / "telemetry.json").read_text())
+    assert snapshot["state"] == "final"
+    assert not [name for name in snapshot["metrics"]
+                if name.startswith("obs.")]
+    assert not (workdir / "telemetry").exists()  # no side channel
+
+
+def test_tenant_failed_attempts_match_the_serve_counter(tmp_path):
+    """Every failed attempt counts for its tenant, including the one
+    that quarantines the job."""
+    poison = JobSpec(kind="run", app="NO-SUCH-APP", job_id="poison",
+                     max_attempts=3, tenant="acme")
+    report = run_farm([poison], FarmConfig(workers=1, retry=FAST_RETRY),
+                      tmp_path)
+    assert report.records[0].state == JobState.QUARANTINED
+    assert report.metrics.value("serve.jobs_failed_attempts") == 3
+    assert report.telemetry["tenants"]["acme"]["failed_attempts"] == 3
 
 
 # ----------------------------------------------------------------------
