@@ -13,7 +13,7 @@ def test_table2_application_descriptions(benchmark, report):
     def build_rows():
         rows = []
         for spec in ALL_APPS:
-            pages = default_data_pages(CANONICAL_PLATFORM, spec.default_memory_multiple)
+            pages = default_data_pages(CANONICAL_PLATFORM)
             program = spec.make(pages)
             data_kb = program.total_data_bytes() // 1024
             rows.append([

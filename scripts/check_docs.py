@@ -51,7 +51,10 @@ It also lints **documented commands**: every ``repro`` invocation in a
 fenced code block of README.md or docs/ (``python -m repro ...``, a
 profiler's ``-m repro ...``, or a bare ``repro ...``; ``\\``
 continuations joined, pipes and comments cut) must parse with
-``repro.cli.build_parser()``.
+``repro.cli.build_parser()``.  Inline code spans that begin ``repro ``
+or ``python -m repro `` are often prose (``repro serve``), not full
+commands, so only their first token after the global options must name
+an existing verb.
 
 CI runs it next to the test suite; ``tests/test_check_docs.py`` runs
 the same check under pytest.
@@ -81,6 +84,10 @@ OTHER_COMMAND_DOCS = (REPO_ROOT / "README.md",
                       REPO_ROOT / "docs" / "tutorial.md",
                       REPO_ROOT / "docs" / "internals.md")
 
+#: Every document whose inline ``repro`` spans are linted.
+INLINE_COMMAND_DOCS = (REPO_ROOT / "README.md",
+                       *sorted((REPO_ROOT / "docs").glob("*.md")))
+
 #: Shell tokens that end the ``repro`` part of a command line.
 _SHELL_STOPS = {"|", "||", "&&", ";", ">", ">>", "2>", "<", "&"}
 _ENV_ASSIGNMENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
@@ -94,6 +101,7 @@ SECTIONS = {
 }
 
 _ROW_TOKEN = re.compile(r"^\|\s*`([a-z0-9_.]+)`\s*\|")
+_INLINE_CODE = re.compile(r"`([^`]+)`")
 
 
 def _section_text(doc: str, heading: str) -> str:
@@ -332,6 +340,47 @@ def command_problems(doc_paths: Iterable[Path]) -> list[str]:
     return problems
 
 
+def inline_commands(doc_path: Path) -> list[tuple[int, list[str]]]:
+    """``(line, argv)`` of every inline code span outside fenced blocks
+    that begins ``repro `` or ``python -m repro ``; argv is what
+    follows ``repro``."""
+    commands = []
+    in_fence = False
+    for number, line in enumerate(doc_path.read_text().splitlines(), 1):
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+            continue
+        if in_fence:
+            continue
+        for span in _INLINE_CODE.findall(line):
+            for prefix in ("repro ", "python -m repro "):
+                if span.startswith(prefix):
+                    commands.append((number, span[len(prefix):].split()))
+    return commands
+
+
+def inline_command_problems(doc_paths: Iterable[Path]) -> list[str]:
+    """Inline ``repro`` spans whose first token after the global options
+    is not a verb of ``build_parser()``."""
+    from repro.cli import COMMANDS, build_parser
+
+    # Global option -> whether it takes a value (``--memory-pages 96``).
+    takes_value = {option: action.nargs != 0
+                   for action in build_parser()._actions
+                   for option in action.option_strings}
+    problems = []
+    for doc_path in doc_paths:
+        for number, argv in inline_commands(doc_path):
+            idx = 0
+            while idx < len(argv) and argv[idx] in takes_value:
+                idx += 1 + takes_value[argv[idx]]
+            if idx == len(argv) or argv[idx] not in COMMANDS:
+                problems.append(
+                    f"{doc_path.name}:{number}: `repro {' '.join(argv)}` "
+                    f"names no repro verb")
+    return problems
+
+
 def check(
     doc_path: Path = DOC_PATH,
     robustness_doc_path: Path = ROBUSTNESS_DOC_PATH,
@@ -514,6 +563,7 @@ def check(
     problems += command_problems([doc_path, robustness_doc_path,
                                   performance_doc_path, serving_doc_path,
                                   *OTHER_COMMAND_DOCS])
+    problems += inline_command_problems(INLINE_COMMAND_DOCS)
     return problems
 
 
@@ -531,6 +581,7 @@ def main() -> int:
     commands = sum(len(documented_commands(path)) for path in (
         DOC_PATH, ROBUSTNESS_DOC_PATH, PERFORMANCE_DOC_PATH,
         SERVING_DOC_PATH, *OTHER_COMMAND_DOCS))
+    spans = sum(len(inline_commands(path)) for path in INLINE_COMMAND_DOCS)
     print(f"check_docs: OK ({len(tokens['kinds'])} event kinds, "
           f"{len(tokens['metrics'])} metrics, "
           f"{len(tokens['span_states'])} span states, "
@@ -549,7 +600,8 @@ def main() -> int:
           f"{len(telemetry_tokens['farm_timeline'])} farm timeline names, "
           f"{len(ledger_tokens['ledger_kinds'])} ledger record kinds, "
           f"{len(ledger_tokens['recovery_kinds'])} recovery-semantics kinds "
-          f"in sync; {commands} documented commands parse)")
+          f"in sync; {commands} documented commands parse; "
+          f"{spans} inline commands name a verb)")
     return 0
 
 

@@ -62,8 +62,6 @@ class AppSpec:
     description: str
     #: Builds the program at a given major-data footprint.
     build: Callable[[int, int], Program] = field(compare=False)
-    #: Default out-of-core footprint, as a multiple of available memory.
-    default_memory_multiple: float = 2.0
     #: Dominant access pattern (for Table 2 and reports).
     pattern: str = ""
 

@@ -6,10 +6,10 @@
     python -m repro platform                  # show the simulated machine
     python -m repro compile BUK --print-code  # run the pass, show Fig-2 output
     python -m repro run MGRID --variant p     # execute one variant
+    python -m repro run EMBAR --trace t.json  # ... and record it (Perfetto)
     python -m repro compare FFT --nofilter    # O vs P (vs P-nofilter)
     python -m repro sweep BUK --multiples 0.5,1,2,3   # Figure-8 style
     python -m repro multiprog EMBAR,MGRID     # co-schedule two applications
-    python -m repro trace --app embar --out trace.json   # record a run
     python -m repro explain EMBAR             # stall-attribution report
     python -m repro profile EMBAR             # collapsed stacks + disk timeline
     python -m repro bench --smoke             # perf-trajectory benchmark
@@ -19,21 +19,12 @@
     python -m repro fuzz --profile smoke      # metamorphic fuzz campaign
     python -m repro fuzz replay FILE          # re-run one corpus finding
 
-``run``, ``compare``, ``sweep``, ``multiprog``, ``explain``, and
-``profile`` accept ``--trace FILE`` (Chrome trace_event JSON,
-Perfetto-loadable) and ``--metrics-out FILE`` (the metrics-registry
-JSON artifact); ``trace`` is the dedicated front door for both.  See
-docs/observability.md.
-
-``run``, ``compare``, and ``chaos`` accept ``--faults PLAN.json`` and
-``--fault-seed N`` to execute under deterministic injected faults; see
-docs/robustness.md.
-
-``run`` and ``compare`` accept ``--checkpoint-every US``,
-``--checkpoint-dir DIR``, ``--checkpoint-keep K``, ``--resume-from
-PATH``, and ``--ignore-crash-faults``.  A planned ``process_crash``
-fault (or a pending one from a resumed plan) terminates the process
-with exit code 3 and a resume hint; see docs/robustness.md.
+:data:`FLAG_GROUPS` says which verbs take the shared flag groups: the
+application, the variant and warm start, the observability artifacts
+(docs/observability.md), fault injection, and checkpoint/resume
+(docs/robustness.md).  A ``--trace`` that fails its own schema
+validator exits 1 (the artifact is still written); a planned
+``process_crash`` fault exits 3 with a resume hint.
 
 ``serve`` runs batches of jobs on a supervised multiprocess worker
 farm with heartbeats, retry/backoff, checkpoint-driven preemption, and
@@ -59,14 +50,22 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.apps.registry import ALL_APPS, get_app, table2_rows
+from repro.apps.base import SIZE_CLASSES
+from repro.apps.registry import get_app, table2_rows
 from repro.checkpoint import CheckpointConfig
-from repro.config import PlatformConfig
+from repro.config import VARIANTS, PlatformConfig
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
 from repro.errors import ConfigError, ExitCode, ProcessCrash
 from repro.faults import FaultPlan, default_plan, load_plan
-from repro.harness.experiment import compare_app, default_data_pages, run_variant
+from repro.harness.experiment import (
+    RunResult,
+    build_variant,
+    compare_app,
+    default_data_pages,
+    platform_for,
+    run_app,
+)
 from repro.ioutil import atomic_write_json, atomic_write_text
 from repro.harness.report import render_table
 from repro.obs import (
@@ -81,24 +80,12 @@ from repro.obs import (
 from repro.sim.stats import RunStats
 
 
-def _platform_from_args(args: argparse.Namespace) -> PlatformConfig:
-    overrides = {}
-    if args.memory_pages:
-        overrides["memory_pages"] = args.memory_pages
-    if args.disks:
-        overrides["num_disks"] = args.disks
-    return PlatformConfig(**overrides) if overrides else PlatformConfig()
-
-
 def _data_pages(args: argparse.Namespace, platform: PlatformConfig) -> int:
+    """``--pages``, else the ``--size-class`` footprint, else ~2x memory."""
     if args.pages:
         return args.pages
-    size_class = getattr(args, "size_class", None)
-    if size_class:
-        from repro.apps.base import SIZE_CLASSES
-
-        multiple = SIZE_CLASSES[size_class.upper()]
-        return max(8, int(platform.available_frames * multiple))
+    if args.size_class:
+        return default_data_pages(platform, SIZE_CLASSES[args.size_class])
     return default_data_pages(platform)
 
 
@@ -145,11 +132,11 @@ def _fault_plan_from_args(
     combined with ``--faults`` it reseeds the loaded plan.
     """
     plan = None
-    if getattr(args, "faults", None):
+    if args.faults:
         plan = load_plan(args.faults)
         if args.fault_seed is not None:
             plan = plan.with_seed(args.fault_seed)
-    elif getattr(args, "fault_seed", None) is not None:
+    elif args.fault_seed is not None:
         plan = default_plan(platform.num_disks, seed=args.fault_seed)
     return plan
 
@@ -179,10 +166,9 @@ def _make_observer(args: argparse.Namespace,
                    always: bool = False) -> Observer | None:
     """An observer when any observability output was requested (or
     ``always``); it records a trace only when ``--trace`` asked for one."""
-    trace = getattr(args, "trace", None)
-    if always or trace or getattr(args, "metrics_out", None):
-        return Observer(capacity=getattr(args, "trace_buffer", 65536),
-                        record_trace=bool(trace))
+    if always or args.trace or args.metrics_out:
+        return Observer(capacity=args.trace_buffer,
+                        record_trace=bool(args.trace))
     return None
 
 
@@ -198,20 +184,34 @@ def _observations_survive_crash(args: argparse.Namespace,
         raise
 
 
-def _write_observations(args: argparse.Namespace, obs: Observer | None) -> None:
-    """Write the requested trace / metrics artifacts and say where."""
+def _write_observations(args: argparse.Namespace, obs: Observer | None) -> int:
+    """Write the requested trace / metrics artifacts and say where.
+
+    A trace also gets its event-kind counts printed and is checked
+    against its own schema validator: one with problems is still
+    written, so it can be inspected, and the command exits FAILURE.
+    """
+    status = ExitCode.OK
     if obs is None:
-        return
-    trace_path = getattr(args, "trace", None) or getattr(args, "out", None)
-    if trace_path:
-        write_chrome_trace(trace_path, obs.trace)
+        return status
+    if args.trace:
+        counts = obs.trace.counts_by_kind()
+        print(render_table(["event kind", "count"],
+                           [[kind, counts[kind]] for kind in sorted(counts)]))
+        write_chrome_trace(args.trace, obs.trace)
         kept, dropped = len(obs.trace), obs.trace.dropped
-        print(f"trace: {trace_path} ({kept} events"
+        print(f"trace: {args.trace} ({kept} events"
               + (f", {dropped} dropped by ring wraparound" if dropped else "")
               + ") -- load in https://ui.perfetto.dev")
-    if getattr(args, "metrics_out", None):
+        problems = validate_chrome_trace(chrome_trace(obs.trace))
+        for problem in problems:
+            print(f"trace validation: {problem}", file=sys.stderr)
+        if problems:
+            status = ExitCode.FAILURE
+    if args.metrics_out:
         write_metrics_json(args.metrics_out, obs.metrics)
         print(f"metrics: {args.metrics_out} ({len(obs.metrics)} instruments)")
+    return status
 
 
 def cmd_apps(args: argparse.Namespace) -> int:
@@ -225,7 +225,7 @@ def cmd_apps(args: argparse.Namespace) -> int:
 
 
 def cmd_platform(args: argparse.Namespace) -> int:
-    platform = _platform_from_args(args)
+    platform = platform_for(args.memory_pages, args.disks)
     disk = platform.disk
     rows = [
         ["memory", f"{platform.memory_bytes // 1024} KB ({platform.memory_pages} pages)"],
@@ -244,7 +244,7 @@ def cmd_platform(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    platform = _platform_from_args(args)
+    platform = platform_for(args.memory_pages, args.disks)
     spec = get_app(args.app)
     program = spec.make(_data_pages(args, platform), seed=args.seed)
     options = CompilerOptions.from_platform(
@@ -260,95 +260,42 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return ExitCode.OK
 
 
-def _run_one_variant(
-    args: argparse.Namespace,
-    platform: PlatformConfig,
-    observer: Observer | None,
-    fault_plan: FaultPlan | None = None,
-) -> tuple[str, int, RunStats]:
-    """Build, (maybe) compile, and execute one variant of one app."""
+def _run_app(args: argparse.Namespace, platform: PlatformConfig,
+             observer: Observer | None,
+             fault_plan: FaultPlan | None) -> RunResult:
+    """``run_app`` on the app, variant and footprint the flags name."""
     spec = get_app(args.app)
-    pages = _data_pages(args, platform)
-    program = spec.make(pages, seed=args.seed)
-    variant = args.variant.lower()
     checkpoint = _checkpoint_from_args(
-        args, f"{spec.name}-{variant.upper()}"
-    )
-    if variant == "o":
-        stats = run_variant(program, platform, prefetching=False,
-                            warm=args.warm, observer=observer,
-                            fault_plan=fault_plan, checkpoint=checkpoint)
-    else:
-        options = CompilerOptions.from_platform(platform)
-        compiled = insert_prefetches(program, options)
-        stats = run_variant(
-            compiled.program,
-            platform,
-            prefetching=True,
-            runtime_filter=variant != "nofilter",
-            warm=args.warm,
-            adaptive=variant == "adaptive",
-            observer=observer,
-            fault_plan=fault_plan,
-            checkpoint=checkpoint,
-        )
-    return spec.name, pages, stats
+        args, f"{spec.name}-{args.variant.upper()}")
+    with _observations_survive_crash(args, observer):
+        return run_app(spec, platform, args.variant,
+                       _data_pages(args, platform), args.seed, args.warm,
+                       observer, fault_plan, checkpoint)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    platform = _platform_from_args(args)
+    platform = platform_for(args.memory_pages, args.disks)
     observer = _make_observer(args)
     fault_plan = _fault_plan_from_args(args, platform)
-    with _observations_survive_crash(args, observer):
-        name, pages, stats = _run_one_variant(args, platform, observer,
-                                              fault_plan)
-    resumed = getattr(args, "resume_from", None)
-    print(f"{name} [{args.variant.upper()}] at {pages} data pages "
+    run = _run_app(args, platform, observer, fault_plan)
+    print(f"{run.app} [{args.variant.upper()}] at {run.data_pages} data pages "
           f"({'warm' if args.warm else 'cold'} start"
           + (", faulted" if fault_plan is not None else "")
-          + (f", resumed from {resumed}" if resumed else "") + ")")
-    _print_stats(stats, observer.metrics if observer else None)
-    _write_observations(args, observer)
-    return ExitCode.OK
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Record one run and emit the trace / metrics artifacts.
-
-    Exits non-zero when the recorded trace fails its own schema
-    validator -- the artifacts are still written so the bad trace can
-    be inspected.
-    """
-    platform = _platform_from_args(args)
-    observer = Observer(capacity=args.trace_buffer)
-    name, pages, stats = _run_one_variant(args, platform, observer)
-    print(f"{name} [{args.variant.upper()}] at {pages} data pages: "
-          f"{stats.elapsed_us / 1e6:.3f} s simulated, "
-          f"{observer.trace.total_emitted} events")
-    counts = observer.trace.counts_by_kind()
-    rows = [[kind, counts[kind]] for kind in sorted(counts)]
-    print(render_table(["event kind", "count"], rows))
-    _write_observations(args, observer)
-    problems = validate_chrome_trace(chrome_trace(observer.trace))
-    if problems:
-        for problem in problems:
-            print(f"trace validation: {problem}", file=sys.stderr)
-        return ExitCode.FAILURE
-    return ExitCode.OK
+          + (f", resumed from {args.resume_from}" if args.resume_from else "")
+          + ")")
+    _print_stats(run.stats, observer.metrics if observer else None)
+    return _write_observations(args, observer)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    platform = _platform_from_args(args)
+    platform = platform_for(args.memory_pages, args.disks)
     spec = get_app(args.app)
-    pages = args.pages or (
-        _data_pages(args, platform) if getattr(args, "size_class", None) else None
-    )
     observer = _make_observer(args)
     with _observations_survive_crash(args, observer):
         result = compare_app(
             spec,
             platform,
-            data_pages=pages,
+            data_pages=_data_pages(args, platform),
             seed=args.seed,
             warm=args.warm,
             include_nofilter=args.nofilter,
@@ -374,21 +321,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
         rows,
         title=f"{spec.name} at {result.data_pages} data pages",
     ))
-    _write_observations(args, observer)
-    return ExitCode.OK
+    return _write_observations(args, observer)
 
 
 def _attributed_run(
-    args: argparse.Namespace, platform: PlatformConfig
-) -> tuple[str, int, RunStats, Observer, StallAttributor]:
+    args: argparse.Namespace,
+) -> tuple[RunResult, Observer, StallAttributor]:
     """Execute one variant with span assembly + stall attribution live."""
+    platform = platform_for(args.memory_pages, args.disks)
     observer = _make_observer(args, always=True)
     attributor = StallAttributor(observer=observer)
-    fault_plan = _fault_plan_from_args(args, platform)
-    with _observations_survive_crash(args, observer):
-        name, pages, stats = _run_one_variant(args, platform, observer,
-                                              fault_plan)
-    return name, pages, stats, observer, attributor
+    run = _run_app(args, platform, observer,
+                   _fault_plan_from_args(args, platform))
+    return run, observer, attributor
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -398,9 +343,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     cycles must equal the run's stall cycles bitwise) -- it holding is
     the proof that the report explains *all* of the idle time.
     """
-    platform = _platform_from_args(args)
-    name, pages, stats, observer, att = _attributed_run(args, platform)
-    report = att.report(stats)
+    run, observer, att = _attributed_run(args)
+    report = att.report(run.stats)
     idle = report.idle_us or 1.0
     rows = []
     for cause in STALL_CAUSES:
@@ -416,8 +360,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     print(render_table(
         ["cause", "stalls", "time", "share of idle"],
         rows,
-        title=(f"{name} [{args.variant.upper()}] at {pages} data pages "
-               f"-- stall attribution"),
+        title=(f"{run.app} [{args.variant.upper()}] at {run.data_pages} "
+               f"data pages -- stall attribution"),
     ))
     lateness = report.lateness
     if lateness.count:
@@ -437,20 +381,20 @@ def cmd_explain(args: argparse.Namespace) -> int:
     print(f"attributed {report.attributed_total_us / 1e6:.6f} s across "
           f"{report.records} stall records == RunStats idle "
           f"{report.idle_us / 1e6:.6f} s: {verdict}")
-    _write_observations(args, observer)
+    status = _write_observations(args, observer)
     if not report.conserved:
         print("conservation invariant violated: attribution does not "
               "account for all stall cycles", file=sys.stderr)
         return ExitCode.FAILURE
-    return ExitCode.OK
+    return status
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Collapsed-stack stall profile plus the per-disk utilization timeline."""
-    platform = _platform_from_args(args)
-    name, pages, stats, observer, att = _attributed_run(args, platform)
+    run, observer, att = _attributed_run(args)
+    stats = run.stats
     att.report(stats)
-    lines = att.collapsed_stacks(root=name)
+    lines = att.collapsed_stacks(root=run.app)
     if args.collapsed:
         atomic_write_text(args.collapsed,
                           "\n".join(lines) + ("\n" if lines else ""))
@@ -463,8 +407,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print(render_table(
         ["stack (loop nest;array;cause)", "stall"],
         rows,
-        title=(f"{name} [{args.variant.upper()}] at {pages} data pages "
-               f"-- top {min(args.top, len(lines))} of {len(lines)} stacks"),
+        title=(f"{run.app} [{args.variant.upper()}] at {run.data_pages} "
+               f"data pages -- top {min(args.top, len(lines))} of "
+               f"{len(lines)} stacks"),
     ))
     # Per-disk utilization: exact busy fractions from RunStats plus a
     # request-density timeline rebuilt from the span layer's DISK_REQUEST
@@ -501,8 +446,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     gauge = observer.disk_idle_fraction
     print(f"obs.disk_idle_fraction gauge: min {gauge.min:.3f}, "
           f"max {gauge.max:.3f} (matches the idle column by construction)")
-    _write_observations(args, observer)
-    return ExitCode.OK
+    return _write_observations(args, observer)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -574,10 +518,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_multiprog(args: argparse.Namespace) -> int:
-    from repro.core.prefetch_pass import insert_prefetches
     from repro.multiprog import CoScheduler
 
-    platform = _platform_from_args(args)
+    platform = platform_for(args.memory_pages, args.disks)
     names = [n.strip() for n in args.apps.split(",") if n.strip()]
     if not names:
         print("no applications given", file=sys.stderr)
@@ -592,11 +535,9 @@ def cmd_multiprog(args: argparse.Namespace) -> int:
                             observer=observer if prefetching else None)
         for k, app_name in enumerate(names):
             spec = get_app(app_name)
-            pages = args.pages or default_data_pages(platform)
-            program = spec.make(pages, seed=k + 1)
-            if prefetching:
-                options = CompilerOptions.from_platform(platform)
-                program = insert_prefetches(program, options).program
+            program = build_variant(
+                spec, platform, "p" if prefetching else "o",
+                args.pages or default_data_pages(platform), seed=k + 1)
             sched.add_process(program, name=f"{spec.name}#{k}",
                               prefetching=prefetching)
         result = sched.run()
@@ -626,18 +567,17 @@ def cmd_multiprog(args: argparse.Namespace) -> int:
     ))
     if observer is not None:
         print("(trace/metrics cover the prefetching schedule only)")
-    _write_observations(args, observer)
-    return ExitCode.OK
+    return _write_observations(args, observer)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    platform = _platform_from_args(args)
+    platform = platform_for(args.memory_pages, args.disks)
     spec = get_app(args.app)
     multiples = [float(m) for m in args.multiples.split(",")]
     observer = _make_observer(args)
     rows = []
     for k, multiple in enumerate(multiples):
-        pages = max(8, int(platform.available_frames * multiple))
+        pages = default_data_pages(platform, multiple)
         # Observe the final sweep point only: every run restarts the
         # simulated clock at zero, so one trace cannot hold several
         # runs and keep its timestamps monotonic.
@@ -660,8 +600,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if observer is not None:
         print(f"(trace/metrics cover the final sweep point only: "
               f"{multiples[-1]:g}x, prefetching variant)")
-    _write_observations(args, observer)
-    return ExitCode.OK
+    return _write_observations(args, observer)
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -672,7 +611,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         # CI smoke mode: a small out-of-core footprint, one intensity.
         args.memory_pages = args.memory_pages or 96
         args.pages = args.pages or 120
-    platform = _platform_from_args(args)
+    platform = platform_for(args.memory_pages, args.disks)
     spec = get_app(args.app)
     if args.intensities is not None:
         spec_intensities = args.intensities
@@ -684,9 +623,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         platform,
         base_plan=_fault_plan_from_args(args, platform),
         intensities=intensities,
-        data_pages=args.pages or None,
+        data_pages=_data_pages(args, platform),
         seed=args.seed,
-        variant=args.variant.lower(),
+        variant=args.variant,
     )
     rows = [[
         "0 (clean)", f"{report.clean.elapsed_us / 1e6:.3f} s",
@@ -963,19 +902,6 @@ def _drain_stale_state(workdir: str) -> int:
     return removed
 
 
-def _load_snapshot(path: str) -> dict | None:
-    import json
-
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict) or "farm" not in payload:
-        return None
-    return payload
-
-
 #: A "running" snapshot older than this is considered abandoned (the
 #: controller flushes every --telemetry-every seconds, default 0.5).
 SNAPSHOT_STALE_AFTER_S = 10.0
@@ -1164,6 +1090,69 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return ExitCode.OK
 
 
+def _flag(*names: str, **options) -> tuple[tuple[str, ...], dict]:
+    return names, options
+
+
+#: Flags several verbs share, by group.
+FLAGS: dict[str, list[tuple[tuple[str, ...], dict]]] = {
+    "app": [
+        _flag("app", help="application name (BUK, CGM, ..., or NAS name)"),
+        _flag("--pages", type=int, default=0,
+              help="major data footprint in pages (default ~2x memory)"),
+        _flag("--size-class", choices=list(SIZE_CLASSES),
+              help="NAS-style problem class instead of --pages"),
+        _flag("--seed", type=int, default=1),
+    ],
+    "variant": [_flag("--variant", choices=list(VARIANTS), default="p")],
+    "warm": [_flag("--warm", action="store_true",
+                   help="preload the data set")],
+    "obs": [
+        _flag("--trace", metavar="FILE",
+              help="write a Chrome trace_event JSON (Perfetto-loadable) "
+                   "and print its event counts; exits 1 if it fails "
+                   "validation"),
+        _flag("--metrics-out", metavar="FILE",
+              help="write the metrics-registry JSON artifact"),
+        _flag("--trace-buffer", type=int, default=65536,
+              help="trace ring-buffer capacity in events"),
+    ],
+    "faults": [
+        _flag("--faults", metavar="FILE",
+              help="fault plan JSON to inject (docs/robustness.md)"),
+        _flag("--fault-seed", type=int, default=None,
+              help="reseed the plan (alone: use the default plan)"),
+    ],
+    "ckpt": [
+        _flag("--checkpoint-every", type=float, default=None, metavar="US",
+              help="write a checkpoint every N simulated microseconds "
+                   "(docs/robustness.md)"),
+        _flag("--checkpoint-dir", default="checkpoints", metavar="DIR",
+              help="checkpoint directory (default: checkpoints)"),
+        _flag("--checkpoint-keep", type=int, default=3, metavar="K",
+              help="retained checkpoints per label (default 3)"),
+        _flag("--resume-from", default=None, metavar="PATH",
+              help="resume from a checkpoint file, or the newest good "
+                   "checkpoint in a directory"),
+        _flag("--ignore-crash-faults", action="store_true",
+              help="treat the plan's process_crash faults as already "
+                   "delivered (uninterrupted control run)"),
+    ],
+}
+
+#: The shared flag groups each verb takes (see :data:`FLAGS`).
+FLAG_GROUPS: dict[str, tuple[str, ...]] = {
+    "compile": ("app",),
+    "run": ("app", "variant", "warm", "obs", "faults", "ckpt"),
+    "compare": ("app", "warm", "obs", "faults", "ckpt"),
+    "explain": ("app", "variant", "warm", "obs", "faults"),
+    "profile": ("app", "variant", "warm", "obs", "faults"),
+    "sweep": ("app", "obs"),
+    "multiprog": ("obs",),
+    "chaos": ("app", "variant", "faults"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1175,100 +1164,31 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the number of disks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("apps", help="list the benchmark applications")
-    sub.add_parser("platform", help="show the simulated machine")
+    def verb(name: str, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, **kwargs)
+        for group in FLAG_GROUPS.get(name, ()):
+            for names, options in FLAGS[group]:
+                p.add_argument(*names, **options)
+        return p
 
-    def add_app_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("app", help="application name (BUK, CGM, ..., or NAS name)")
-        p.add_argument("--pages", type=int, default=0,
-                       help="major data footprint in pages (default ~2x memory)")
-        p.add_argument("--size-class", choices=["S", "W", "A", "B"],
-                       help="NAS-style problem class instead of --pages")
-        p.add_argument("--seed", type=int, default=1)
+    verb("apps", help="list the benchmark applications")
+    verb("platform", help="show the simulated machine")
 
-    p = sub.add_parser("compile", help="run the prefetching pass")
-    add_app_args(p)
+    p = verb("compile", help="run the prefetching pass")
     p.add_argument("--print-code", action="store_true",
                    help="print the transformed program")
     p.add_argument("--two-version", action="store_true",
                    help="enable the two-version-loop extension")
 
-    def add_obs_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--trace", metavar="FILE",
-                       help="write a Chrome trace_event JSON (Perfetto-loadable)")
-        p.add_argument("--metrics-out", metavar="FILE",
-                       help="write the metrics-registry JSON artifact")
-        p.add_argument("--trace-buffer", type=int, default=65536,
-                       help="trace ring-buffer capacity in events")
+    verb("run", help="execute one variant")
 
-    def add_fault_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--faults", metavar="FILE",
-                       help="fault plan JSON to inject (docs/robustness.md)")
-        p.add_argument("--fault-seed", type=int, default=None,
-                       help="reseed the plan (alone: use the default plan)")
-
-    def add_ckpt_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--checkpoint-every", type=float, default=None,
-                       metavar="US",
-                       help="write a checkpoint every N simulated "
-                            "microseconds (docs/robustness.md)")
-        p.add_argument("--checkpoint-dir", default="checkpoints",
-                       metavar="DIR",
-                       help="checkpoint directory (default: checkpoints)")
-        p.add_argument("--checkpoint-keep", type=int, default=3, metavar="K",
-                       help="retained checkpoints per label (default 3)")
-        p.add_argument("--resume-from", default=None, metavar="PATH",
-                       help="resume from a checkpoint file, or the newest "
-                            "good checkpoint in a directory")
-        p.add_argument("--ignore-crash-faults", action="store_true",
-                       help="treat the plan's process_crash faults as "
-                            "already delivered (uninterrupted control run)")
-
-    p = sub.add_parser("run", help="execute one variant")
-    add_app_args(p)
-    p.add_argument("--variant", choices=["o", "p", "nofilter", "adaptive"],
-                   default="p")
-    p.add_argument("--warm", action="store_true", help="preload the data set")
-    add_obs_args(p)
-    add_fault_args(p)
-    add_ckpt_args(p)
-
-    p = sub.add_parser("compare", help="run original vs prefetching")
-    add_app_args(p)
-    p.add_argument("--warm", action="store_true")
+    p = verb("compare", help="run original vs prefetching")
     p.add_argument("--nofilter", action="store_true",
                    help="also run without the run-time layer")
     p.add_argument("--adaptive", action="store_true",
                    help="also run with adaptive suppression")
-    add_obs_args(p)
-    add_fault_args(p)
-    add_ckpt_args(p)
 
-    p = sub.add_parser(
-        "trace",
-        help="record one run: structured trace + metrics artifacts",
-        description="Execute one variant with the observability layer "
-                    "attached and write a Perfetto-loadable trace "
-                    "(see docs/observability.md).",
-    )
-    p.add_argument("--app", required=True,
-                   help="application name (BUK, CGM, ..., or NAS name)")
-    p.add_argument("--out", required=True, metavar="FILE",
-                   help="trace output path (Chrome trace_event JSON)")
-    p.add_argument("--variant", choices=["o", "p", "nofilter", "adaptive"],
-                   default="p")
-    p.add_argument("--pages", type=int, default=0,
-                   help="major data footprint in pages (default ~2x memory)")
-    p.add_argument("--size-class", choices=["S", "W", "A", "B"],
-                   help="NAS-style problem class instead of --pages")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--warm", action="store_true", help="preload the data set")
-    p.add_argument("--metrics-out", metavar="FILE",
-                   help="also write the metrics-registry JSON artifact")
-    p.add_argument("--trace-buffer", type=int, default=65536,
-                   help="trace ring-buffer capacity in events")
-
-    p = sub.add_parser(
+    verb(
         "explain",
         help="stall-attribution report (which cause owns each stall)",
         description="Execute one variant with the causal span layer "
@@ -1277,32 +1197,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "equal the run's stall cycles exactly "
                     "(see docs/observability.md).",
     )
-    add_app_args(p)
-    p.add_argument("--variant", choices=["o", "p", "nofilter", "adaptive"],
-                   default="p")
-    p.add_argument("--warm", action="store_true", help="preload the data set")
-    add_obs_args(p)
-    add_fault_args(p)
 
-    p = sub.add_parser(
+    p = verb(
         "profile",
         help="collapsed-stack stall profile + disk utilization timeline",
         description="Execute one variant and print the hottest "
                     "loop-nest;array;cause stacks plus a per-disk "
                     "utilization table (see docs/observability.md).",
     )
-    add_app_args(p)
-    p.add_argument("--variant", choices=["o", "p", "nofilter", "adaptive"],
-                   default="p")
-    p.add_argument("--warm", action="store_true", help="preload the data set")
     p.add_argument("--collapsed", metavar="FILE",
                    help="write all collapsed stacks (flamegraph input)")
     p.add_argument("--top", type=int, default=15,
                    help="rows to print in the hot-stack table")
-    add_obs_args(p)
-    add_fault_args(p)
 
-    p = sub.add_parser(
+    p = verb(
         "bench",
         help="perf-trajectory benchmark (gates against BENCH_PR<N>.json)",
         description="Run the pinned EMBAR/MGRID/BUK workload set, write "
@@ -1332,22 +1240,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "only meaningful when baseline ran on a comparable "
                         "host (default: off; see docs/observability.md)")
 
-    p = sub.add_parser("sweep", help="problem-size sweep (Figure 8 style)")
-    add_app_args(p)
+    p = verb("sweep", help="problem-size sweep (Figure 8 style)")
     p.add_argument("--multiples", default="0.5,1,1.5,2,3",
                    help="comma-separated sizes as multiples of memory")
-    add_obs_args(p)
 
-    p = sub.add_parser("multiprog",
-                       help="co-schedule several applications on one machine")
+    p = verb("multiprog",
+             help="co-schedule several applications on one machine")
     p.add_argument("apps", help="comma-separated application names")
     p.add_argument("--pages", type=int, default=0,
                    help="per-process data pages (default ~2x memory)")
     p.add_argument("--quantum", type=float, default=20_000.0,
                    help="scheduler quantum in microseconds")
-    add_obs_args(p)
 
-    p = sub.add_parser(
+    p = verb(
         "chaos",
         help="fault-intensity sweep with a degradation table",
         description="Run one application clean and under a fault plan "
@@ -1355,19 +1260,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "dropped hints, retries, degraded I/O, and fallback "
                     "episodes (see docs/robustness.md).",
     )
-    add_app_args(p)
-    p.add_argument("--variant", choices=["o", "p", "nofilter", "adaptive"],
-                   default="p")
     p.add_argument("--intensities", default=None,
                    help="comma-separated fault intensities "
                         "(default 0.25,0.5,1.0; --quick: 1.0)")
-    add_fault_args(p)
     p.add_argument("--quick", action="store_true",
                    help="CI smoke mode: small footprint, one intensity")
     p.add_argument("--out", metavar="FILE", default=None,
                    help="also write the report as JSON (atomic)")
 
-    p = sub.add_parser(
+    p = verb(
         "serve",
         help="supervised simulation job farm (batch in, results out)",
         description="Run a batch of run/compare/sweep/chaos jobs on a "
@@ -1446,7 +1347,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="status: also render the archived telemetry "
                         "summary (tenants + SLO verdict)")
 
-    p = sub.add_parser(
+    p = verb(
         "top",
         help="live farm dashboard (reads WORKDIR/telemetry.json)",
         description="Render the farm's atomically updated telemetry "
@@ -1468,7 +1369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="with --once: print the raw snapshot JSON")
 
-    p = sub.add_parser(
+    p = verb(
         "fuzz",
         help="property-based scenario fuzzing with metamorphic oracles",
         description="Generate random-but-valid scenarios per oracle "
@@ -1510,7 +1411,6 @@ COMMANDS = {
     "compare": cmd_compare,
     "sweep": cmd_sweep,
     "multiprog": cmd_multiprog,
-    "trace": cmd_trace,
     "explain": cmd_explain,
     "profile": cmd_profile,
     "bench": cmd_bench,

@@ -260,3 +260,15 @@ class PlatformConfig:
 
 #: The default simulated platform, used by tests and examples.
 DEFAULT_PLATFORM = PlatformConfig()
+
+#: The variants one application runs as, with their ``Machine`` /
+#: ``run_variant`` flags: O (plain paged VM), P (compiled prefetching
+#: with the run-time layer), P without the run-time layer (Figure 4(c)),
+#: and P with adaptive suppression.  Every variant but O runs the
+#: compiled program.
+VARIANTS: dict[str, dict[str, bool]] = {
+    "o": {"prefetching": False},
+    "p": {"prefetching": True},
+    "nofilter": {"prefetching": True, "runtime_filter": False},
+    "adaptive": {"prefetching": True, "adaptive_prefetch": True},
+}

@@ -20,12 +20,10 @@ from typing import Sequence
 
 from repro.apps.base import AppSpec
 from repro.checkpoint.runner import CheckpointConfig, run_with_recovery
-from repro.config import PlatformConfig
-from repro.core.options import CompilerOptions
-from repro.core.prefetch_pass import insert_prefetches
+from repro.config import VARIANTS, PlatformConfig
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, default_plan
-from repro.harness.experiment import default_data_pages, run_variant
+from repro.harness.experiment import build_variant, default_data_pages, run_variant
 from repro.interp.executor import Executor
 from repro.machine.machine import Machine
 from repro.sim.stats import RunStats
@@ -134,35 +132,26 @@ def chaos_sweep(
 ) -> ChaosReport:
     """Run one app clean and at each fault intensity of ``base_plan``.
 
-    ``variant`` follows the CLI's run command: ``o`` (no prefetching),
-    ``p`` (the default), ``nofilter``, or ``adaptive``.  With no
-    ``base_plan``, :func:`repro.faults.plan.default_plan` supplies a
-    representative all-taxonomy plan sized to the platform's array.
+    ``variant`` is a :data:`repro.config.VARIANTS` key (default ``p``).
+    With no ``base_plan``, :func:`repro.faults.plan.default_plan`
+    supplies a representative all-taxonomy plan sized to the platform's
+    array.
     """
     if not intensities:
         raise ConfigError("chaos sweep needs at least one intensity")
     if data_pages is None:
-        data_pages = default_data_pages(platform, spec.default_memory_multiple)
+        data_pages = default_data_pages(platform)
     if base_plan is None:
         base_plan = default_plan(platform.num_disks, seed=seed)
-    program = spec.make(data_pages, seed=seed)
-    prefetching = variant != "o"
-    if prefetching:
-        options = CompilerOptions.from_platform(platform)
-        program = insert_prefetches(program, options).program
+    program = build_variant(spec, platform, variant, data_pages, seed)
+    flags = VARIANTS[variant]
 
     def execute(plan: FaultPlan | None) -> tuple[RunStats, int, int]:
         if plan is not None and plan.crashes:
             # Crash-bearing plans go through the kill/resume loop: a
             # fresh machine per incarnation, in-memory checkpoints.
             def factory():
-                machine = Machine(
-                    platform,
-                    prefetching=prefetching,
-                    runtime_filter=variant != "nofilter",
-                    adaptive_prefetch=variant == "adaptive",
-                    fault_plan=plan,
-                )
+                machine = Machine(platform, fault_plan=plan, **flags)
                 return machine, Executor(machine)
 
             rec = run_with_recovery(
@@ -170,15 +159,7 @@ def chaos_sweep(
                 CheckpointConfig(every_us=CHAOS_CHECKPOINT_EVERY_US),
             )
             return rec.stats, rec.crashes, rec.resumes
-        stats = run_variant(
-            program,
-            platform,
-            prefetching=prefetching,
-            runtime_filter=variant != "nofilter",
-            adaptive=variant == "adaptive",
-            fault_plan=plan,
-        )
-        return stats, 0, 0
+        return run_variant(program, platform, fault_plan=plan, **flags), 0, 0
 
     clean, _, _ = execute(None)
     rows = []

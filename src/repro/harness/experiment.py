@@ -8,6 +8,9 @@ The paper compares, per application:
   (Figure 4(c));
 * warm/cold starts (Figure 6) and different problem sizes (Figures 7, 8).
 
+:data:`repro.config.VARIANTS` names the variants and their flags.
+``run_app`` runs one variant of an application (the CLI's ``run``,
+``explain`` and ``profile`` and the farm's ``run`` jobs).
 ``compare_app`` builds the program once, compiles it once, and executes
 the requested variants on fresh machines, so O and P see identical
 workloads (including identical index-array data).
@@ -20,7 +23,12 @@ from dataclasses import dataclass, field
 
 from repro.apps.base import AppSpec
 from repro.checkpoint.runner import CheckpointConfig, setup_checkpointing
-from repro.config import PlatformConfig
+from repro.config import (
+    DEFAULT_MEMORY_PAGES,
+    DEFAULT_NUM_DISKS,
+    VARIANTS,
+    PlatformConfig,
+)
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import PassResult, insert_prefetches
 from repro.interp.executor import Executor
@@ -28,8 +36,16 @@ from repro.machine.machine import Machine
 from repro.sim.stats import RunStats
 
 
+def platform_for(memory_pages: int = 0, disks: int = 0) -> PlatformConfig:
+    """The default platform with ``memory_pages`` and ``disks``
+    overridden (0 keeps the default), as the CLI and job specs ask."""
+    return PlatformConfig(memory_pages=memory_pages or DEFAULT_MEMORY_PAGES,
+                          num_disks=disks or DEFAULT_NUM_DISKS)
+
+
 def default_data_pages(platform: PlatformConfig, memory_multiple: float = 2.0) -> int:
-    """Major-data footprint for an out-of-core run (~2x available memory)."""
+    """Major-data footprint at ``memory_multiple`` times available memory
+    (default ~2x: an out-of-core run)."""
     return max(8, int(platform.available_frames * memory_multiple))
 
 
@@ -38,7 +54,7 @@ class RunResult:
     """One executed variant."""
 
     app: str
-    variant: str  # "O", "P", "P-nofilter"
+    variant: str  # "O", "P", "P-nofilter", ... (run_app: a VARIANTS key)
     stats: RunStats
     warm: bool = False
     data_pages: int = 0
@@ -78,7 +94,7 @@ def run_variant(
     prefetching: bool,
     runtime_filter: bool = True,
     warm: bool = False,
-    adaptive: bool = False,
+    adaptive_prefetch: bool = False,
     os_readahead: bool = False,
     observer=None,
     fault_plan=None,
@@ -101,7 +117,7 @@ def run_variant(
         platform,
         prefetching=prefetching,
         runtime_filter=runtime_filter,
-        adaptive_prefetch=adaptive,
+        adaptive_prefetch=adaptive_prefetch,
         os_readahead=os_readahead,
         observer=observer,
         fault_plan=fault_plan,
@@ -115,6 +131,42 @@ def run_variant(
     if observer is not None:
         stats.publish(observer.metrics)
     return stats
+
+
+def build_variant(spec: AppSpec, platform: PlatformConfig, variant: str,
+                  data_pages: int, seed: int = 1):
+    """The program ``variant`` runs: ``spec`` at ``data_pages``, compiled
+    by the prefetching pass unless the variant is O."""
+    program = spec.make(data_pages, seed=seed)
+    if not VARIANTS[variant]["prefetching"]:
+        return program
+    return insert_prefetches(program,
+                             CompilerOptions.from_platform(platform)).program
+
+
+def run_app(
+    spec: AppSpec,
+    platform: PlatformConfig,
+    variant: str = "p",
+    data_pages: int | None = None,
+    seed: int = 1,
+    warm: bool = False,
+    observer=None,
+    fault_plan=None,
+    checkpoint: CheckpointConfig | None = None,
+) -> RunResult:
+    """Build, compile (unless O), and run one variant of one app.
+
+    ``variant`` is a :data:`repro.config.VARIANTS` key; ``data_pages``
+    defaults to :func:`default_data_pages`.  The other arguments go to
+    :func:`run_variant`.
+    """
+    data_pages = data_pages or default_data_pages(platform)
+    program = build_variant(spec, platform, variant, data_pages, seed)
+    stats = run_variant(program, platform, warm=warm, observer=observer,
+                        fault_plan=fault_plan, checkpoint=checkpoint,
+                        **VARIANTS[variant])
+    return RunResult(spec.name, variant, stats, warm, data_pages)
 
 
 def compare_app(
@@ -145,53 +197,32 @@ def compare_app(
     checkpoints under their label and resume as fresh runs.
     """
     if data_pages is None:
-        data_pages = default_data_pages(platform, spec.default_memory_multiple)
+        data_pages = default_data_pages(platform)
     program = spec.make(data_pages, seed=seed)
     options = options or CompilerOptions.from_platform(platform)
     compiled = insert_prefetches(program, options)
 
-    def ckpt_for(variant: str) -> CheckpointConfig | None:
-        if checkpoint is None:
-            return None
-        return dataclasses.replace(checkpoint, label=f"{spec.name}-{variant}")
+    def run(label: str, variant: str, **extra) -> RunResult:
+        flags = VARIANTS[variant]
+        code = compiled.program if flags["prefetching"] else program
+        ckpt = (None if checkpoint is None else
+                dataclasses.replace(checkpoint, label=f"{spec.name}-{label}"))
+        stats = run_variant(code, platform, warm=warm, fault_plan=fault_plan,
+                            checkpoint=ckpt, **flags, **extra)
+        return RunResult(spec.name, label, stats, warm, data_pages)
 
-    o_stats = run_variant(program, platform, prefetching=False, warm=warm,
-                          fault_plan=fault_plan, checkpoint=ckpt_for("O"))
-    p_stats = run_variant(compiled.program, platform, prefetching=True, warm=warm,
-                          observer=observer, fault_plan=fault_plan,
-                          checkpoint=ckpt_for("P"))
     result = ComparisonResult(
         app=spec.name,
         data_pages=data_pages,
-        original=RunResult(spec.name, "O", o_stats, warm, data_pages),
-        prefetch=RunResult(spec.name, "P", p_stats, warm, data_pages),
+        original=run("O", "o"),
+        prefetch=run("P", "p", observer=observer),
         pass_result=compiled,
     )
-    if include_nofilter:
-        nf_stats = run_variant(
-            compiled.program, platform, prefetching=True,
-            runtime_filter=False, warm=warm, fault_plan=fault_plan,
-            checkpoint=ckpt_for("P-nofilter"),
-        )
-        result.extras["P-nofilter"] = RunResult(
-            spec.name, "P-nofilter", nf_stats, warm, data_pages
-        )
-    if include_adaptive:
-        ad_stats = run_variant(
-            compiled.program, platform, prefetching=True,
-            warm=warm, adaptive=True, fault_plan=fault_plan,
-            checkpoint=ckpt_for("P-adaptive"),
-        )
-        result.extras["P-adaptive"] = RunResult(
-            spec.name, "P-adaptive", ad_stats, warm, data_pages
-        )
-    if include_readahead:
-        ra_stats = run_variant(
-            program, platform, prefetching=False, warm=warm,
-            os_readahead=True, fault_plan=fault_plan,
-            checkpoint=ckpt_for("O-readahead"),
-        )
-        result.extras["O-readahead"] = RunResult(
-            spec.name, "O-readahead", ra_stats, warm, data_pages
-        )
+    for label, variant, wanted, extra in (
+        ("P-nofilter", "nofilter", include_nofilter, {}),
+        ("P-adaptive", "adaptive", include_adaptive, {}),
+        ("O-readahead", "o", include_readahead, {"os_readahead": True}),
+    ):
+        if wanted:
+            result.extras[label] = run(label, variant, **extra)
     return result

@@ -17,15 +17,11 @@ from dataclasses import dataclass, field
 from repro.config import PlatformConfig
 from repro.core.ir.nodes import Program
 from repro.errors import MachineError, ensure_finite
-from repro.faults.inject import FaultInjector, LaggedBitVector
+from repro.machine.machine import Machine
 from repro.multiprog.stream import ProcessStream
 from repro.obs.trace import TraceKind
-from repro.runtime.layer import RuntimeLayer
-from repro.sim.clock import Clock, TimeCategory
+from repro.sim.clock import TimeCategory
 from repro.sim.stats import RunStats, TimeBreakdown
-from repro.storage.array_ctl import DiskArray
-from repro.vm.manager import MemoryManager
-from repro.vm.page_table import AddressSpace
 
 
 @dataclass
@@ -66,8 +62,8 @@ class ScheduleResult:
 
 
 class _Proc:
-    __slots__ = ("name", "prefetching", "result", "gen", "chunk", "chunk_pos",
-                 "blocked_until", "block_start", "runnable_since", "done")
+    __slots__ = ("name", "prefetching", "result", "gen", "blocked_until",
+                 "block_start", "runnable_since", "done")
 
     def __init__(self, name: str, prefetching: bool, gen) -> None:
         self.name = name
@@ -91,49 +87,26 @@ class CoScheduler:
             raise MachineError(f"quantum must be positive, got {quantum_us}")
         self.platform = platform or PlatformConfig()
         self.quantum_us = quantum_us
-        self.clock = Clock()
-        self.stats = RunStats()
+        #: The shared hardware: one prefetching :class:`Machine`'s clock,
+        #: memory manager, run-time layer, and disk array.  Its fault
+        #: injector applies the plan to every tenant alike (the same
+        #: storms, slow disks, and stale residency bits); ``crashes``
+        #: entries are ignored, since process crashes are delivered at
+        #: interpreter safe points and the co-scheduler replays event
+        #: streams that have none.  The scheduler keeps its own
+        #: end-of-run accounting instead of ``Machine.finish``.
+        machine = Machine(self.platform, prefetching=True, observer=observer,
+                          fault_plan=fault_plan)
+        self.clock = machine.clock
+        self.stats = machine.stats
         #: Attached :class:`repro.obs.Observer`, or None.  The machine is
         #: shared, so one observer sees every process's events interleaved
         #: in simulated-time order.
         self.obs = observer
-        #: Active :class:`repro.faults.FaultInjector`, or None -- the same
-        #: wiring as :class:`repro.machine.machine.Machine`, applied to
-        #: the *shared* hardware so every tenant suffers the same storms,
-        #: slow disks, and stale residency bits.  ``crashes`` entries are
-        #: ignored: process crashes are delivered at interpreter safe
-        #: points, and the co-scheduler replays event streams that have
-        #: none.
-        self.injector = (
-            FaultInjector(fault_plan, self.platform.num_disks)
-            if fault_plan is not None else None
-        )
-        self.address_space = AddressSpace(self.platform.page_size)
-        self.disks = DiskArray(
-            self.platform, observer=observer,
-            faults=self.injector.storage if self.injector is not None else None,
-        )
-        self.manager = MemoryManager(
-            self.platform, self.clock, self.disks, self.stats,
-            observer=observer,
-        )
-        if self.injector is not None:
-            for at_us, frames, hold_us in self.injector.storm_bursts():
-                self.manager.schedule_pressure(at_us, frames, hold_us)
-                self.stats.robust.storm_bursts += 1
-        self.layer = RuntimeLayer(
-            self.platform, self.clock, self.manager, self.stats,
-            observer=observer,
-        )
-        if self.injector is not None:
-            self.layer.hint_faults = self.injector.hints
-            if self.injector.plan.bitvector_lag_us > 0:
-                lagged = LaggedBitVector(
-                    self.layer.bitvector, self.clock,
-                    self.injector.plan.bitvector_lag_us,
-                )
-                self.layer.bitvector = lagged
-                self.manager.bitvector = lagged
+        self.address_space = machine.address_space
+        self.disks = machine.disks
+        self.manager = machine.manager
+        self.layer = machine.runtime
         self._procs: list[_Proc] = []
         self._ran = False
         self.idle_wait_us = 0.0

@@ -180,8 +180,6 @@ class Farm:
         self.state_dir = self.workdir / "workers"
         self.ledger = JobLedger(self.workdir)
         self._controller_strikes: list[float] = []
-        self._epoch = 0
-        self._last_epoch_t = 0.0
         self.metrics = MetricsRegistry()
         # Register every serve.* instrument up front so the artifact
         # carries the full documented set even when a counter stays 0.
@@ -362,14 +360,7 @@ class Farm:
             for handle in self.pool.busy_workers():
                 self._consume_result(handle)
             self._update_gauges()
-            now = time.monotonic()
-            # Periodic liveness epoch in the journal: a recovering
-            # controller can bound how long ago its predecessor died.
-            if now - self._last_epoch_t >= 0.25:
-                self._last_epoch_t = now
-                self._epoch += 1
-                self._journal("heartbeat_epoch", epoch=self._epoch)
-            self.telemetry.poll(now)
+            self.telemetry.poll(time.monotonic())
             await asyncio.sleep(self.config.poll_s)
 
     async def _supervise_loop(self) -> None:

@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.config import VARIANTS
 from repro.errors import ConfigError
 from repro.ioutil import atomic_write_json
 
@@ -36,9 +37,6 @@ JOBS_VERSION = 1
 
 #: Request kinds the farm executes (mirrors the one-shot CLI verbs).
 JOB_KINDS: tuple[str, ...] = ("run", "compare", "sweep", "chaos")
-
-#: Execution variants a ``run``/``chaos`` job may ask for.
-JOB_VARIANTS: tuple[str, ...] = ("o", "p", "nofilter", "adaptive")
 
 
 class JobState:
@@ -94,9 +92,10 @@ class JobSpec:
             )
         if not self.app or not isinstance(self.app, str):
             raise ConfigError(f"job needs an application name, got {self.app!r}")
-        if self.variant not in JOB_VARIANTS:
+        if self.variant not in VARIANTS:
             raise ConfigError(
-                f"job variant must be one of {JOB_VARIANTS}, got {self.variant!r}"
+                f"job variant must be one of {tuple(VARIANTS)}, "
+                f"got {self.variant!r}"
             )
         if self.pages < 0:
             raise ConfigError(f"pages must be >= 0, got {self.pages}")

@@ -44,6 +44,8 @@ LIVENESS_NAME = "controller.json"
 #: Every journaled transition kind, in lifecycle order.  The *Ledger
 #: record reference* table in docs/serving.md is cross-checked against
 #: this tuple by ``scripts/check_docs.py``, both ways.
+#: ``heartbeat_epoch`` is legacy: no controller writes it any more, but
+#: ledgers written before that still read, append and replay.
 LEDGER_RECORD_KINDS = (
     "admitted",
     "dispatched",
@@ -65,7 +67,7 @@ LEDGER_RECORD_KINDS = (
 RECOVERY_SEMANTICS: dict[str, tuple[str, str]] = {
     "admitted": ("job unknown; resubmit", "re-admitted with original spec/seq"),
     "dispatched": ("re-dispatched from queue", "orphan adopted or attempt voided"),
-    "heartbeat_epoch": ("staleness detected sooner", "staleness detected later"),
+    "heartbeat_epoch": ("legacy: no longer written", "legacy: skipped on replay"),
     "retry_scheduled": ("attempt voided, no backoff", "backoff recomputed from seed"),
     "preempted": ("orphan adopted or voided", "re-admitted, resumes from checkpoint"),
     "quarantined": ("one more attempt granted", "terminal state rebuilt"),

@@ -49,17 +49,6 @@ def result_path(results_dir: str | Path, job_id: str, attempt: int) -> Path:
     return Path(results_dir) / f"{job_id}.a{attempt}.json"
 
 
-def _platform(spec):
-    from repro.config import PlatformConfig
-
-    overrides = {}
-    if spec.memory_pages:
-        overrides["memory_pages"] = spec.memory_pages
-    if spec.disks:
-        overrides["num_disks"] = spec.disks
-    return PlatformConfig(**overrides)
-
-
 def execute_job(spec, job_dir: Path, resume: bool,
                 checkpoint_every_us: float = DEFAULT_CHECKPOINT_EVERY_US,
                 observer=None) -> dict[str, Any]:
@@ -83,62 +72,43 @@ def execute_job(spec, job_dir: Path, resume: bool,
     """
     from repro.apps.registry import get_app
     from repro.checkpoint import CheckpointConfig
-    from repro.core.options import CompilerOptions
-    from repro.core.prefetch_pass import insert_prefetches
     from repro.faults.plan import FaultPlan
     from repro.harness.experiment import (
         compare_app,
         default_data_pages,
-        run_variant,
+        platform_for,
+        run_app,
     )
     from repro.obs.metrics import RUN_METRIC_NAMES
 
-    platform = _platform(spec)
+    platform = platform_for(spec.memory_pages, spec.disks)
     app = get_app(spec.app)
-    pages = spec.pages or default_data_pages(platform,
-                                             app.default_memory_multiple)
     plan = FaultPlan.from_dict(spec.faults) if spec.faults else None
     # A kill can land before the first checkpoint of the first attempt,
     # in which case the job directory was never created: resuming then
     # just means starting fresh.
     resume = resume and job_dir.is_dir()
+    # compare_app re-labels it per variant (<app>-O, <app>-P).
+    checkpoint = CheckpointConfig(
+        every_us=checkpoint_every_us, directory=job_dir, label="job",
+        resume_from=job_dir if resume else None,
+    )
 
     if spec.kind == "run":
-        program = app.make(pages, seed=spec.seed)
-        checkpoint = CheckpointConfig(
-            every_us=checkpoint_every_us, directory=job_dir, label="job",
-            resume_from=job_dir if resume else None,
-        )
-        if spec.variant == "o":
-            stats = run_variant(program, platform, prefetching=False,
-                                warm=spec.warm, fault_plan=plan,
-                                checkpoint=checkpoint, observer=observer)
-        else:
-            compiled = insert_prefetches(
-                program, CompilerOptions.from_platform(platform)
-            )
-            stats = run_variant(
-                compiled.program, platform, prefetching=True,
-                runtime_filter=spec.variant != "nofilter", warm=spec.warm,
-                adaptive=spec.variant == "adaptive", fault_plan=plan,
-                checkpoint=checkpoint, observer=observer,
-            )
-        registry = stats.publish()
+        run = run_app(app, platform, spec.variant, spec.pages or None,
+                      spec.seed, spec.warm, observer, plan, checkpoint)
+        registry = run.stats.publish()
         return {
             "kind": "run",
             "app": app.name,
             "variant": spec.variant,
-            "data_pages": pages,
-            "elapsed_us": stats.elapsed_us,
+            "data_pages": run.data_pages,
+            "elapsed_us": run.stats.elapsed_us,
             "metrics": {name: registry.value(name)
                         for name in RUN_METRIC_NAMES},
         }
 
     if spec.kind == "compare":
-        checkpoint = CheckpointConfig(
-            every_us=checkpoint_every_us, directory=job_dir,
-            resume_from=job_dir if resume else None,
-        )
         result = compare_app(app, platform, data_pages=spec.pages or None,
                              seed=spec.seed, warm=spec.warm, fault_plan=plan,
                              checkpoint=checkpoint, observer=observer)
@@ -157,7 +127,7 @@ def execute_job(spec, job_dir: Path, resume: bool,
     if spec.kind == "sweep":
         rows = []
         for multiple in spec.multiples:
-            sweep_pages = max(8, int(platform.available_frames * multiple))
+            sweep_pages = default_data_pages(platform, multiple)
             point = compare_app(app, platform, data_pages=sweep_pages,
                                 seed=spec.seed, warm=spec.warm)
             rows.append({"multiple": multiple,

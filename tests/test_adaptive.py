@@ -117,7 +117,8 @@ class TestAdaptiveEndToEnd:
             program2, CompilerOptions.from_platform(platform)
         )
         adaptive = run_variant(
-            compiled2.program, platform, prefetching=True, adaptive=True
+            compiled2.program, platform, prefetching=True,
+            adaptive_prefetch=True,
         )
         assert adaptive.elapsed_us == pytest.approx(plain.elapsed_us, rel=0.05)
 
@@ -130,6 +131,7 @@ class TestAdaptiveEndToEnd:
         compiled = insert_prefetches(program, CompilerOptions.from_platform(platform))
         plain = run_variant(compiled.program, platform, prefetching=True, warm=True)
         adaptive = run_variant(
-            compiled.program, platform, prefetching=True, warm=True, adaptive=True
+            compiled.program, platform, prefetching=True, warm=True,
+            adaptive_prefetch=True,
         )
         assert plain.faults.total_faults == adaptive.faults.total_faults == 0

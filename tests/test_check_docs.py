@@ -128,3 +128,26 @@ def test_lint_catches_a_documented_command_the_cli_rejects(check_docs, tmp_path)
     problems = check_docs.check(performance_doc_path=mutated)
     assert any("`repro run --app buk -p` does not parse" in p
                for p in problems)
+
+
+def test_inline_commands_must_name_a_verb(check_docs, tmp_path):
+    """Inline ``repro ...`` spans are linted for their verb only: prose
+    like ``repro serve`` passes, a removed verb does not."""
+    doc = tmp_path / "guide.md"
+    doc.write_text(
+        "Use `repro serve`, or `python -m repro --memory-pages 96 run EMBAR`.\n"
+        "`python -m repro trace --app MGRID --out t.json` records a run;\n"
+        "`repro --disks 3` names no verb, and `repro.obs` is a module.\n"
+        "```sh\n"
+        "`repro fenced` belongs to the fenced-block lint\n"
+        "```\n")
+    assert check_docs.inline_commands(doc) == [
+        (1, ["serve"]),
+        (1, ["--memory-pages", "96", "run", "EMBAR"]),
+        (2, ["trace", "--app", "MGRID", "--out", "t.json"]),
+        (3, ["--disks", "3"]),
+    ]
+    problems = check_docs.inline_command_problems([doc])
+    assert len(problems) == 2
+    assert problems[0].startswith("guide.md:2:") and "`repro trace" in problems[0]
+    assert problems[1].startswith("guide.md:3:")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.config import VARIANTS
 
 
 class TestCli:
@@ -93,18 +94,24 @@ class TestCli:
         assert "(machine)" in out
 
     def test_trace_subcommand(self, capsys, tmp_path):
+        """``trace`` is not a verb; ``run --trace`` prints and writes
+        everything it did: the artifacts, the event-kind table and the
+        Perfetto hint."""
         import json
 
         from repro.obs import validate_chrome_trace
 
+        with pytest.raises(SystemExit):
+            main(["trace", "--app", "embar"])
+        capsys.readouterr()
         trace = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.json"
-        assert main(["--memory-pages", "96", "trace", "--app", "embar",
-                     "--pages", "120", "--out", str(trace),
+        assert main(["--memory-pages", "96", "run", "EMBAR",
+                     "--pages", "120", "--trace", str(trace),
                      "--metrics-out", str(metrics)]) == 0
         out = capsys.readouterr().out
         assert "ui.perfetto.dev" in out
-        assert "event kind" in out
+        assert "event kind" in out and "prefetch_issued" in out
         with open(trace) as fh:
             assert validate_chrome_trace(json.load(fh)) == []
         with open(metrics) as fh:
@@ -113,8 +120,8 @@ class TestCli:
 
     def test_trace_buffer_wraparound_reported(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
-        assert main(["--memory-pages", "96", "trace", "--app", "embar",
-                     "--pages", "120", "--out", str(trace),
+        assert main(["--memory-pages", "96", "run", "EMBAR",
+                     "--pages", "120", "--trace", str(trace),
                      "--trace-buffer", "64"]) == 0
         out = capsys.readouterr().out
         assert "dropped by ring wraparound" in out
@@ -300,11 +307,40 @@ class TestFaultCli:
         with pytest.raises(ConfigError):
             main(["chaos", "EMBAR", "--quick", "--intensities", ""])
 
-    def test_trace_exits_nonzero_on_invalid_artifact(
-            self, capsys, tmp_path, monkeypatch):
-        import repro.cli as cli
 
-        monkeypatch.setattr(cli, "validate_chrome_trace", lambda obj: ["boom"])
-        assert main(["--memory-pages", "96", "trace", "--app", "embar",
-                     "--pages", "120", "--out", str(tmp_path / "t.json")]) == 1
-        assert "boom" in capsys.readouterr().err
+@pytest.mark.parametrize("verb", ["run", "compare", "explain"])
+def test_trace_exits_nonzero_on_invalid_artifact(
+        verb, capsys, tmp_path, monkeypatch):
+    """Every traced verb checks its own trace, and still writes it."""
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "validate_chrome_trace", lambda obj: ["boom"])
+    trace = tmp_path / "t.json"
+    assert main(["--memory-pages", "96", verb, "EMBAR", "--pages", "120",
+                 "--trace", str(trace)]) == 1
+    assert "trace validation: boom" in capsys.readouterr().err
+    assert trace.exists()
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_cli_run_matches_a_farm_run_job(variant, capsys, tmp_path):
+    """``repro run`` and a farm ``run`` job run a variant the same way."""
+    import json
+
+    from repro.obs.metrics import RUN_METRIC_NAMES
+    from repro.obs.observer import Observer
+    from repro.serve import JobSpec
+    from repro.serve.worker import execute_job
+
+    metrics = tmp_path / "m.json"
+    assert main(["--memory-pages", "96", "run", "EMBAR", "--pages", "120",
+                 "--variant", variant, "--metrics-out", str(metrics)]) == 0
+    with open(metrics) as fh:
+        cli_metrics = json.load(fh)["metrics"]
+    spec = JobSpec(kind="run", app="EMBAR", memory_pages=96, pages=120,
+                   variant=variant, job_id="cli")
+    result = execute_job(spec, tmp_path / "job", resume=False,
+                         observer=Observer(record_trace=False))
+    assert result["data_pages"] == 120
+    assert {name: cli_metrics[name]["value"] for name in RUN_METRIC_NAMES} \
+        == result["metrics"]

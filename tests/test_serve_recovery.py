@@ -390,6 +390,18 @@ def test_recover_on_a_finished_workdir_is_an_idempotent_fold(tmp_path):
         assert record.result == expected[record.spec.job_id]
 
 
+def test_finished_ledger_holds_no_heartbeat_epoch(tmp_path):
+    """The controller journals job transitions only: ``heartbeat_epoch``
+    is a legacy kind that older ledgers may still hold."""
+    spec = JobSpec(kind="run", app="EMBAR", pages=120, memory_pages=96,
+                   job_id="short", seed=2)
+    report = run_farm([spec], FarmConfig(workers=1, retry=FAST_RETRY),
+                      tmp_path)
+    assert report.all_done
+    kinds = [record["kind"] for record in read_ledger(ledger_path(tmp_path))]
+    assert kinds == ["admitted", "dispatched", "done"]
+
+
 # ----------------------------------------------------------------------
 # Satellite regressions: drain cleanup, CLI verbs, freshness verdicts
 # ----------------------------------------------------------------------
