@@ -68,15 +68,3 @@ class AppSpec:
     def make(self, data_pages: int, seed: int = 1) -> Program:
         """Instantiate the program with ~``data_pages`` of major data."""
         return self.build(data_pages, seed)
-
-    def make_class(self, size_class: str, available_frames: int,
-                   seed: int = 1) -> Program:
-        """Instantiate a NAS-style problem class (S/W/A/B) for a machine."""
-        try:
-            multiple = SIZE_CLASSES[size_class.upper()]
-        except KeyError:
-            raise KeyError(
-                f"unknown size class {size_class!r}; known: "
-                + "/".join(SIZE_CLASSES)
-            ) from None
-        return self.make(max(8, int(available_frames * multiple)), seed=seed)

@@ -168,7 +168,7 @@ class Checkpointer:
     def arm_resume(self, snapshot: Snapshot, skipped_corrupt: int = 0) -> None:
         """Restore ``snapshot`` once the executor has bound the program.
 
-        Restoration must run *after* ``_bind_arrays`` (which maps
+        Restoration must run *after* ``Executor.bind`` (which maps
         segments and warm-loads deterministically) so it overwrites that
         setup with the captured state; the executor invokes the hook at
         exactly that point, then skip-replays to the snapshot's cursor.

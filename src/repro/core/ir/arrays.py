@@ -27,7 +27,7 @@ DimLike = Union[int, str]
 class ArrayDecl:
     """One declared array in a program."""
 
-    __slots__ = ("name", "shape", "elem_size", "data", "base")
+    __slots__ = ("name", "shape", "elem_size", "data")
 
     def __init__(
         self,
@@ -54,8 +54,6 @@ class ArrayDecl:
         self.shape = tuple(shape)
         self.elem_size = elem_size
         self.data = data
-        #: Base byte address, bound by the executor when segments are mapped.
-        self.base: int | None = None
 
     # ------------------------------------------------------------------
     # Shape resolution

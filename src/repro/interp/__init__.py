@@ -1,7 +1,9 @@
 """Execution of IR programs on the simulated machine.
 
-* :mod:`repro.interp.executor` -- the interpreter: walks the loop nest,
-  executing work statements and hints against a :class:`Machine`.
+* :mod:`repro.interp.executor` -- the interpreter and the one walk of a
+  program: ``Executor.steps`` yields one step per unit (work statement,
+  hint, leaf chunk, pure-compute leaf); ``Executor.run`` replays them
+  against a :class:`Machine`, and the co-scheduler interleaves them.
 * :mod:`repro.interp.lower` -- vectorized lowering of innermost loops into
   event chunks (the performance path; numpy computes per-iteration page
   streams and collapses same-page runs).

@@ -1,33 +1,48 @@
 """The IR interpreter.
 
-Walks a program's statement tree against a :class:`Machine`:
+:class:`Executor` holds the one walk of a program's statement tree (the
+access-trace oracle in :mod:`repro.interp.tracing` is kept independent
+on purpose).  The walk, :meth:`Executor.steps`, is a generator that
+yields one *step* per unit:
 
-* work statements charge compute time and perform their accesses;
-* hints go through the run-time layer (prefetch filtering) or the OS
-  (releases), clamped to the target array's segment -- an address outside
-  the array is a silent no-op, preserving the non-binding semantics;
-* leaf loops (flat bodies of work + single-page hints) take the
-  vectorized path in :mod:`repro.interp.lower`.
+* ``("work", cost_us, [(vpage, is_write), ...])`` -- a work statement:
+  compute time, then its demand accesses;
+* ``("chunk", kinds, pages, costs, tail_us)`` -- a leaf loop (a flat body
+  of work + single-page hints) lowered by :mod:`repro.interp.lower`;
+* ``("compute", us)`` -- a pure-compute leaf loop;
+* ``("prefetch", start, n)`` / ``("release", vpages)`` /
+  ``("prefetch_release", start, n, vpages)`` -- a hint, clamped to its
+  array's segment;
+* ``("dropped",)`` -- a hint clamped to nothing: an address outside the
+  array is a silent no-op, preserving the non-binding semantics;
+* ``("nop",)`` -- a hint on a machine with no run-time layer, where
+  hints are dead code.
 
-The same interpreter runs both the original and the transformed program:
-the original simply contains no hints.
+:meth:`Executor.run` replays the steps on its :class:`Machine`; the
+co-scheduler (:mod:`repro.multiprog.scheduler`) interleaves the steps of
+several executors bound to one shared machine.  The same interpreter
+runs both the original and the transformed program: the original simply
+contains no hints.
 
 **Safe points and the unit cursor.**  Execution is counted in *units*:
 one work statement, one hint, one vectorized leaf chunk, or one
-pure-compute leaf loop.  After each live unit the executor calls the
+pure-compute leaf loop.  After replaying each step ``run`` calls the
 attached checkpointer's ``at_safe_point`` hook (crash delivery and
 checkpoint cadence live there, see :mod:`repro.checkpoint.runner`) --
-between units no chunk is half-replayed, which is what makes a snapshot
-crash-consistent.  Resume is *skip-replay*: the control flow (loop
-bounds, ``If`` conditions, environment bindings) is re-walked without
-touching the machine until the unit cursor passes the snapshot's
-cursor, then execution goes live.  This is sound because control flow
-depends only on ``env``/params, never on machine state.  When no
-checkpointer is attached the instrumentation is two integer compares
-per unit, and the simulated run is bit-identical either way.
+between steps no chunk is half-replayed, which is what makes a snapshot
+crash-consistent.  Resume is *skip-replay*: the walk re-walks the control
+flow (loop bounds, ``If`` conditions, environment bindings), counting
+units without yielding them, resolving their addresses or lowering their
+leaves, until the unit cursor reaches the snapshot's cursor; then it
+goes live.  This is sound because control flow depends only on
+``env``/params, never on machine state.  When no checkpointer is
+attached the instrumentation is two integer compares per unit, and the
+simulated run is bit-identical either way.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -70,15 +85,22 @@ class Executor:
     # Setup
     # ------------------------------------------------------------------
 
-    def _bind_arrays(self, program: Program) -> None:
+    def bind(self, program: Program, prefix: str = "") -> None:
+        """Map each array of ``program`` to its own segment.
+
+        Segments are named ``prefix + array name``: co-scheduled
+        processes share one address space, so each binds under its own
+        prefix.  A warm start preloads every segment.
+        """
+        machine = self.machine
         params = program.params
         for arr in program.arrays:
-            seg = self.machine.map_segment(arr.name, arr.nbytes(params))
-            arr.base = seg.base
-            self._segments[arr.name] = (seg.base, arr.nbytes(params))
+            nbytes = arr.nbytes(params)
+            seg = machine.map_segment(prefix + arr.name, nbytes)
+            self._segments[arr.name] = (seg.base, nbytes)
             self._strides[arr.name] = arr.strides_elems(params)
             if self.warm_start:
-                self.machine.warm_load_segment(seg)
+                machine.warm_load_segment(seg)
 
     # ------------------------------------------------------------------
     # Execution
@@ -86,127 +108,139 @@ class Executor:
 
     def run(self, program: Program, finish: bool = True) -> RunStats | None:
         """Execute ``program``; returns its stats when ``finish`` is set."""
-        self._bind_arrays(program)
+        self.bind(program)
         if self._resume_hook is not None:
             # Restore the snapshot over the (deterministic) bound setup,
-            # then skip-replay to its cursor inside _exec_body below.
+            # then skip-replay to its cursor inside the walk below.
             hook, self._resume_hook = self._resume_hook, None
             hook(self)
-        env = dict(program.params)
-        obs = self.machine.obs
+        machine = self.machine
+        compute = machine.compute
+        access = machine.access
+        run_chunk = machine.run_chunk
+        steps = self.steps(program, machine.obs)
+        try:
+            for step in steps:
+                kind = step[0]
+                if kind == "chunk":
+                    run_chunk(step[1], step[2], step[3])
+                    if step[4]:
+                        compute(step[4])
+                elif kind == "work":
+                    if step[1]:
+                        compute(step[1])
+                    for vpage, is_write in step[2]:
+                        access(vpage, is_write)
+                elif kind == "prefetch":
+                    machine.prefetch(step[1], step[2])
+                elif kind == "release":
+                    machine.release(step[1])
+                elif kind == "prefetch_release":
+                    machine.prefetch_release(step[1], step[2], step[3])
+                elif kind == "compute":
+                    compute(step[1])
+                elif kind == "dropped":
+                    self.out_of_range_hints += 1
+                self.units += 1
+                if self.checkpointer is not None:
+                    self.checkpointer.at_safe_point(self)
+        finally:
+            # A crash raised at a safe point unwinds the suspended walk
+            # here, popping its loop contexts before the crash propagates.
+            steps.close()
+        if finish:
+            return machine.finish()
+        return None
+
+    def steps(self, program: Program, obs=None) -> Iterator[tuple]:
+        """Walk a bound ``program``, yielding one step per live unit.
+
+        ``obs`` gets the program and loop-nest context pushed around the
+        walk and each loop.  The co-scheduler passes none: interleaved
+        processes must not push onto one shared context stack.
+        """
         if obs is not None:
             obs.push_context(program.name)
         try:
-            self._exec_body(program.body, env)
+            yield from self._walk(program.body, dict(program.params), obs)
         finally:
             if obs is not None:
                 obs.pop_context()
-        if finish:
-            return self.machine.finish()
-        return None
 
-    def _unit_done(self) -> None:
-        """Close one executed unit: advance the cursor, hit the safe point."""
-        self.units += 1
-        if self.checkpointer is not None:
-            self.checkpointer.at_safe_point(self)
-
-    def _exec_body(self, body: list[Stmt], env: dict) -> None:
-        machine = self.machine
+    def _walk(self, body: list[Stmt], env: dict, obs) -> Iterator[tuple]:
         for stmt in body:
             if isinstance(stmt, Work):
                 if self.units < self._skip_until:
                     self.units += 1
                     continue
-                if stmt.cost_us:
-                    machine.compute(stmt.cost_us)
-                for ref in stmt.refs:
-                    vpage = self._ref_page(ref, env)
-                    machine.access(vpage, ref.is_write)
-                self._unit_done()
+                yield ("work", stmt.cost_us,
+                       [(self._ref_page(ref, env), ref.is_write)
+                        for ref in stmt.refs])
             elif isinstance(stmt, Loop):
-                self._exec_loop(stmt, env)
+                # Label by loop variable: stable across runs (loop_id is a
+                # process-global counter) and what the collapsed stacks show.
+                if obs is not None:
+                    obs.push_context(stmt.var)
+                try:
+                    lower = stmt.lower.eval(env)
+                    upper = stmt.upper.eval(env)
+                    if upper <= lower:
+                        continue
+                    recipe = None
+                    if self.vectorize:
+                        recipe = self._leaf_cache.get(stmt.loop_id, False)
+                        if recipe is False:  # not analyzed yet
+                            recipe = analyze_leaf(stmt)
+                            self._leaf_cache[stmt.loop_id] = recipe
+                    if recipe is None:
+                        for value in range(lower, upper, stmt.step):
+                            env[stmt.var] = value
+                            yield from self._walk(stmt.body, env, obs)
+                        del env[stmt.var]
+                    elif self.units < self._skip_until:
+                        # Either leaf form is one unit; skip mode never
+                        # lowers it.
+                        self.units += 1
+                    elif not recipe.templates:
+                        # Pure compute: charge the whole loop in one step.
+                        iters = -(-(upper - lower) // stmt.step)
+                        yield ("compute", iters * recipe.iter_cost)
+                    else:
+                        values = np.arange(lower, upper, stmt.step,
+                                           dtype=np.int64)
+                        kinds, pages, costs, tail_us = lower_leaf(
+                            recipe,
+                            stmt.var,
+                            values,
+                            env,
+                            self.machine.config.page_size,
+                            self._segments,
+                            self._strides,
+                        )
+                        yield ("chunk", kinds, pages, costs, tail_us)
+                finally:
+                    if obs is not None:
+                        obs.pop_context()
             elif isinstance(stmt, Hint):
                 if self.units < self._skip_until:
                     self.units += 1
                     continue
-                self._exec_hint(stmt, env)
-                self._unit_done()
+                yield self._hint_step(stmt, env)
             elif isinstance(stmt, If):
                 branch = stmt.then_body if stmt.cond.eval(env) else stmt.else_body
-                self._exec_body(branch, env)
+                yield from self._walk(branch, env, obs)
             else:
                 raise ExecutionError(f"cannot execute statement {stmt!r}")
-
-    def _exec_loop(self, loop: Loop, env: dict) -> None:
-        obs = self.machine.obs
-        if obs is None:
-            self._exec_loop_body(loop, env)
-            return
-        # Label by loop variable: stable across runs (loop_id is a
-        # process-global counter) and what the collapsed stacks show.
-        obs.push_context(loop.var)
-        try:
-            self._exec_loop_body(loop, env)
-        finally:
-            obs.pop_context()
-
-    def _exec_loop_body(self, loop: Loop, env: dict) -> None:
-        lower = loop.lower.eval(env)
-        upper = loop.upper.eval(env)
-        if upper <= lower:
-            return
-        if self.vectorize:
-            recipe = self._leaf_cache.get(loop.loop_id, False)
-            if recipe is False:  # not analyzed yet
-                recipe = analyze_leaf(loop)
-                self._leaf_cache[loop.loop_id] = recipe
-        else:
-            recipe = None
-        if recipe is not None:
-            # Either leaf form is one unit; skip mode never lowers it.
-            if self.units < self._skip_until:
-                self.units += 1
-                return
-            if not recipe.templates:
-                # Pure compute: charge the whole loop in one step.
-                iters = -(-(upper - lower) // loop.step)
-                self.machine.compute(iters * recipe.iter_cost)
-                self._unit_done()
-                return
-            values = np.arange(lower, upper, loop.step, dtype=np.int64)
-            kinds, pages, costs, tail_cost = lower_leaf(
-                recipe,
-                loop.var,
-                values,
-                env,
-                self.machine.config.page_size,
-                self._segments,
-                self._strides,
-            )
-            self.machine.run_chunk(kinds, pages, costs)
-            if tail_cost:
-                self.machine.compute(tail_cost)
-            self._unit_done()
-            return
-        for value in range(lower, upper, loop.step):
-            env[loop.var] = value
-            self._exec_body(loop.body, env)
-        del env[loop.var]
 
     # ------------------------------------------------------------------
     # Addresses and hints
     # ------------------------------------------------------------------
 
     def _addr(self, array, indices, env: dict) -> int:
-        strides = self._strides[array.name]
         linear = 0
-        for ix, stride in zip(indices, strides):
+        for ix, stride in zip(indices, self._strides[array.name]):
             linear += ix.eval(env) * stride
-        base = array.base
-        if base is None:
-            raise ExecutionError(f"array {array.name!r} is not bound to a segment")
-        return base + linear * array.elem_size
+        return self._segments[array.name][0] + linear * array.elem_size
 
     def _ref_page(self, ref, env: dict) -> int:
         addr = self._addr(ref.array, ref.indices, env)
@@ -235,10 +269,9 @@ class Executor:
             return 0, 0
         return start, end - start + 1
 
-    def _exec_hint(self, hint: Hint, env: dict) -> None:
-        machine = self.machine
-        if machine.runtime is None:
-            return  # non-prefetching run: hints are dead code
+    def _hint_step(self, hint: Hint, env: dict) -> tuple:
+        if self.machine.runtime is None:
+            return ("nop",)
         pf_start = pf_n = 0
         if hint.target is not None:
             npages = max(0, hint.npages.eval(env))
@@ -254,24 +287,17 @@ class Executor:
             rel_pages = list(range(r_start, r_start + r_n))
 
         if hint.kind is HintKind.PREFETCH:
-            if pf_n:
-                machine.prefetch(pf_start, pf_n)
-            else:
-                self.out_of_range_hints += 1
-        elif hint.kind is HintKind.RELEASE:
-            if rel_pages:
-                machine.release(rel_pages)
-            else:
-                self.out_of_range_hints += 1
-        else:  # PREFETCH_RELEASE
-            if pf_n and rel_pages:
-                machine.prefetch_release(pf_start, pf_n, rel_pages)
-            elif pf_n:
-                machine.prefetch(pf_start, pf_n)
-            elif rel_pages:
-                machine.release(rel_pages)
-            else:
-                self.out_of_range_hints += 1
+            return ("prefetch", pf_start, pf_n) if pf_n else ("dropped",)
+        if hint.kind is HintKind.RELEASE:
+            return ("release", rel_pages) if rel_pages else ("dropped",)
+        # PREFETCH_RELEASE: whichever half survived the clamp.
+        if pf_n and rel_pages:
+            return ("prefetch_release", pf_start, pf_n, rel_pages)
+        if pf_n:
+            return ("prefetch", pf_start, pf_n)
+        if rel_pages:
+            return ("release", rel_pages)
+        return ("dropped",)
 
 
 def run_program(

@@ -6,10 +6,11 @@ number of programs over one clock, one memory manager, one run-time layer,
 and one disk array.  A process that faults *blocks* and the CPU switches
 to another, so one process's I/O stall becomes another's compute time;
 prefetch hints keep their drop-under-pressure semantics, now with real
-competitors creating the pressure.
+competitors creating the pressure.  Each process is an
+:class:`repro.interp.Executor` bound to the shared machine; the
+scheduler interleaves the steps of its walk one access at a time.
 """
 
 from repro.multiprog.scheduler import CoScheduler, ProcessResult, ScheduleResult
-from repro.multiprog.stream import ProcessStream
 
-__all__ = ["CoScheduler", "ProcessResult", "ScheduleResult", "ProcessStream"]
+__all__ = ["CoScheduler", "ProcessResult", "ScheduleResult"]

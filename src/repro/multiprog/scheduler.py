@@ -13,12 +13,13 @@ out its neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.config import PlatformConfig
 from repro.core.ir.nodes import Program
 from repro.errors import MachineError, ensure_finite
+from repro.interp.executor import Executor
 from repro.machine.machine import Machine
-from repro.multiprog.stream import ProcessStream
 from repro.obs.trace import TraceKind
 from repro.sim.clock import TimeCategory
 from repro.sim.stats import RunStats, TimeBreakdown
@@ -61,6 +62,32 @@ class ScheduleResult:
         raise MachineError(f"no process named {name!r}")
 
 
+def operations(steps: Iterator[tuple]) -> Iterator[tuple]:
+    """Split an executor's steps into the scheduler's operations.
+
+    A process can block on any one access, so chunk and work steps
+    become one ``("event", kind, vpage, pre_cost_us)`` per access, kind
+    being a :mod:`repro.machine.events` int (READ/WRITE/PREFETCH/RELEASE)
+    and the compute time charged before it.  Compute and block-hint
+    steps pass through; dropped hints do nothing.
+    """
+    for step in steps:
+        kind = step[0]
+        if kind == "chunk":
+            _, kinds, pages, costs, tail_us = step
+            for ev in zip(kinds.tolist(), pages.tolist(), costs.tolist()):
+                yield ("event", *ev)
+            if tail_us:
+                yield ("compute", tail_us)
+        elif kind == "work":
+            if step[1]:
+                yield ("compute", step[1])
+            for vpage, is_write in step[2]:
+                yield ("event", 1 if is_write else 0, vpage, 0.0)
+        elif kind != "dropped":
+            yield step
+
+
 class _Proc:
     __slots__ = ("name", "prefetching", "result", "gen", "blocked_until",
                  "block_start", "runnable_since", "done")
@@ -92,18 +119,18 @@ class CoScheduler:
         #: injector applies the plan to every tenant alike (the same
         #: storms, slow disks, and stale residency bits); ``crashes``
         #: entries are ignored, since process crashes are delivered at
-        #: interpreter safe points and the co-scheduler replays event
-        #: streams that have none.  The scheduler keeps its own
-        #: end-of-run accounting instead of ``Machine.finish``.
-        machine = Machine(self.platform, prefetching=True, observer=observer,
-                          fault_plan=fault_plan)
+        #: ``Executor.run``'s safe points and the co-scheduler has none.
+        #: The scheduler keeps its own end-of-run accounting instead of
+        #: ``Machine.finish``.
+        self.machine = machine = Machine(
+            self.platform, prefetching=True, observer=observer,
+            fault_plan=fault_plan)
         self.clock = machine.clock
         self.stats = machine.stats
         #: Attached :class:`repro.obs.Observer`, or None.  The machine is
         #: shared, so one observer sees every process's events interleaved
         #: in simulated-time order.
         self.obs = observer
-        self.address_space = machine.address_space
         self.disks = machine.disks
         self.manager = machine.manager
         self.layer = machine.runtime
@@ -120,14 +147,12 @@ class CoScheduler:
         if self._ran:
             raise MachineError("cannot add processes after run()")
         name = name or f"p{len(self._procs)}:{program.name}"
-        stream = ProcessStream(
-            program,
-            self.address_space,
-            self.platform.page_size,
-            name,
-            self.disks.register_segment,
-        )
-        self._procs.append(_Proc(name, prefetching, stream.events()))
+        # Segments are prefixed with the process name, so two processes
+        # (even of the same program) never collide.
+        executor = Executor(self.machine)
+        executor.bind(program, prefix=f"{name}:")
+        self._procs.append(
+            _Proc(name, prefetching, operations(executor.steps(program))))
 
     # ------------------------------------------------------------------
 
@@ -168,8 +193,8 @@ class CoScheduler:
             self.layer.release(op[1])
         elif kind == "prefetch_release":
             self.layer.prefetch_release(op[1], op[2], op[3])
-        else:  # pragma: no cover - stream and scheduler evolve together
-            raise MachineError(f"unknown stream operation {op!r}")
+        else:  # pragma: no cover - operations() and _handle evolve together
+            raise MachineError(f"unknown process operation {op!r}")
         return False
 
     def run(self) -> ScheduleResult:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.base import SIZE_CLASSES
 from repro.apps.registry import ALL_APPS, get_app, table2_rows
 from repro.config import PlatformConfig
 from repro.core.analysis.planner import PlanKind, plan_program
@@ -9,6 +10,7 @@ from repro.core.ir.validate import validate_program
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
 from repro.errors import ReproError
+from repro.harness.experiment import default_data_pages
 from repro.interp.tracing import access_trace
 
 # Big enough that every major array exceeds the compiler's effective-memory
@@ -134,21 +136,32 @@ class TestAppSignatures:
 
 
 class TestSizeClasses:
-    def test_classes_scale_monotonically(self):
-        from repro.apps.base import SIZE_CLASSES
+    """``--size-class`` footprints: ``default_data_pages`` at the class's
+    multiple of available memory, then ``spec.make``."""
 
-        spec = get_app("EMBAR")
+    CFG = PlatformConfig(memory_pages=512, available_fraction=0.75)
+
+    def _make(self, app, size_class):
+        pages = default_data_pages(self.CFG, SIZE_CLASSES[size_class])
+        return get_app(app).make(pages)
+
+    def test_classes_scale_monotonically(self):
         sizes = [
-            spec.make_class(cls, available_frames=384).total_data_bytes()
+            self._make("EMBAR", cls).total_data_bytes()
             for cls in ("S", "W", "A", "B")
         ]
         assert sizes == sorted(sizes)
         assert sizes[0] < sizes[-1]
 
-    def test_unknown_class_rejected(self):
-        with pytest.raises(KeyError):
-            get_app("BUK").make_class("Z", available_frames=384)
+    def test_unknown_class_rejected(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "BUK", "--size-class", "Z"])
+        assert exc.value.code == 2
+        assert "--size-class" in capsys.readouterr().err
 
     def test_class_a_is_out_of_core(self):
-        program = get_app("FFT").make_class("A", available_frames=384)
-        assert program.total_data_bytes() > 384 * 4096
+        program = self._make("FFT", "A")
+        assert (program.total_data_bytes()
+                > self.CFG.available_frames * self.CFG.page_size)

@@ -40,7 +40,9 @@ from repro.core.prefetch_pass import insert_prefetches
 from repro.errors import CheckpointError, ConfigError, ProcessCrash
 from repro.faults import FaultPlan, default_plan, load_plan, save_plan
 from repro.harness.experiment import run_variant
+from repro.interp import executor as executor_module
 from repro.interp.executor import Executor
+from repro.interp.lower import lower_leaf
 from repro.machine.machine import Machine
 from repro.obs import Observer, TraceKind
 from repro.serve.worker import DEFAULT_CHECKPOINT_EVERY_US
@@ -148,6 +150,42 @@ class TestCrashResumeInvariant:
         assert rec.crashes == 2
         assert rec.resumes == 2
         assert dataclasses.asdict(rec.stats) == dataclasses.asdict(base)
+
+    def test_skip_replay_never_lowers(self, programs, monkeypatch):
+        """A resumed incarnation re-walks the skipped prefix without
+        lowering any of its leaves: it lowers exactly the uninterrupted
+        run's leaves at or after the snapshot's cursor."""
+        program = programs[("MGRID", True)]
+        base, cycles = _probe_run(program, True)
+        executors = []
+        lowered = []  # the unit each lower_leaf call serves
+
+        def spy(*args):
+            lowered.append(executors[-1].units)
+            return lower_leaf(*args)
+
+        monkeypatch.setattr(executor_module, "lower_leaf", spy)
+        machine, executor = _factory(True)()
+        executors.append(executor)
+        ckpt = Checkpointer(machine, executor, CheckpointConfig(
+            every_us=cycles[len(cycles) // 2]))
+        snaps = []
+        ckpt.on_write = snaps.append
+        executor.checkpointer = ckpt
+        executor.run(program)
+        uninterrupted = list(lowered)
+        snap = snaps[0]
+        assert uninterrupted[0] < snap.cursor <= uninterrupted[-1]
+
+        lowered.clear()
+        machine, executor = _factory(True)()
+        executors.append(executor)
+        resumed = Checkpointer(machine, executor, CheckpointConfig())
+        resumed.arm_resume(snap)
+        executor.checkpointer = resumed
+        stats = executor.run(program)
+        assert lowered == [u for u in uninterrupted if u >= snap.cursor]
+        assert dataclasses.asdict(stats) == dataclasses.asdict(base)
 
     def test_crash_with_no_checkpoint_restarts_from_scratch(self, programs):
         program = programs[("EMBAR", True)]
@@ -517,7 +555,7 @@ class TestGuards:
         snap = captured[0]
         other = Machine(CFG, prefetching=False)  # O, not P
         other_ex = Executor(other)
-        other_ex._bind_arrays(programs[("EMBAR", False)])
+        other_ex.bind(programs[("EMBAR", False)])
         with pytest.raises(CheckpointError, match="signature"):
             snap.restore_into(other, other_ex)
 
@@ -548,7 +586,7 @@ class TestRoundTripProperty:
         assert captured
         snap, expected = captured[0]
         fresh_machine, fresh_executor = _factory(True, plan)()
-        fresh_executor._bind_arrays(stream_program)
+        fresh_executor.bind(stream_program)
         snap.restore_into(fresh_machine, fresh_executor)
         restored = describe_state(fresh_machine, fresh_executor._skip_until)
         assert restored == expected

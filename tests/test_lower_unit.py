@@ -28,8 +28,7 @@ def lower(loop_node, env=None, segments=None, strides=None, lo=0, hi=None):
 class TestLowering:
     def _setup(self, nelems=4 * 512):
         arr = ArrayDecl("x", (nelems,), elem_size=8)
-        arr.base = PAGE  # page 1
-        segments = {"x": (PAGE, nelems * 8)}
+        segments = {"x": (PAGE, nelems * 8)}  # page 1
         strides = {"x": (1,)}
         return arr, segments, strides
 
@@ -103,7 +102,6 @@ class TestLowering:
     )
     def test_cost_conservation_property(self, n, cost, stride):
         arr = ArrayDecl("x", (16_000,), elem_size=8)
-        arr.base = PAGE
         segments = {"x": (PAGE, 16_000 * 8)}
         strides = {"x": (1,)}
         lp = loop("i", 0, n, [work([read(arr, Var("i"))], cost)], step=stride)

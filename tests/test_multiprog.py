@@ -59,6 +59,37 @@ class TestSchedulerBasics:
         pages = 20_000 * 8 // CFG.page_size
         assert result.stats.faults.total_faults >= 2 * pages - 4
 
+    @pytest.mark.parametrize("case", ["o-beside-its-p", "one-p-twice"])
+    def test_programs_sharing_arrays_match_separate_builds(self, case):
+        """A compiled program shares its ArrayDecl objects with its
+        source; co-scheduling such programs must schedule exactly as
+        separately built copies do."""
+        platform = PlatformConfig(memory_pages=128)
+        opts = CompilerOptions.from_platform(platform)
+
+        def build():
+            return get_app("EMBAR").make(120, seed=1)
+
+        def compiled(program):
+            return insert_prefetches(program, opts).program
+
+        def schedule(procs):
+            sched = CoScheduler(platform)
+            for name, program, prefetching in procs:
+                sched.add_process(program, name=name, prefetching=prefetching)
+            return sched.run()
+
+        if case == "o-beside-its-p":
+            o = build()
+            shared = [("P", compiled(o), True), ("O", o, False)]
+            separate = [("P", compiled(build()), True), ("O", build(), False)]
+        else:
+            p = compiled(build())
+            shared = [("P0", p, True), ("P1", p, True)]
+            separate = [("P0", compiled(build()), True),
+                        ("P1", compiled(build()), True)]
+        assert schedule(shared) == schedule(separate)
+
     def test_process_lookup(self):
         sched = CoScheduler(CFG)
         sched.add_process(synthetic.stream(5_000), name="alpha", prefetching=False)
