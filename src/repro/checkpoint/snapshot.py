@@ -108,7 +108,7 @@ def _capture_state(machine, executor) -> dict[str, Any]:
         "clock": {
             "now": machine.clock.now,
             "by_category": {c.value: t
-                            for c, t in machine.clock._by_category.items()},
+                            for c, t in machine.clock.breakdown().items()},
         },
         "stats": machine.stats,
         "vm": {
@@ -304,12 +304,10 @@ def _restore_metrics(registry, captured) -> None:
 
 def _restore_state(machine, executor, state: dict[str, Any]) -> None:
     # Clock -- shared by every layer; mutate in place.
-    clock = machine.clock
-    clock.now = state["clock"]["now"]
-    by_category = {c: 0.0 for c in TimeCategory}
-    for key, value in state["clock"]["by_category"].items():
-        by_category[TimeCategory(key)] = value
-    clock._by_category = by_category
+    machine.clock.restore(
+        state["clock"]["now"],
+        {TimeCategory(key): value
+         for key, value in state["clock"]["by_category"].items()})
 
     # RunStats -- replace each section on the existing (shared) object.
     for f in dataclasses.fields(type(machine.stats)):
@@ -445,7 +443,7 @@ def describe_state(machine, units: int = 0) -> dict[str, Any]:
         "clock": {
             "now": machine.clock.now,
             "by_category": sorted(
-                (c.value, t) for c, t in machine.clock._by_category.items()
+                (c.value, t) for c, t in machine.clock.breakdown().items()
             ),
         },
         "stats": dataclasses.asdict(machine.stats),

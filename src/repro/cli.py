@@ -1213,7 +1213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb(
         "bench",
         help="perf-trajectory benchmark (gates against BENCH_PR<N>.json)",
-        description="Run the pinned EMBAR/MGRID/BUK workload set, write "
+        description="Run the pinned workload set (all eight apps at "
+                    "paper scale; EMBAR, MGRID and BUK with --smoke), write "
                     "a report, and gate simulated cycles against the "
                     "newest committed BENCH_PR<N>.json baseline; exits "
                     "non-zero on a regression over the threshold.  The "

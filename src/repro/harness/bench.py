@@ -1,7 +1,8 @@
 """The perf-trajectory benchmark harness behind ``repro bench``.
 
-Executes a pinned workload set -- EMBAR, MGRID, BUK, each as O and P --
-and records both axes of the repo's performance:
+Executes a pinned workload set -- the eight NAS apps at paper scale,
+EMBAR, MGRID and BUK at CI scale, each as O and P -- and records both
+axes of the repo's performance:
 
 * **simulated cycles** (``sim_elapsed_us`` / ``sim_stall_us``): the
   reproduction's *result*.  A change here means the simulation itself
@@ -22,10 +23,12 @@ report format and field glossary are documented in
 
 Two case profiles:
 
-* ``table3`` -- the default platform at the out-of-core footprint the
-  paper's Table 3 evaluation uses (~2x available memory);
-* ``smoke`` -- the golden-trace footprint (96 memory pages, 120 data
-  pages), small enough for CI to run on every push.
+* ``table3`` -- all eight apps on the default platform at the
+  out-of-core footprint the paper's Table 3 evaluation uses (~2x
+  available memory);
+* ``smoke`` -- EMBAR, MGRID and BUK at the golden-trace footprint (96
+  memory pages, 120 data pages), small enough for CI to run on every
+  push.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.apps.registry import get_app
+from repro.apps.registry import ALL_APPS, get_app
 from repro.config import PlatformConfig
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
@@ -49,8 +52,8 @@ from repro.ioutil import atomic_write_json
 #: Report schema identifier (bump on incompatible changes).
 BENCH_SCHEMA = "repro-bench/1"
 
-#: The pinned workload set.
-BENCH_APPS: tuple[str, ...] = ("EMBAR", "MGRID", "BUK")
+#: The smoke profile's workload set, which CI gates on every push.
+SMOKE_APPS: tuple[str, ...] = ("EMBAR", "MGRID", "BUK")
 
 #: Committed report filenames, ordered by their PR number.
 _BENCH_NAME = re.compile(r"^BENCH_PR(\d+)\.json$")
@@ -68,16 +71,17 @@ class BenchCase:
 
 
 def table3_cases() -> list[BenchCase]:
-    """The paper-scale cases: default platform, ~2x-memory footprint."""
+    """The paper-scale cases: every app, default platform, ~2x-memory
+    footprint."""
     platform = PlatformConfig()
     pages = default_data_pages(platform)
-    return [BenchCase(app, "table3", platform.memory_pages, pages)
-            for app in BENCH_APPS]
+    return [BenchCase(spec.name, "table3", platform.memory_pages, pages)
+            for spec in ALL_APPS]
 
 
 def smoke_cases() -> list[BenchCase]:
     """CI-scale cases: the golden-trace footprint."""
-    return [BenchCase(app, "smoke", 96, 120) for app in BENCH_APPS]
+    return [BenchCase(app, "smoke", 96, 120) for app in SMOKE_APPS]
 
 
 #: Profile name -> case builder.  The authoritative enumeration of the

@@ -38,6 +38,21 @@ goes live.  This is sound because control flow depends only on
 ``env``/params, never on machine state.  When no checkpointer is
 attached the instrumentation is two integer compares per unit, and the
 simulated run is bit-identical either way.
+
+**Batched lowering.**  A leaf loop that is a direct child of a loop body
+runs once per iteration of that loop, with the outer bindings plus the
+loop variable as its ``env``.  When the walk reaches a live execution of
+one, it lowers that execution and the loop's next ones in one
+:func:`~repro.interp.lower.lower_leaf` call of at most
+:data:`BATCH_EVENTS` raw events, with the loop variable bound to an
+array parallel to the concatenated leaf values.  The batch lives in the
+enclosing loop's walk frame, and each execution still yields its own
+``chunk`` step, bitwise what lowering it alone gives, so steps, units
+and safe points are those of one call per execution.  Leaves under an
+``If``, top-level leaves and executions over the budget are lowered
+alone.  A batch starts at a live execution, so skip-replay never lowers
+a skipped unit; a batch that raises is dropped, and each execution is
+lowered alone, raising its own error when the walk reaches it.
 """
 
 from __future__ import annotations
@@ -47,10 +62,30 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.ir.nodes import Hint, HintKind, If, Loop, Program, Stmt, Work
-from repro.errors import AddressError, ExecutionError
+from repro.errors import AddressError, ExecutionError, ReproError
 from repro.interp.lower import LeafRecipe, analyze_leaf, lower_leaf
 from repro.machine.machine import Machine
 from repro.sim.stats import RunStats
+
+#: Most raw events (iterations x columns) one lowering call covers when
+#: it serves several leaf executions; an execution larger than this is
+#: lowered alone.  Bounds the memory a batch holds.
+BATCH_EVENTS = 8192
+
+
+class _Batches:
+    """The lowered-ahead chunks of one running loop's leaf children.
+
+    Lives in the loop's walk frame, so no batch outlives the loop."""
+
+    __slots__ = ("loop", "upper", "pending")
+
+    def __init__(self, loop: Loop, upper: int) -> None:
+        self.loop = loop
+        #: The loop's evaluated upper bound.
+        self.upper = upper
+        #: leaf loop_id -> its next executions' chunk steps, last first.
+        self.pending: dict[int, list[tuple]] = {}
 
 
 class Executor:
@@ -167,7 +202,10 @@ class Executor:
             if obs is not None:
                 obs.pop_context()
 
-    def _walk(self, body: list[Stmt], env: dict, obs) -> Iterator[tuple]:
+    def _walk(self, body: list[Stmt], env: dict, obs,
+              outer: _Batches | None = None) -> Iterator[tuple]:
+        """Yield ``body``'s steps; ``outer`` is set when ``body`` is a
+        loop's body, whose leaf children it lowers in batches."""
         for stmt in body:
             if isinstance(stmt, Work):
                 if self.units < self._skip_until:
@@ -193,9 +231,11 @@ class Executor:
                             recipe = analyze_leaf(stmt)
                             self._leaf_cache[stmt.loop_id] = recipe
                     if recipe is None:
+                        batches = _Batches(stmt, upper)
                         for value in range(lower, upper, stmt.step):
                             env[stmt.var] = value
-                            yield from self._walk(stmt.body, env, obs)
+                            yield from self._walk(stmt.body, env, obs,
+                                                  batches)
                         del env[stmt.var]
                     elif self.units < self._skip_until:
                         # Either leaf form is one unit; skip mode never
@@ -206,18 +246,8 @@ class Executor:
                         iters = -(-(upper - lower) // stmt.step)
                         yield ("compute", iters * recipe.iter_cost)
                     else:
-                        values = np.arange(lower, upper, stmt.step,
-                                           dtype=np.int64)
-                        kinds, pages, costs, tail_us = lower_leaf(
-                            recipe,
-                            stmt.var,
-                            values,
-                            env,
-                            self.machine.config.page_size,
-                            self._segments,
-                            self._strides,
-                        )
-                        yield ("chunk", kinds, pages, costs, tail_us)
+                        yield self._leaf_chunk(stmt, recipe, lower, upper,
+                                               env, outer)
                 finally:
                     if obs is not None:
                         obs.pop_context()
@@ -231,6 +261,98 @@ class Executor:
                 yield from self._walk(branch, env, obs)
             else:
                 raise ExecutionError(f"cannot execute statement {stmt!r}")
+
+    # ------------------------------------------------------------------
+    # Leaf lowering
+    # ------------------------------------------------------------------
+
+    def _leaf_chunk(self, loop: Loop, recipe: LeafRecipe, lower: int,
+                    upper: int, env: dict, outer: _Batches | None) -> tuple:
+        """The chunk step of one live execution of a leaf loop."""
+        if outer is not None:
+            pending = outer.pending.get(loop.loop_id)
+            if not pending:
+                pending = self._lower_ahead(loop, recipe, lower, upper, env,
+                                            outer)
+                outer.pending[loop.loop_id] = pending
+            if pending:
+                return pending.pop()
+        values = np.arange(lower, upper, loop.step, dtype=np.int64)
+        return ("chunk", *lower_leaf(
+            recipe, loop.var, values, env, self.machine.config.page_size,
+            self._segments, self._strides))
+
+    def _lower_ahead(self, loop: Loop, recipe: LeafRecipe, lower: int,
+                     upper: int, env: dict, outer: _Batches) -> list[tuple]:
+        """Lower this execution of a leaf child of ``outer``'s loop and
+        the loop's next ones in one call, up to :data:`BATCH_EVENTS` raw
+        events; returns their chunk steps, last first.
+
+        Empty when the batch would serve this execution alone: it is too
+        large, nothing fits beside it, or the batched call raised.  An
+        error belongs to one execution, and lowering each alone raises
+        it when the walk reaches that execution, with its own message.
+        The walk is live here and stays live, so no skipped unit is ever
+        lowered.
+        """
+        ncols = len(recipe.templates)
+        var, step = outer.loop.var, loop.step
+        current = env.get(var)
+        count = -(-(upper - lower) // step)
+        events = count * ncols
+        if (current is None or events > BATCH_EVENTS
+                or sum(stmt is loop for stmt in outer.loop.body) != 1):
+            # Shadowed enclosing variable, an oversized execution, or a
+            # leaf that runs more than once per iteration.
+            return []
+        starts, counts, outers = [lower], [count], [current]
+        try:
+            for value in range(current + outer.loop.step, outer.upper,
+                               outer.loop.step):
+                env[var] = value
+                lo = loop.lower.eval(env)
+                hi = loop.upper.eval(env)
+                count = -(-(hi - lo) // step) if hi > lo else 0
+                # An empty execution has no entry; it counts as one event
+                # so that a run of them still ends the look-ahead.
+                events += count * ncols or 1
+                if events > BATCH_EVENTS:
+                    break
+                if count:
+                    starts.append(lo)
+                    counts.append(count)
+                    outers.append(value)
+        except ReproError:
+            pass  # the batch stops short; the walk raises on reaching it
+        finally:
+            env[var] = current
+        if len(counts) < 2:
+            return []
+        # The executions' ranges, concatenated: iteration j of execution
+        # i is starts[i] + j * step.
+        sizes = np.array(counts, dtype=np.int64)
+        offsets = np.cumsum(sizes) - sizes
+        values = (np.arange(int(offsets[-1] + sizes[-1]), dtype=np.int64)
+                  * step
+                  + np.repeat(np.array(starts, dtype=np.int64)
+                              - offsets * step, sizes))
+        batch_env = dict(env)
+        batch_env[var] = np.repeat(np.array(outers, dtype=np.int64), sizes)
+        try:
+            kinds, pages, costs, tails, ends = lower_leaf(
+                recipe, loop.var, values, batch_env,
+                self.machine.config.page_size, self._segments,
+                self._strides, counts)
+        except (ReproError, IndexError):
+            return []
+        steps = []
+        first = 0
+        for end, tail in zip(ends, tails):
+            steps.append(("chunk", kinds[first:end], pages[first:end],
+                          costs[first:end], tail))
+            first = end
+        steps.reverse()
+        return steps
 
     # ------------------------------------------------------------------
     # Addresses and hints

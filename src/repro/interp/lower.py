@@ -13,6 +13,13 @@ one compact chunk.
 This is what makes simulating hundreds of thousands of iterations per
 second feasible while keeping *every* fault, prefetch, and filter decision
 exact: only provably-hit events are batched.
+
+Numpy's per-call setup, not the events, dominates short leaves, so
+:func:`lower_leaf` also lowers several executions of one leaf in one
+pass (the executor batches a loop's leaf children this way).  A run
+boundary is forced at each execution's first event and no remainder
+carries across it, so every execution's slice of the result is bitwise
+what lowering it alone returns.
 """
 
 from __future__ import annotations
@@ -115,7 +122,35 @@ def analyze_leaf(loop: Loop) -> LeafRecipe | None:
     return LeafRecipe(templates=templates, iter_cost=iter_cost)
 
 
-def lower_leaf(
+#: A chunk with at most this many merged-away events and no run longer
+#: than this takes the near-singleton path of :func:`lower_leaf`.
+_NEAR_SINGLETON = 64
+
+
+def _columns(recipe: LeafRecipe, n: int) -> tuple:
+    """The chunk columns that do not depend on page numbers, for ``n``
+    iterations: the interleaved kinds, the per-event cost template, the
+    access-after-access merge mask, and the write flags with their
+    running count (a run collapses to WRITE exactly when it contains a
+    write, so the merged-run kind takes two gathers instead of a
+    reduceat over the flat array)."""
+    ncols = len(recipe.templates)
+    kinds_row = np.array([t.kind for t in recipe.templates], dtype=np.int64)
+    flat_kinds = np.tile(kinds_row, n)
+    flat_costs = np.zeros(n * ncols, dtype=np.float64)
+    col_costs = np.array([t.pre_cost for t in recipe.templates],
+                         dtype=np.float64)
+    flat_costs.reshape(n, ncols)[:, :] = col_costs
+    is_access = flat_kinds <= WRITE
+    acc_and_prev = np.empty(n * ncols, dtype=bool)
+    acc_and_prev[0] = False
+    acc_and_prev[1:] = is_access[:-1] & is_access[1:]
+    is_write = flat_kinds == WRITE
+    write_csum = np.cumsum(is_write)
+    return flat_kinds, flat_costs, acc_and_prev, is_write, write_csum
+
+
+def _page_columns(
     recipe: LeafRecipe,
     loop_var: str,
     values: np.ndarray,
@@ -123,53 +158,10 @@ def lower_leaf(
     page_size: int,
     segments: dict[str, tuple[int, int]],
     strides_map: dict[str, tuple[int, ...]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Materialize the chunk for one execution of a leaf loop.
-
-    ``segments`` maps array names to their (base, nbytes); every work
-    access is bounds-checked against its segment, and hint events whose
-    clamped addresses stay in range by construction are passed through.
-    ``strides_map`` holds each array's resolved row-major element strides.
-    Returns parallel ``(kinds, pages, costs)`` numpy arrays plus the tail
-    compute time left over after the final event; the arrays feed
-    ``Machine.run_chunk``'s vectorized kernel without conversion.
-    """
-    n = len(values)
-    ncols = len(recipe.templates)
-    if n == 0 or ncols == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        return empty_i, empty_i, np.empty(0, dtype=np.float64), 0.0
-
-    # Everything that does not depend on the evaluated page numbers --
-    # the interleaved kind pattern, the per-event cost template, and the
-    # merge masks derived from kinds alone -- is identical for every
-    # strip of the same length, so it is computed once per (recipe, n)
-    # and reused across the loop's whole execution.
-    cached = recipe.cache.get(n)
-    if cached is None:
-        kinds_row = np.array([t.kind for t in recipe.templates], dtype=np.int64)
-        flat_kinds = np.tile(kinds_row, n)
-        flat_costs = np.zeros(n * ncols, dtype=np.float64)
-        col_costs = np.array(
-            [t.pre_cost for t in recipe.templates], dtype=np.float64
-        )
-        flat_costs.reshape(n, ncols)[:, :] = col_costs
-        is_access = flat_kinds <= WRITE
-        acc_and_prev = np.empty(n * ncols, dtype=bool)
-        acc_and_prev[0] = False
-        acc_and_prev[1:] = is_access[:-1] & is_access[1:]
-        # Running count of writes; lets the merged-run kind be computed
-        # with two gathers instead of a reduceat over the flat array (a
-        # run collapses to WRITE exactly when it contains a write).
-        is_write = flat_kinds == WRITE
-        write_csum = np.cumsum(is_write)
-        cached = (flat_kinds, flat_costs, acc_and_prev, is_write, write_csum)
-        if len(recipe.cache) >= 4:  # strips come in at most a couple lengths
-            recipe.cache.clear()
-        recipe.cache[n] = cached
-    flat_kinds, flat_costs, acc_and_prev, is_write, write_csum = cached
-
-    pages = np.empty((n, ncols), dtype=np.int64)
+) -> np.ndarray:
+    """Every event's page, iteration-major; raises :class:`AddressError`
+    when a work access leaves its segment."""
+    pages = np.empty((len(values), len(recipe.templates)), dtype=np.int64)
     for col, tmpl in enumerate(recipe.templates):
         array = tmpl.array
         base, nbytes = segments[array.name]
@@ -187,8 +179,68 @@ def lower_leaf(
                     f"(addresses [{low}, {high}], segment [{base}, {base + nbytes}))"
                 )
         pages[:, col] = addr // page_size
+    return pages.reshape(-1)
 
-    flat_pages = pages.reshape(-1)
+
+def lower_leaf(
+    recipe: LeafRecipe,
+    loop_var: str,
+    values: np.ndarray,
+    env: dict,
+    page_size: int,
+    segments: dict[str, tuple[int, int]],
+    strides_map: dict[str, tuple[int, ...]],
+    sizes: list[int] | None = None,
+) -> tuple:
+    """Materialize the chunk of one or more executions of a leaf loop.
+
+    ``segments`` maps array names to their (base, nbytes); every work
+    access is bounds-checked against its segment, and hint events whose
+    clamped addresses stay in range by construction are passed through.
+    ``strides_map`` holds each array's resolved row-major element strides.
+
+    With ``sizes`` None, ``values`` is one execution's iteration range
+    and the result is parallel ``(kinds, pages, costs)`` numpy arrays
+    plus the tail compute time left over after the final event; the
+    arrays feed ``Machine.run_chunk``'s vectorized kernel without
+    conversion.
+
+    Otherwise ``values`` concatenates several executions' ranges,
+    ``sizes`` holds each one's (positive) iteration count, and ``env``
+    may bind enclosing loop variables to arrays parallel to ``values``.
+    The result is ``(kinds, pages, costs, tails, ends)``: execution
+    ``i``'s chunk is ``[ends[i - 1], ends[i])`` of the three arrays and
+    its tail is ``tails[i]``, each bitwise what lowering that execution
+    alone returns.  Every execution's first event starts a run, no
+    remainder carries into it, and each run sums as lowering its
+    execution alone sums it (see :func:`_near_singleton_sums`).
+    """
+    n = len(values)
+    ncols = len(recipe.templates)
+    if n == 0 or ncols == 0:
+        empty_i = np.empty(0, dtype=np.int64)
+        return empty_i, empty_i, np.empty(0, dtype=np.float64), 0.0
+
+    flat_pages = _page_columns(recipe, loop_var, values, env, page_size,
+                               segments, strides_map)
+    if sizes is None:
+        # The page-independent columns are identical for every strip of
+        # the same length, so they are computed once per (recipe, n) and
+        # reused across the loop's whole execution.
+        cached = recipe.cache.get(n)
+        if cached is None:
+            cached = _columns(recipe, n)
+            if len(recipe.cache) >= 4:  # strips come in at most a couple lengths
+                recipe.cache.clear()
+            recipe.cache[n] = cached
+    else:
+        cached = _columns(recipe, n)
+    flat_kinds, flat_costs, acc_and_prev, is_write, write_csum = cached
+    if sizes is not None:
+        # Each execution's first event starts a run: no run crosses two.
+        counts = np.asarray(sizes, dtype=np.int64)
+        first_events = (np.cumsum(counts) - counts) * ncols
+        acc_and_prev[first_events] = False
 
     # Collapse consecutive same-page access runs.  Hints never collapse
     # (each must reach the filter), and an access never merges across a
@@ -201,7 +253,7 @@ def lower_leaf(
     total = n * ncols
     ngroups = len(starts)
 
-    if ngroups == total:
+    if sizes is None and ngroups == total:
         # No merges at all: the flat columns *are* the chunk.  The cached
         # kinds/costs arrays are returned directly -- every consumer
         # treats them as read-only -- and every run's remainder is zero,
@@ -209,25 +261,26 @@ def lower_leaf(
         return flat_kinds, flat_pages, flat_costs, 0.0
 
     nmerged = total - ngroups
-    if nmerged <= 64:
+    if sizes is None and nmerged <= _NEAR_SINGLETON:
         # Near-singleton chunk (e.g. a data-dependent access stream that
         # rarely repeats a page): gather the groups as if every run were
         # a singleton, then patch the handful of multi-event runs in
-        # Python.  ``np.add.reduce`` over a run's slice is exactly what
-        # ``np.add.reduceat`` computes for that run, so the patched
-        # costs are bitwise those of the vector path below.
-        sizes = np.empty(ngroups, dtype=np.int64)
-        np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
-        sizes[-1] = total - starts[-1]
-        multi = (sizes > 1).nonzero()[0]
-        if int(sizes.max()) <= 64:
+        # Python.  A run of three or more events sums with
+        # ``np.add.reduce`` here, which can differ in the last bits from
+        # the ``np.add.reduceat`` of the vector path below; a batched
+        # call reproduces this per execution.
+        run_sizes = np.empty(ngroups, dtype=np.int64)
+        np.subtract(starts[1:], starts[:-1], out=run_sizes[:-1])
+        run_sizes[-1] = total - starts[-1]
+        multi = (run_sizes > 1).nonzero()[0]
+        if int(run_sizes.max()) <= _NEAR_SINGLETON:
             group_pages = flat_pages[starts]
             group_kinds = flat_kinds[starts]
             costs = flat_costs[starts]
             tail_cost = 0.0
             for gi in multi.tolist():
                 s = int(starts[gi])
-                e = s + int(sizes[gi])
+                e = s + int(run_sizes[gi])
                 if flat_kinds[s:e].max() == WRITE:
                     group_kinds[gi] = WRITE
                 run = flat_costs[s:e]
@@ -253,11 +306,48 @@ def lower_leaf(
     # rest of the run's compute happens after it (before the next event),
     # and the final run's tail is charged after the chunk.
     group_sums = np.add.reduceat(flat_costs, starts)
-    first_costs = flat_costs[starts]
-    remainders = group_sums - first_costs
-    costs = first_costs.copy()
-    if len(costs) > 1:
-        costs[1:] += remainders[:-1]
-    tail_cost = float(remainders[-1])
+    if sizes is not None:
+        firsts = np.searchsorted(starts, first_events)  # first run of each
+        ends = np.append(firsts[1:], ngroups)
+        _near_singleton_sums(group_sums, flat_costs, starts, firsts, ends,
+                             counts * ncols, total)
+    costs = flat_costs[starts]
+    remainders = group_sums - costs
+    if sizes is None:
+        if len(costs) > 1:
+            costs[1:] += remainders[:-1]
+        return group_kinds, group_pages, costs, float(remainders[-1])
 
-    return group_kinds, group_pages, costs, tail_cost
+    # Several executions: each one's tail is its last run's remainder,
+    # and its first run carries nothing in from the execution before.
+    tails = remainders[ends - 1].tolist()
+    remainders[ends[:-1] - 1] = 0.0
+    costs[1:] += remainders[:-1]
+    return group_kinds, group_pages, costs, tails, ends.tolist()
+
+
+def _near_singleton_sums(group_sums: np.ndarray, flat_costs: np.ndarray,
+                         starts: np.ndarray, firsts: np.ndarray,
+                         ends: np.ndarray, events: np.ndarray,
+                         total: int) -> None:
+    """Re-sum, in place, the runs of every execution that lowering alone
+    would send down the near-singleton path, the way that path sums
+    them: ``np.add.reduce`` over each run, here one 2-D reduce per run
+    length (row by row, the same reduction).  Execution ``i`` holds runs
+    ``[firsts[i], ends[i])`` and ``events[i]`` raw events.  Runs of two
+    sum identically either way (one addition) and are skipped."""
+    groups = ends - firsts
+    merged = events - groups
+    near = (merged > 0) & (merged <= _NEAR_SINGLETON)
+    if not near.any():
+        return
+    run_sizes = np.empty(len(starts), dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=run_sizes[:-1])
+    run_sizes[-1] = total - starts[-1]
+    near &= np.maximum.reduceat(run_sizes, firsts) <= _NEAR_SINGLETON
+    patch = ((run_sizes > 2) & np.repeat(near, groups)).nonzero()[0]
+    lengths = run_sizes[patch]
+    for length in np.bincount(lengths).nonzero()[0].tolist():
+        runs = patch[lengths == length]
+        rows = flat_costs[starts[runs, None] + np.arange(length)]
+        group_sums[runs] = np.add.reduce(rows, axis=1)

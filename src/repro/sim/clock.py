@@ -38,26 +38,33 @@ class TimeCategory(enum.Enum):
     STALL_FLUSH = "stall_flush"
 
 
-#: Categories that count as CPU-busy (everything except stalls).
-BUSY_CATEGORIES = frozenset(
-    {
-        TimeCategory.USER_COMPUTE,
-        TimeCategory.USER_OVERHEAD,
-        TimeCategory.SYS_FAULT,
-        TimeCategory.SYS_PREFETCH,
-        TimeCategory.SYS_RELEASE,
-    }
+# Each category's slot in a clock's list of per-category sums: a list
+# indexed by an int attribute is several times cheaper per update than a
+# dict keyed by the Enum, whose ``__hash__`` runs in Python.
+for _slot, _category in enumerate(TimeCategory):
+    _category.slot = _slot
+del _slot, _category
+
+#: Categories that count as CPU-busy (everything except stalls), in
+#: declaration order: sums over them must not depend on string hashing.
+BUSY_CATEGORIES = (
+    TimeCategory.USER_COMPUTE,
+    TimeCategory.USER_OVERHEAD,
+    TimeCategory.SYS_FAULT,
+    TimeCategory.SYS_PREFETCH,
+    TimeCategory.SYS_RELEASE,
 )
 
 
 class Clock:
     """Simulated clock with per-category time accounting."""
 
-    __slots__ = ("now", "_by_category")
+    __slots__ = ("now", "_spent")
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._by_category: dict[TimeCategory, float] = {c: 0.0 for c in TimeCategory}
+        #: Time per category, indexed by ``TimeCategory.slot``.
+        self._spent: list[float] = [0.0] * len(TimeCategory)
 
     def advance(self, duration_us: float, category: TimeCategory) -> None:
         """Spend ``duration_us`` microseconds in ``category``."""
@@ -65,7 +72,7 @@ class Clock:
             raise MachineError(f"cannot advance the clock by {duration_us} us")
         if duration_us:
             self.now += duration_us
-            self._by_category[category] += duration_us
+            self._spent[category.slot] += duration_us
 
     def wait_until(self, deadline_us: float, category: TimeCategory) -> float:
         """Idle until ``deadline_us`` (no-op if already past).
@@ -76,27 +83,33 @@ class Clock:
         if waited <= 0.0:
             return 0.0
         self.now = deadline_us
-        self._by_category[category] += waited
+        self._spent[category.slot] += waited
         return waited
 
     def spent(self, category: TimeCategory) -> float:
         """Total time attributed to ``category`` so far."""
-        return self._by_category[category]
+        return self._spent[category.slot]
 
     def busy_time(self) -> float:
         """Total CPU-busy time (everything except stall categories)."""
-        return sum(self._by_category[c] for c in BUSY_CATEGORIES)
+        return sum(self._spent[c.slot] for c in BUSY_CATEGORIES)
 
     def stall_time(self) -> float:
         """Total idle time (read stalls plus the final flush wait)."""
         return (
-            self._by_category[TimeCategory.STALL_READ]
-            + self._by_category[TimeCategory.STALL_FLUSH]
+            self._spent[TimeCategory.STALL_READ.slot]
+            + self._spent[TimeCategory.STALL_FLUSH.slot]
         )
 
     def breakdown(self) -> dict[TimeCategory, float]:
-        """A copy of the per-category accounting."""
-        return dict(self._by_category)
+        """A copy of the per-category accounting, in declaration order."""
+        return dict(zip(TimeCategory, self._spent))
+
+    def restore(self, now: float, breakdown: dict[TimeCategory, float]) -> None:
+        """Reset to ``now`` with ``breakdown``'s per-category sums (a
+        category it omits restarts at zero)."""
+        self.now = now
+        self._spent = [breakdown.get(c, 0.0) for c in TimeCategory]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Clock(now={self.now:.1f}us)"

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.harness.bench import (
-    BENCH_APPS,
+    SMOKE_APPS,
     BENCH_SCHEMA,
     BenchCase,
     compare_reports,
@@ -30,8 +30,8 @@ class TestRunBench:
     def test_smoke_report_shape(self, smoke_report):
         assert smoke_report["schema"] == BENCH_SCHEMA
         entries = smoke_report["entries"]
-        assert len(entries) == len(BENCH_APPS) * 2  # O and P each
-        assert {e["app"] for e in entries} == set(BENCH_APPS)
+        assert len(entries) == len(SMOKE_APPS) * 2  # O and P each
+        assert {e["app"] for e in entries} == set(SMOKE_APPS)
         assert {e["variant"] for e in entries} == {"O", "P"}
         for entry in entries:
             assert entry["profile"] == "smoke"
@@ -41,7 +41,7 @@ class TestRunBench:
 
     def test_prefetching_beats_original(self, smoke_report):
         by_key = {entry_key(e): e for e in smoke_report["entries"]}
-        for app in BENCH_APPS:
+        for app in SMOKE_APPS:
             o = next(e for e in smoke_report["entries"]
                      if e["app"] == app and e["variant"] == "O")
             p = next(e for e in smoke_report["entries"]
@@ -185,7 +185,7 @@ class TestBenchCli:
         assert main(["bench", "--smoke", "--out", str(out),
                      "--baseline", "none"]) == 0
         report = load_report(out)
-        assert len(report["entries"]) == len(BENCH_APPS) * 2
+        assert len(report["entries"]) == len(SMOKE_APPS) * 2
         assert "recorded only" in capsys.readouterr().out
 
     def test_regression_exits_nonzero(self, capsys, tmp_path, smoke_report):

@@ -153,18 +153,32 @@ class TestCrashResumeInvariant:
 
     def test_skip_replay_never_lowers(self, programs, monkeypatch):
         """A resumed incarnation re-walks the skipped prefix without
-        lowering any of its leaves: it lowers exactly the uninterrupted
-        run's leaves at or after the snapshot's cursor."""
+        lowering any of its leaves.  A batched lowering starts at the
+        first live leaf execution, so the resumed run's calls need not
+        line up with the uninterrupted run's; what it lowers must: its
+        first call comes at or after the snapshot's cursor, and the leaf
+        executions it lowers are exactly the uninterrupted run's chunks
+        from the cursor on."""
         program = programs[("MGRID", True)]
         base, cycles = _probe_run(program, True)
         executors = []
-        lowered = []  # the unit each lower_leaf call serves
+        chunks = []   # the unit of each run_chunk call
+        lowered = []  # (unit, executions served) of each lower_leaf call
 
         def spy(*args):
-            lowered.append(executors[-1].units)
+            sizes = args[7] if len(args) > 7 else None
+            lowered.append((executors[-1].units,
+                            1 if sizes is None else len(sizes)))
             return lower_leaf(*args)
 
+        run_chunk = Machine.run_chunk
+
+        def chunk_spy(machine, *args):
+            chunks.append(executors[-1].units)
+            return run_chunk(machine, *args)
+
         monkeypatch.setattr(executor_module, "lower_leaf", spy)
+        monkeypatch.setattr(Machine, "run_chunk", chunk_spy)
         machine, executor = _factory(True)()
         executors.append(executor)
         ckpt = Checkpointer(machine, executor, CheckpointConfig(
@@ -173,18 +187,22 @@ class TestCrashResumeInvariant:
         ckpt.on_write = snaps.append
         executor.checkpointer = ckpt
         executor.run(program)
-        uninterrupted = list(lowered)
+        uninterrupted = list(chunks)
         snap = snaps[0]
         assert uninterrupted[0] < snap.cursor <= uninterrupted[-1]
+        live = [u for u in uninterrupted if u >= snap.cursor]
 
         lowered.clear()
+        chunks.clear()
         machine, executor = _factory(True)()
         executors.append(executor)
         resumed = Checkpointer(machine, executor, CheckpointConfig())
         resumed.arm_resume(snap)
         executor.checkpointer = resumed
         stats = executor.run(program)
-        assert lowered == [u for u in uninterrupted if u >= snap.cursor]
+        assert lowered[0][0] >= snap.cursor
+        assert sum(executions for _, executions in lowered) == len(live)
+        assert chunks == live
         assert dataclasses.asdict(stats) == dataclasses.asdict(base)
 
     def test_crash_with_no_checkpoint_restarts_from_scratch(self, programs):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.ir.arrays import ArrayDecl
 from repro.core.ir.builder import loop, read, work, write
-from repro.core.ir.expr import Var
+from repro.core.ir.expr import ElemOf, Var
+from repro.core.ir.nodes import AddrOf, Hint, HintKind
 from repro.errors import AddressError
 from repro.interp.lower import analyze_leaf, lower_leaf
 from repro.machine.events import PREFETCH, READ, WRITE
@@ -68,8 +69,6 @@ class TestLowering:
         assert pages == [1]
 
     def test_hints_never_merge(self):
-        from repro.core.ir.nodes import AddrOf, Hint, HintKind
-
         arr, segments, strides = self._setup()
         lp = loop("i", 0, 8, [
             Hint(HintKind.PREFETCH, AddrOf(arr, (Var("i"),)), npages=1),
@@ -114,3 +113,79 @@ class TestLowering:
         # Page sequence is non-decreasing for a forward stream.
         pages = pages.tolist()
         assert pages == sorted(pages)
+
+
+# ----------------------------------------------------------------------
+# Batched lowering: several executions of one leaf in one call
+# ----------------------------------------------------------------------
+
+#: Leaf ``j`` runs inside an outer loop ``o``; every index below stays
+#: inside ``x`` for j < 64 and o < 8.
+_X_ELEMS = 64 * 600 + 8 * 1000 + 101
+_X = ArrayDecl("x", (_X_ELEMS,), elem_size=8)
+_IDX = ArrayDecl("idx", (72,), elem_size=8,
+                 data=np.random.default_rng(7).integers(0, _X_ELEMS, 72))
+_SEGMENTS = {"x": (PAGE, _X_ELEMS * 8)}
+_STRIDES = {"x": (1,)}
+
+
+@st.composite
+def _index(draw):
+    if draw(st.booleans()):
+        # Small multipliers keep consecutive iterations on one page, so
+        # runs merge, also across an execution's end.
+        return (Var("j") * draw(st.sampled_from([0, 1, 16, 600]))
+                + Var("o") * draw(st.sampled_from([0, 1, 512, 1000]))
+                + draw(st.integers(0, 100)))
+    return ElemOf(_IDX, Var("j") + Var("o"))
+
+
+@st.composite
+def _leaf_body(draw):
+    body = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["work", "prefetch", "release"]))
+        if shape == "work":
+            refs = [write(_X, draw(_index())) if draw(st.booleans())
+                    else read(_X, draw(_index()))
+                    for _ in range(draw(st.integers(0, 3)))]
+            body.append(work(refs, draw(st.floats(0.0, 20.0))))
+        else:
+            kind = HintKind.PREFETCH if shape == "prefetch" else HintKind.RELEASE
+            body.append(Hint(kind, AddrOf(_X, (draw(_index()),)), npages=1))
+    return body
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    body=_leaf_body(),
+    step=st.integers(1, 3),
+    executions=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 40), st.integers(1, 24)),
+        min_size=2, max_size=6),
+)
+def test_batched_lowering_splits_into_single_executions(body, step, executions):
+    """Split at its execution ends, a batched result is bitwise the
+    single-execution results: kinds, pages, costs and tails."""
+    recipe = analyze_leaf(loop("j", 0, 64, body, step=step))
+    assume(recipe is not None and recipe.templates)
+    ranges = [np.arange(lo, lo + size, step, dtype=np.int64)
+              for _, lo, size in executions]
+    ranges = [(o, r) for (o, _, _), r in zip(executions, ranges) if len(r)]
+    assume(len(ranges) >= 2)
+    sizes = [len(r) for _, r in ranges]
+    env = {"o": np.repeat(np.array([o for o, _ in ranges]), sizes)}
+    kinds, pages, costs, tails, ends = lower_leaf(
+        recipe, "j", np.concatenate([r for _, r in ranges]), env, PAGE,
+        _SEGMENTS, _STRIDES, sizes)
+    assert len(tails) == len(ends) == len(ranges)
+    first = 0
+    for (o, values), end, tail in zip(ranges, ends, tails):
+        one = lower_leaf(recipe, "j", values, {"o": o}, PAGE, _SEGMENTS,
+                         _STRIDES)
+        for batched, alone in zip((kinds, pages, costs), one):
+            assert batched.dtype == alone.dtype
+            assert batched[first:end].tobytes() == alone.tobytes()
+        assert float(tail).hex() == float(one[3]).hex()
+        first = end
+    assert first == len(kinds)

@@ -1,5 +1,10 @@
 """Tests for the simulated clock and the statistics containers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import MachineError
@@ -57,6 +62,37 @@ class TestClock:
         assert clock.busy_time() == 13.0
         assert clock.stall_time() == 7.0
         assert clock.busy_time() + clock.stall_time() == pytest.approx(clock.now)
+
+    def test_busy_time_independent_of_hash_seed(self):
+        """The busy sum runs in declaration order, so its last bits do not
+        follow ``PYTHONHASHSEED`` (a set's iteration order does)."""
+        script = (
+            "from repro.sim.clock import Clock, TimeCategory as T\n"
+            "clock = Clock()\n"
+            "for d, c in zip((0.1, 0.2, 0.3, 0.7, 1.1),\n"
+            "                (T.USER_COMPUTE, T.USER_OVERHEAD, T.SYS_FAULT,\n"
+            "                 T.SYS_PREFETCH, T.SYS_RELEASE)):\n"
+            "    clock.advance(d, c)\n"
+            "print(repr(clock.busy_time()))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = set()
+        for seed in ("1", "2", "3", "4", "5", "6"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert len(outputs) == 1
+
+    def test_restore_round_trips_the_breakdown(self):
+        clock = Clock()
+        clock.advance(4.0, TimeCategory.SYS_RELEASE)
+        clock.wait_until(10.0, TimeCategory.STALL_READ)
+        copy = Clock()
+        copy.restore(clock.now, clock.breakdown())
+        assert copy.now == 10.0
+        assert copy.breakdown() == clock.breakdown()
+        assert copy.spent(TimeCategory.STALL_READ) == 6.0
 
 
 class TestTimeBreakdown:
