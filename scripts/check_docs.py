@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint: reference tables in docs/ must match the code, both ways.
 
-Eighteen authoritative reference tables are checked:
+Nineteen authoritative reference tables are checked:
 
 * **Event schema reference** (docs/observability.md) -- one row per
   ``TraceKind`` value;
@@ -18,6 +18,9 @@ Eighteen authoritative reference tables are checked:
   name in ``CKPT_METRIC_NAMES``;
 * **Bench profile reference** (docs/performance.md) -- one row per
   profile in ``repro.harness.bench.BENCH_PROFILES``;
+* **The fast-access predicate** (docs/performance.md) -- one row per
+  ``MemoryManager`` method that sets or clears the fast-access mask
+  ``self.fast``, found in the source with ``ast``;
 * **JobSpec schema reference** (docs/serving.md) -- one row per field
   of ``repro.serve.jobspec.JobSpec``;
 * **Serve metric reference** (docs/serving.md) -- one row per name in
@@ -44,8 +47,8 @@ Eighteen authoritative reference tables are checked:
 
 This script parses those sections (and only those sections -- other
 tables in the docs may legitimately backtick other things) and fails
-when a kind / metric / field exists in code but is undocumented, or is
-documented but no longer exists.
+when a kind / metric / field / method exists in code but is
+undocumented, or is documented but no longer exists.
 
 It also lints **documented commands**: every ``repro`` invocation in a
 fenced code block of README.md or docs/ (``python -m repro ...``, a
@@ -66,6 +69,7 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import re
@@ -79,6 +83,7 @@ DOC_PATH = REPO_ROOT / "docs" / "observability.md"
 ROBUSTNESS_DOC_PATH = REPO_ROOT / "docs" / "robustness.md"
 PERFORMANCE_DOC_PATH = REPO_ROOT / "docs" / "performance.md"
 SERVING_DOC_PATH = REPO_ROOT / "docs" / "serving.md"
+MANAGER_PATH = REPO_ROOT / "src" / "repro" / "vm" / "manager.py"
 #: Documents whose commands are linted besides the four above.
 OTHER_COMMAND_DOCS = (REPO_ROOT / "README.md",
                       REPO_ROOT / "docs" / "tutorial.md",
@@ -105,10 +110,12 @@ _INLINE_CODE = re.compile(r"`([^`]+)`")
 
 
 def _section_text(doc: str, heading: str) -> str:
-    """The body of one ``##`` section (up to the next ``##`` heading)."""
+    """The body of one section, up to the next heading of the same or a
+    higher level (a ``##`` heading ends a ``###`` section)."""
     start = doc.index(heading) + len(heading)
     rest = doc[start:]
-    next_heading = re.search(r"^## ", rest, flags=re.MULTILINE)
+    level = len(heading) - len(heading.lstrip("#"))
+    next_heading = re.search(rf"^#{{2,{level}}} ", rest, flags=re.MULTILINE)
     return rest[: next_heading.start()] if next_heading else rest
 
 
@@ -170,6 +177,58 @@ def documented_bench_profiles(doc_path: Path = PERFORMANCE_DOC_PATH) -> set[str]
         if match:
             profiles.add(match.group(1))
     return profiles
+
+
+def documented_fast_mask_writers(doc_path: Path = PERFORMANCE_DOC_PATH) -> set[str]:
+    """First-column tokens of the fast-access predicate's method table."""
+    heading = "### The fast-access predicate"
+    doc = doc_path.read_text()
+    if heading not in doc:
+        raise SystemExit(f"{doc_path}: missing section {heading!r}")
+    methods = set()
+    for line in _section_text(doc, heading).splitlines():
+        match = _ROW_TOKEN.match(line.strip())
+        if match:
+            methods.add(match.group(1))
+    return methods
+
+
+def fast_mask_writers(manager_path: Path = MANAGER_PATH) -> set[str]:
+    """``MemoryManager`` methods that set or clear ``self.fast``.
+
+    A method counts when it takes a flag-writing method (``set``,
+    ``clear``, ``load_bytes``) off ``self.fast`` or off a local alias of
+    it -- so a bound method saved in a local (``fast_clear =
+    self.fast.clear``) counts -- or when it rebinds ``self.fast``
+    anywhere but ``__init__``.
+    """
+    def is_self_fast(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "fast"
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+    tree = ast.parse(manager_path.read_text())
+    manager = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "MemoryManager")
+    writers = set()
+    for method in manager.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(method))
+        aliases = {target.id for node in nodes
+                   if isinstance(node, ast.Assign) and is_self_fast(node.value)
+                   for target in node.targets if isinstance(target, ast.Name)}
+        for node in nodes:
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("set", "clear", "load_bytes")):
+                owner = node.value
+                if is_self_fast(owner) or (isinstance(owner, ast.Name)
+                                           and owner.id in aliases):
+                    writers.add(method.name)
+            elif (isinstance(node, ast.Assign) and method.name != "__init__"
+                  and any(is_self_fast(target) for target in node.targets)):
+                writers.add(method.name)
+    return writers
 
 
 def documented_serve_tokens(doc_path: Path = SERVING_DOC_PATH) -> dict[str, set[str]]:
@@ -454,6 +513,16 @@ def check(
         problems.append(
             f"bench profile {stale!r} is documented but not in code")
 
+    doc_writers = documented_fast_mask_writers(performance_doc_path)
+    code_writers = fast_mask_writers()
+    for missing in sorted(code_writers - doc_writers):
+        problems.append(
+            f"fast-mask method {missing!r} is in code but not documented")
+    for stale in sorted(doc_writers - code_writers):
+        problems.append(
+            f"fast-mask method {stale!r} is documented but does not set "
+            f"or clear the mask")
+
     serve_doc = documented_serve_tokens(serving_doc_path)
     jobspec_fields = {f.name for f in dataclasses.fields(JobSpec)}
     for missing in sorted(jobspec_fields - serve_doc["jobspec_fields"]):
@@ -589,6 +658,7 @@ def main() -> int:
           f"{len(documented_plan_fields())} fault-plan fields, "
           f"{len(documented_ckpt_metrics())} checkpoint metrics, "
           f"{len(documented_bench_profiles())} bench profiles, "
+          f"{len(documented_fast_mask_writers())} fast-mask methods, "
           f"{len(serve_tokens['jobspec_fields'])} job-spec fields, "
           f"{len(serve_tokens['serve_metrics'])} serve metrics, "
           f"{len(fuzz_tokens['strategies'])} fuzz strategies, "

@@ -30,9 +30,9 @@ from typing import Any
 
 from repro.errors import CheckpointError
 from repro.faults.inject import LaggedBitVector
-from repro.runtime.bitvector import ResidencyBitVector
 from repro.sim.clock import TimeCategory
 from repro.vm.page import PageColumns
+from repro.vm.residency import ResidencyBitVector
 
 #: Version of the pickled state layout (independent of the container
 #: format version in :mod:`repro.checkpoint.store`).

@@ -146,7 +146,7 @@ class HintFaultState:
 class LaggedBitVector:
     """A residency bit vector whose updates become visible late.
 
-    Wraps the real :class:`~repro.runtime.bitvector.ResidencyBitVector`:
+    Wraps the real :class:`~repro.vm.residency.ResidencyBitVector`:
     ``set``/``clear`` are queued for ``lag_us`` simulated microseconds
     and applied (in order) the next time anyone reads the vector.  The
     filter can therefore be stale in both directions -- it may filter a

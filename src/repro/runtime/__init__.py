@@ -9,7 +9,7 @@ roughly 1% of issuing it to the OS, and over 96% of the compiler-inserted
 prefetches are unnecessary in most applications (Figure 4(b,c)).
 """
 
-from repro.runtime.bitvector import ResidencyBitVector
 from repro.runtime.layer import RuntimeLayer
+from repro.vm.residency import ResidencyBitVector
 
 __all__ = ["ResidencyBitVector", "RuntimeLayer"]

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from repro.config import PlatformConfig
 from repro.obs.trace import TraceKind
-from repro.runtime.bitvector import ResidencyBitVector
 from repro.sim.clock import Clock, TimeCategory
 from repro.sim.stats import RunStats
 from repro.vm.manager import MemoryManager
+from repro.vm.residency import ResidencyBitVector
 
 #: Consecutive fully-filtered requests before suppression engages.
 SUPPRESS_AFTER = 1024
@@ -81,9 +81,8 @@ class RuntimeLayer:
     # ------------------------------------------------------------------
 
     def _suppression_active(self, npages: int) -> bool:
-        """Consume one request from the suppression state machine."""
-        if not self.adaptive:
-            return False
+        """Consume one request from the suppression state machine
+        (adaptive layers only)."""
         if self._suppressed_remaining > 0:
             self._suppressed_remaining -= 1
             if self._suppressed_remaining % SAMPLE_EVERY == 0:
@@ -93,8 +92,6 @@ class RuntimeLayer:
         return False
 
     def _note_outcome(self, fully_filtered: bool) -> None:
-        if not self.adaptive:
-            return
         if fully_filtered:
             self._filtered_streak += 1
             if self._filtered_streak >= SUPPRESS_AFTER:
@@ -152,50 +149,50 @@ class RuntimeLayer:
     # Prefetch path
     # ------------------------------------------------------------------
 
+    def _filter(self, start_vpage: int, npages: int) -> int:
+        """Test bits "until one is found that is not in memory".
+
+        Charges one filter check per bit tested, counts and reports the
+        leading believed-resident pages as filtered, and returns how
+        many there are: ``npages`` means the whole request is dropped.
+        """
+        test = self.bitvector.test
+        leading = 0
+        while leading < npages and test(start_vpage + leading):
+            leading += 1
+        # One check per bit tested: the leading set bits and the clear one.
+        self.clock.advance(
+            self.config.cost.filter_check_us * min(leading + 1, npages),
+            TimeCategory.USER_OVERHEAD,
+        )
+        self.stats.prefetch.filtered += leading
+        if leading and self.obs is not None:
+            self.obs.emit(self.clock.now, TraceKind.PREFETCH_FILTERED,
+                          start_vpage, leading)
+        return leading
+
     def prefetch(self, start_vpage: int, npages: int = 1) -> None:
         """Handle one compiler-inserted prefetch request."""
-        clock = self.clock
-        cost = self.config.cost
-        pstats = self.stats.prefetch
-        pstats.compiler_inserted += npages
-        clock.advance(cost.addr_gen_us, TimeCategory.USER_OVERHEAD)
+        self.stats.prefetch.compiler_inserted += npages
+        self.clock.advance(self.config.cost.addr_gen_us, TimeCategory.USER_OVERHEAD)
         if self.hint_faults is not None and not self._hint_gate(npages):
             return
-        if not self.filter_enabled:
-            if self._hint_call_fails(start_vpage, npages):
+        if self.filter_enabled:
+            if self.adaptive and self._suppression_active(npages):
+                if self.obs is not None:
+                    self.obs.emit(self.clock.now, TraceKind.PREFETCH_SUPPRESSED,
+                                  start_vpage, npages)
                 return
-            self.manager.prefetch_call(start_vpage, npages)
+            leading = self._filter(start_vpage, npages)
+            if self.adaptive:
+                self._note_outcome(fully_filtered=leading == npages)
+            if leading == npages:
+                return
+            start_vpage += leading
+            npages -= leading
+        if self._hint_call_fails(start_vpage, npages):
             return
-        if self._suppression_active(npages):
-            if self.obs is not None:
-                self.obs.emit(clock.now, TraceKind.PREFETCH_SUPPRESSED,
-                              start_vpage, npages)
-            return
-        test = self.bitvector.test
-        checked = 0
-        first_missing = -1
-        for vpage in range(start_vpage, start_vpage + npages):
-            checked += 1
-            if not test(vpage):
-                first_missing = vpage
-                break
-        clock.advance(cost.filter_check_us * checked, TimeCategory.USER_OVERHEAD)
-        if first_missing < 0:
-            pstats.filtered += npages
-            if self.obs is not None:
-                self.obs.emit(clock.now, TraceKind.PREFETCH_FILTERED,
-                              start_vpage, npages)
-            self._note_outcome(fully_filtered=True)
-            return
-        self._note_outcome(fully_filtered=False)
-        leading_resident = first_missing - start_vpage
-        pstats.filtered += leading_resident
-        if self.obs is not None and leading_resident:
-            self.obs.emit(clock.now, TraceKind.PREFETCH_FILTERED,
-                          start_vpage, leading_resident)
-        if self._hint_call_fails(first_missing, npages - leading_resident):
-            return
-        self.manager.prefetch_call(first_missing, npages - leading_resident)
+        self.manager.prefetch_call(start_vpage, npages)
 
     def prefetch_release(
         self, start_vpage: int, npages: int, release_vpages: list[int]
@@ -206,46 +203,24 @@ class RuntimeLayer:
         pages to the free list), but if the prefetch part is entirely
         filtered the call degenerates to a plain release.
         """
-        clock = self.clock
-        cost = self.config.cost
-        pstats = self.stats.prefetch
-        pstats.compiler_inserted += npages
-        clock.advance(cost.addr_gen_us, TimeCategory.USER_OVERHEAD)
+        self.stats.prefetch.compiler_inserted += npages
+        self.clock.advance(self.config.cost.addr_gen_us, TimeCategory.USER_OVERHEAD)
         if self.hint_faults is not None and not self._hint_gate(npages):
             # Only the prefetch half degrades; the release must still
             # reach the OS (only the OS can free the frames).
             self.manager.release_call(release_vpages)
             return
-        first_missing = -1
         if self.filter_enabled:
-            test = self.bitvector.test
-            checked = 0
-            for vpage in range(start_vpage, start_vpage + npages):
-                checked += 1
-                if not test(vpage):
-                    first_missing = vpage
-                    break
-            clock.advance(cost.filter_check_us * checked, TimeCategory.USER_OVERHEAD)
-        else:
-            first_missing = start_vpage
-        if first_missing < 0:
-            pstats.filtered += npages
-            if self.obs is not None:
-                self.obs.emit(clock.now, TraceKind.PREFETCH_FILTERED,
-                              start_vpage, npages)
+            leading = self._filter(start_vpage, npages)
+            if leading == npages:
+                self.manager.release_call(release_vpages)
+                return
+            start_vpage += leading
+            npages -= leading
+        if self._hint_call_fails(start_vpage, npages):
             self.manager.release_call(release_vpages)
             return
-        leading_resident = first_missing - start_vpage
-        pstats.filtered += leading_resident
-        if self.obs is not None and leading_resident:
-            self.obs.emit(clock.now, TraceKind.PREFETCH_FILTERED,
-                          start_vpage, leading_resident)
-        if self._hint_call_fails(first_missing, npages - leading_resident):
-            self.manager.release_call(release_vpages)
-            return
-        self.manager.prefetch_release_call(
-            first_missing, npages - leading_resident, release_vpages
-        )
+        self.manager.prefetch_release_call(start_vpage, npages, release_vpages)
 
     # ------------------------------------------------------------------
     # Release path

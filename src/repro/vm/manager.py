@@ -33,7 +33,7 @@ from repro.storage.array_ctl import DiskArray, IOKind
 from repro.vm.frames import FramePool
 from repro.vm.page import Page, PageColumns, PageState
 from repro.vm.replacement import ClockRing
-from repro.vm.residency import PageFlagVector
+from repro.vm.residency import ResidencyBitVector
 
 
 class AccessOutcome(enum.Enum):
@@ -90,11 +90,12 @@ class MemoryManager:
         self.frames = FramePool(config.available_frames)
         self.ring = ClockRing()
         self.pages: dict[int, Page] = {}
-        #: Vectorized mirror of the chunk kernel's fast-access predicate
-        #: (resident and past its first prefetched use); every state
-        #: transition below keeps it in sync so ``run_chunk`` can
-        #: classify a whole chunk of accesses with one numpy gather.
-        self.fast = PageFlagVector()
+        #: Fast-access mask: a granularity-1 flag per page mirroring the
+        #: chunk kernel's predicate (resident and past its first
+        #: prefetched use); every state transition below keeps it in sync
+        #: so ``run_chunk`` can classify a whole chunk of accesses with
+        #: one numpy gather.
+        self.fast = ResidencyBitVector()
         #: Columnar ref/dirty/version store shared by every Page; the
         #: chunk kernel scatters whole fast segments into it.
         self.cols = PageColumns()
@@ -127,13 +128,13 @@ class MemoryManager:
         Needed after a checkpoint restore, which replaces ``pages``
         wholesale; every other mutation keeps the mask in sync inline.
         """
-        self.fast.clear()
-        mark = self.fast.mark
+        fast = ResidencyBitVector()
         for vpage, page in self.pages.items():
             if page.state == PageState.RESIDENT and (
                 page.used_since_arrival or not page.via_prefetch
             ):
-                mark(vpage)
+                fast.set(vpage)
+        self.fast = fast
 
     # ------------------------------------------------------------------
     # Multiprogramming pressure (future-work extension, paper Section 6)
@@ -177,36 +178,11 @@ class MemoryManager:
                     break
                 if self.frames.reserve_fresh():
                     continue
-                stolen = self.frames.steal_from_freelist()
-                if stolen is not None:
-                    discarded = self.pages[stolen]
-                    discarded.state = PageState.ON_DISK
-                    discarded.via_prefetch = False
-                    self.fast.unmark(stolen)
-                    if self.bitvector is not None:
-                        self.bitvector.clear(stolen)
-                    self.frames.convert_in_use_to_reserved()
-                    continue
-                victim = self.ring.select_victim()
-                if victim is None:
-                    self._settle_arrived()
-                    victim = self.ring.select_victim()
-                if victim is None:
-                    break  # nothing evictable: competitor gets less
-                self.stats.memory.evictions += 1
-                if self.obs is not None:
-                    self.obs.emit(now, TraceKind.EVICTION, victim.vpage,
-                                  value=float(victim.dirty), tag="pressure")
-                if victim.dirty:
-                    self.disks.write_page(victim.vpage, now)
-                    self.stats.memory.eviction_writebacks += 1
-                    victim.dirty = False
-                victim.state = PageState.ON_DISK
-                victim.via_prefetch = False
-                victim.used_since_arrival = False
-                self.fast.unmark(victim.vpage)
-                if self.bitvector is not None:
-                    self.bitvector.clear(victim.vpage)
+                if not self._steal_free_frame():
+                    victim = self._select_victim()
+                    if victim is None:
+                        break  # nothing evictable: competitor gets less
+                    self._evict(victim, "pressure")
                 self.frames.convert_in_use_to_reserved()
 
     def _tick_free(self) -> None:
@@ -244,11 +220,76 @@ class MemoryManager:
             settled += 1
         return settled
 
-    def _evict_one(self) -> None:
-        """Evict one resident page (demand-fault path only)."""
+    def _select_victim(self) -> Page | None:
+        """Run the clock hand, settling arrived prefetches if it finds none."""
         victim = self.ring.select_victim()
         if victim is None and self._settle_arrived():
             victim = self.ring.select_victim()
+        return victim
+
+    def _evict(self, victim: Page, tag: str) -> None:
+        """RESIDENT -> ON_DISK for the clock hand's ``victim``.
+
+        Writes are buffered and pipelined, so a dirty victim's write-back
+        occupies the disks without stalling anyone.  The caller decides
+        where the vacated frame goes.
+        """
+        now = self.clock.now
+        self.stats.memory.evictions += 1
+        if self.obs is not None:
+            self.obs.emit(now, TraceKind.EVICTION, victim.vpage,
+                          value=float(victim.dirty), tag=tag)
+        if victim.dirty:
+            self.disks.write_page(victim.vpage, now)
+            self.stats.memory.eviction_writebacks += 1
+            victim.dirty = False
+        victim.state = PageState.ON_DISK
+        victim.via_prefetch = False
+        victim.used_since_arrival = False
+        self.fast.clear(victim.vpage)
+        if self.bitvector is not None:
+            self.bitvector.clear(victim.vpage)
+
+    def _steal_free_frame(self) -> bool:
+        """FREELIST -> ON_DISK: take the oldest free-list frame, if any,
+        silently discarding the released page it still holds."""
+        stolen = self.frames.steal_from_freelist()
+        if stolen is None:
+            return False
+        discarded = self.pages[stolen]
+        discarded.state = PageState.ON_DISK
+        discarded.via_prefetch = False
+        self.fast.clear(stolen)
+        if self.bitvector is not None:
+            self.bitvector.clear(stolen)
+        return True
+
+    def _replenish_free_pool(self) -> None:
+        """The page-out daemon: keep the free pool near its target.
+
+        Runs "in the background" (another processor on the paper's Hector
+        machine), so it charges no CPU time; its dirty write-backs do
+        occupy the disks.  Without this, steady-state out-of-core
+        execution has zero free memory and every prefetch is dropped.
+        """
+        target = int(self.frames.total_frames * self.config.free_target_fraction)
+        if target <= 0 or self.frames.free_count > target // 2:
+            return
+        self._tick_free()
+        while self.frames.free_count < target:
+            victim = self._select_victim()
+            if victim is None:
+                break
+            self._evict(victim, "daemon")
+            self.frames.surrender()
+
+    def _obtain_frame_for_fault(self) -> None:
+        """Get a frame for a demand fault, evicting if necessary."""
+        self._replenish_free_pool()
+        self._tick_free()
+        if self.frames.take_fresh() or self._steal_free_frame():
+            return
+        victim = self._select_victim()
         if victim is None and self._in_transit:
             # Every frame is pinned by an in-flight prefetch: wait for the
             # earliest *issued* arrival, settle it, and evict it.
@@ -268,92 +309,14 @@ class MemoryManager:
                 victim = self.ring.select_victim()
         if victim is None:
             raise MachineError("no frame available and no page is evictable")
-        self.stats.memory.evictions += 1
-        if self.obs is not None:
-            self.obs.emit(self.clock.now, TraceKind.EVICTION, victim.vpage,
-                          value=float(victim.dirty), tag="fault")
-        if victim.dirty:
-            self.disks.write_page(victim.vpage, self.clock.now)
-            self.stats.memory.eviction_writebacks += 1
-            victim.dirty = False
-        victim.state = PageState.ON_DISK
-        victim.via_prefetch = False
-        victim.used_since_arrival = False
-        self.fast.unmark(victim.vpage)
-        if self.bitvector is not None:
-            self.bitvector.clear(victim.vpage)
-        # The victim's frame transfers directly to the new page: no change
-        # to the frame pool's counts.
-
-    def _replenish_free_pool(self) -> None:
-        """The page-out daemon: keep the free pool near its target.
-
-        Runs "in the background" (another processor on the paper's Hector
-        machine), so it charges no CPU time; its dirty write-backs do
-        occupy the disks.  Without this, steady-state out-of-core
-        execution has zero free memory and every prefetch is dropped.
-        """
-        target = int(self.frames.total_frames * self.config.free_target_fraction)
-        if target <= 0 or self.frames.free_count > target // 2:
-            return
-        self._tick_free()
-        while self.frames.free_count < target:
-            victim = self.ring.select_victim()
-            if victim is None:
-                self._settle_arrived()
-                victim = self.ring.select_victim()
-                if victim is None:
-                    break
-            self.stats.memory.evictions += 1
-            if self.obs is not None:
-                self.obs.emit(self.clock.now, TraceKind.EVICTION, victim.vpage,
-                              value=float(victim.dirty), tag="daemon")
-            if victim.dirty:
-                self.disks.write_page(victim.vpage, self.clock.now)
-                self.stats.memory.eviction_writebacks += 1
-                victim.dirty = False
-            victim.state = PageState.ON_DISK
-            victim.via_prefetch = False
-            victim.used_since_arrival = False
-            self.fast.unmark(victim.vpage)
-            if self.bitvector is not None:
-                self.bitvector.clear(victim.vpage)
-            self.frames.surrender()
-
-    def _obtain_frame_for_fault(self) -> None:
-        """Get a frame for a demand fault, evicting if necessary."""
-        self._replenish_free_pool()
-        self._tick_free()
-        if self.frames.take_fresh():
-            return
-        stolen = self.frames.steal_from_freelist()
-        if stolen is not None:
-            discarded = self.pages[stolen]
-            discarded.state = PageState.ON_DISK
-            discarded.via_prefetch = False
-            self.fast.unmark(stolen)
-            if self.bitvector is not None:
-                self.bitvector.clear(stolen)
-            return
         # The evicted page's frame transfers directly to the faulting page;
         # it stays counted as in-use, so the pool needs no adjustment.
-        self._evict_one()
+        self._evict(victim, "fault")
 
     def _try_frame_for_prefetch(self) -> bool:
         """Get a frame without evicting; False means drop the prefetch."""
         self._tick_free()
-        if self.frames.take_fresh():
-            return True
-        stolen = self.frames.steal_from_freelist()
-        if stolen is not None:
-            discarded = self.pages[stolen]
-            discarded.state = PageState.ON_DISK
-            discarded.via_prefetch = False
-            self.fast.unmark(stolen)
-            if self.bitvector is not None:
-                self.bitvector.clear(stolen)
-            return True
-        return False
+        return self.frames.take_fresh() or self._steal_free_frame()
 
     # ------------------------------------------------------------------
     # The access path (demand reads and writes)
@@ -361,11 +324,7 @@ class MemoryManager:
 
     def access(self, vpage: int, is_write: bool) -> AccessOutcome:
         """Perform one memory access, charging all costs to the clock."""
-        page = self.pages.get(vpage)
-        if page is None:
-            self.cols.ensure(vpage)
-            page = Page(vpage, self.cols)
-            self.pages[vpage] = page
+        page = self.pages.get(vpage) or self.page_of(vpage)
         state = page.state
         if state == PageState.FREELIST:
             # Run any due daemon/pressure work *before* committing to the
@@ -381,111 +340,174 @@ class MemoryManager:
             self._check_binding_staleness(page)
 
         if state == PageState.RESIDENT:
-            page.ref_bit = True
-            if is_write:
-                page.dirty = True
-                page.version += 1
-            if page.via_prefetch and not page.used_since_arrival:
-                page.used_since_arrival = True
-                page.prefetched_pending = False
-                self.fast.mark(vpage)
-                self.stats.faults.prefetched_hit += 1
-                if self.obs is not None:
-                    now = self.clock.now
-                    self.obs.prefetch_to_use.observe(now - page.arrival_us)
-                    self.obs.emit(now, TraceKind.FAULT, vpage,
-                                  tag="prefetched_hit")
+            return self._touch_resident(page, is_write)
+        clock = self.clock
+        if state == PageState.IN_TRANSIT:
+            if self._map_in_transit(page, is_write):
                 return AccessOutcome.PREFETCHED_HIT
-            self.stats.faults.hits += 1
-            return AccessOutcome.HIT
+            use_ts = clock.now
+            clock.advance(self.config.cost.fault_service_us, TimeCategory.SYS_FAULT)
+            waited = clock.wait_until(page.arrival_us, TimeCategory.STALL_READ)
+            self._in_flight_fault(page, use_ts, waited)
+            return AccessOutcome.PREFETCHED_FAULT
+        if state == PageState.FREELIST:
+            return self._reclaim(page, is_write)
+        # ON_DISK: a full demand fault -- trap, frame, read, wait, then map.
+        completion = self._start_fault_read(vpage)
+        waited = clock.wait_until(completion, TimeCategory.STALL_READ)
+        return self._map_fault(page, completion, is_write, waited)
+
+    def access_async(self, vpage: int, is_write: bool) -> float:
+        """Like :meth:`access`, but never waits: returns the ready time.
+
+        For the co-scheduler (multiprogramming): a faulting process is
+        *blocked* until the returned time while other processes run.  All
+        CPU costs (fault service, reclaim) are charged to the clock as
+        usual; only the I/O wait is left to the caller.  The faulted page
+        is mapped immediately -- the processes' address spaces are
+        disjoint, so only the owning (blocked) process could observe it
+        before the data arrives, and it is blocked.
+        """
+        page = self.pages.get(vpage) or self.page_of(vpage)
+        state = page.state
+        if state == PageState.FREELIST:
+            self._tick_free()
+            state = page.state
 
         clock = self.clock
-        cost = self.config.cost
+        if state == PageState.RESIDENT:
+            self._touch_resident(page, is_write)
+            return clock.now
         if state == PageState.IN_TRANSIT:
-            self._in_transit.pop(vpage, None)
-            page.state = PageState.RESIDENT
+            if self._map_in_transit(page, is_write):
+                return clock.now
+            use_ts = clock.now
+            clock.advance(self.config.cost.fault_service_us, TimeCategory.SYS_FAULT)
+            self._in_flight_fault(page, use_ts,
+                                  max(0.0, page.arrival_us - clock.now))
+            return page.arrival_us
+        if state == PageState.FREELIST:
+            self._reclaim(page, is_write)
+            return clock.now
+        # ON_DISK: the demand fault without the wait.
+        completion = self._start_fault_read(vpage)
+        self._map_fault(page, completion, is_write,
+                        max(0.0, completion - clock.now))
+        return completion
+
+    # Page transitions shared by the two entry points above.  Each one
+    # charges no I/O wait: ``access`` waits before it maps a faulted
+    # page, ``access_async`` leaves the wait to its caller.
+
+    def _touch_resident(self, page: Page, is_write: bool) -> AccessOutcome:
+        """RESIDENT: a plain hit, or the first use of a prefetched page."""
+        page.ref_bit = True
+        if is_write:
+            page.dirty = True
+            page.version += 1
+        if page.via_prefetch and not page.used_since_arrival:
             page.used_since_arrival = True
             page.prefetched_pending = False
-            self.fast.mark(vpage)
-            if is_write:
-                page.dirty = True
-                page.version += 1
-            self.ring.insert(page)
-            if page.arrival_us <= clock.now:
-                # The read completed before the access: the OS mapped the
-                # page at I/O completion, so this is a fully hidden fault.
-                self.stats.faults.prefetched_hit += 1
-                if self.obs is not None:
-                    self.obs.prefetch_to_use.observe(clock.now - page.arrival_us)
-                    self.obs.emit(clock.now, TraceKind.FAULT, vpage,
-                                  tag="prefetched_hit")
-                return AccessOutcome.PREFETCHED_HIT
-            # The access caught up with its own prefetch: it still traps,
-            # but stalls only for the remaining latency.
-            use_ts = clock.now
-            clock.advance(cost.fault_service_us, TimeCategory.SYS_FAULT)
-            waited = clock.wait_until(page.arrival_us, TimeCategory.STALL_READ)
-            self.stats.faults.prefetched_fault += 1
-            if self.obs is not None:
-                self.obs.prefetch_to_use.observe(use_ts - page.arrival_us)
-                self.obs.stall_latency.observe(waited)
-                self.obs.emit(clock.now, TraceKind.FAULT, vpage,
-                              value=waited, tag="prefetched_fault")
-            return AccessOutcome.PREFETCHED_FAULT
+            self.fast.set(page.vpage)
+            self._count_prefetched_hit(page)
+            return AccessOutcome.PREFETCHED_HIT
+        self.stats.faults.hits += 1
+        return AccessOutcome.HIT
 
-        if state == PageState.FREELIST:
-            # Cheap reclaim: contents are still in the frame.  The daemon
-            # already ran above; nothing can steal the frame in between.
-            clock.advance(cost.fault_reclaim_us, TimeCategory.SYS_FAULT)
-            if not self.frames.reclaim(vpage):
-                raise MachineError(f"page {vpage} on FREELIST but not reclaimable")
-            page.state = PageState.RESIDENT
-            page.via_prefetch = False
-            page.used_since_arrival = True
-            self.fast.mark(vpage)
-            if is_write:
-                page.dirty = True
-                page.version += 1
-            self.ring.insert(page)
-            if self.bitvector is not None:
-                self.bitvector.set(vpage)
-            self.stats.faults.reclaim_fault += 1
-            if self.obs is not None:
-                self.obs.emit(clock.now, TraceKind.FAULT, vpage, tag="reclaim")
-            return AccessOutcome.RECLAIM
+    def _count_prefetched_hit(self, page: Page) -> None:
+        """A prefetched page's data was in memory by its first use."""
+        self.stats.faults.prefetched_hit += 1
+        if self.obs is not None:
+            now = self.clock.now
+            self.obs.prefetch_to_use.observe(now - page.arrival_us)
+            self.obs.emit(now, TraceKind.FAULT, page.vpage, tag="prefetched_hit")
 
-        # ON_DISK: a full demand fault.
-        clock.advance(cost.fault_service_us, TimeCategory.SYS_FAULT)
+    def _map_in_transit(self, page: Page, is_write: bool) -> bool:
+        """IN_TRANSIT -> RESIDENT at first touch.
+
+        True when the read had already completed: the OS mapped the page
+        at I/O completion, so this is a fully hidden fault.  False means
+        the access caught up with its own prefetch: it still traps, but
+        stalls only for the remaining latency (:meth:`_in_flight_fault`).
+        """
+        self._in_transit.pop(page.vpage, None)
+        page.state = PageState.RESIDENT
+        page.used_since_arrival = True
+        page.prefetched_pending = False
+        self.fast.set(page.vpage)
+        if is_write:
+            page.dirty = True
+            page.version += 1
+        self.ring.insert(page)
+        if page.arrival_us <= self.clock.now:
+            self._count_prefetched_hit(page)
+            return True
+        return False
+
+    def _in_flight_fault(self, page: Page, use_ts: float, stall: float) -> None:
+        """Count a trap on a page whose prefetch was still in flight at
+        ``use_ts``; ``stall`` is how long the faulting process waits."""
+        self.stats.faults.prefetched_fault += 1
+        if self.obs is not None:
+            self.obs.prefetch_to_use.observe(use_ts - page.arrival_us)
+            self.obs.stall_latency.observe(stall)
+            self.obs.emit(self.clock.now, TraceKind.FAULT, page.vpage,
+                          value=stall, tag="prefetched_fault")
+
+    def _reclaim(self, page: Page, is_write: bool) -> AccessOutcome:
+        """FREELIST -> RESIDENT: a cheap reclaim, the contents are still
+        in the frame.  The caller ran due daemon work first, so nothing
+        can steal the frame in between."""
+        self.clock.advance(self.config.cost.fault_reclaim_us, TimeCategory.SYS_FAULT)
+        if not self.frames.reclaim(page.vpage):
+            raise MachineError(f"page {page.vpage} on FREELIST but not reclaimable")
+        self._map(page, is_write)
+        self.stats.faults.reclaim_fault += 1
+        if self.obs is not None:
+            self.obs.emit(self.clock.now, TraceKind.FAULT, page.vpage, tag="reclaim")
+        return AccessOutcome.RECLAIM
+
+    def _start_fault_read(self, vpage: int) -> float:
+        """ON_DISK: trap, get a frame, and start the read; returns its
+        completion time."""
+        self.clock.advance(self.config.cost.fault_service_us, TimeCategory.SYS_FAULT)
         self._obtain_frame_for_fault()
-        completion = self.disks.read_page(vpage, clock.now, IOKind.FAULT)
-        waited = clock.wait_until(completion, TimeCategory.STALL_READ)
+        return self.disks.read_page(vpage, self.clock.now, IOKind.FAULT)
+
+    def _map_fault(self, page: Page, completion: float, is_write: bool,
+                   stall: float) -> AccessOutcome:
+        """ON_DISK -> RESIDENT once the fault's read is started: map the
+        page and count the fault; ``stall`` is how long the faulting
+        process waits."""
+        page.arrival_us = completion
+        self._map(page, is_write)
+        if self.readahead:
+            self._sequential_readahead(page.vpage)
+        if page.prefetched_pending:
+            page.prefetched_pending = False
+            self.stats.faults.prefetched_fault += 1
+            outcome = AccessOutcome.PREFETCHED_FAULT
+        else:
+            self.stats.faults.nonprefetched_fault += 1
+            outcome = AccessOutcome.NONPREFETCHED_FAULT
+        if self.obs is not None:
+            self.obs.stall_latency.observe(stall)
+            self.obs.emit(self.clock.now, TraceKind.FAULT, page.vpage,
+                          value=stall, tag=outcome.value)
+        return outcome
+
+    def _map(self, page: Page, is_write: bool) -> None:
+        """Make ``page`` resident on demand (fault, reclaim, warm load)."""
         page.state = PageState.RESIDENT
         page.via_prefetch = False
         page.used_since_arrival = True
-        page.arrival_us = completion
-        self.fast.mark(vpage)
+        self.fast.set(page.vpage)
         if is_write:
             page.dirty = True
             page.version += 1
         self.ring.insert(page)
         if self.bitvector is not None:
-            self.bitvector.set(vpage)
-        if self.readahead:
-            self._sequential_readahead(vpage)
-        if page.prefetched_pending:
-            page.prefetched_pending = False
-            self.stats.faults.prefetched_fault += 1
-            if self.obs is not None:
-                self.obs.stall_latency.observe(waited)
-                self.obs.emit(clock.now, TraceKind.FAULT, vpage,
-                              value=waited, tag="prefetched_fault")
-            return AccessOutcome.PREFETCHED_FAULT
-        self.stats.faults.nonprefetched_fault += 1
-        if self.obs is not None:
-            self.obs.stall_latency.observe(waited)
-            self.obs.emit(clock.now, TraceKind.FAULT, vpage,
-                          value=waited, tag="nonprefetched_fault")
-        return AccessOutcome.NONPREFETCHED_FAULT
+            self.bitvector.set(page.vpage)
 
     def _check_binding_staleness(self, page) -> None:
         """Figure-1 check: was the page written since its binding copy?"""
@@ -515,168 +537,20 @@ class MemoryManager:
             return
         window = min(self.READAHEAD_MAX_WINDOW, 2 ** run)
         last_page = ext.base_vpage + ext.npages - 1
-        run_start: int | None = None
-        count = 0
+        fetched: list[Page] = []
         for target in range(vpage + 1, min(vpage + window, last_page) + 1):
             page = self.page_of(target)
             if page.state != PageState.ON_DISK or not self._try_frame_for_prefetch():
                 break
-            page.state = PageState.IN_TRANSIT
-            page.via_prefetch = True
-            page.used_since_arrival = False
-            page.prefetched_pending = True
-            page.arrival_us = float("inf")
-            self._in_transit[target] = page
-            if self.bitvector is not None:
-                self.bitvector.set(target)
-            if run_start is None:
-                run_start = target
-            count += 1
-        if run_start is not None:
-            completions = self.disks.read_run(
-                run_start, count, self.clock.now, IOKind.PREFETCH
-            )
-            arrival = dict(completions)
-            for target in range(run_start, run_start + count):
-                self.pages[target].arrival_us = arrival[target]
-            self.stats.prefetch.readahead_pages += count
-            if self.obs is not None:
-                self.obs.emit(self.clock.now, TraceKind.PREFETCH_ISSUED,
-                              run_start, count, tag="readahead")
+            self._begin_transit(page)
+            fetched.append(page)
+        if fetched:
+            self._read_run(fetched, "readahead")
+            self.stats.prefetch.readahead_pages += len(fetched)
             # The stream's next *fault* lands just past the window; treat
             # it as continuing the run (the window position is part of
             # the per-stream state, as in real readahead implementations).
-            self._ra_state[ext.name] = (run_start + count, run)
-
-    def access_async(self, vpage: int, is_write: bool) -> float:
-        """Like :meth:`access`, but never waits: returns the ready time.
-
-        For the co-scheduler (multiprogramming): a faulting process is
-        *blocked* until the returned time while other processes run.  All
-        CPU costs (fault service, reclaim) are charged to the clock as
-        usual; only the I/O wait is left to the caller.  The faulted page
-        is mapped immediately -- the processes' address spaces are
-        disjoint, so only the owning (blocked) process could observe it
-        before the data arrives, and it is blocked.
-        """
-        page = self.pages.get(vpage)
-        if page is None:
-            self.cols.ensure(vpage)
-            page = Page(vpage, self.cols)
-            self.pages[vpage] = page
-        state = page.state
-        if state == PageState.FREELIST:
-            self._tick_free()
-            state = page.state
-
-        clock = self.clock
-        cost = self.config.cost
-
-        if state == PageState.RESIDENT:
-            page.ref_bit = True
-            if is_write:
-                page.dirty = True
-                page.version += 1
-            if page.via_prefetch and not page.used_since_arrival:
-                page.used_since_arrival = True
-                page.prefetched_pending = False
-                self.fast.mark(vpage)
-                if page.arrival_us <= clock.now:
-                    self.stats.faults.prefetched_hit += 1
-                    if self.obs is not None:
-                        self.obs.prefetch_to_use.observe(
-                            clock.now - page.arrival_us)
-                        self.obs.emit(clock.now, TraceKind.FAULT, vpage,
-                                      tag="prefetched_hit")
-                    return clock.now
-                clock.advance(cost.fault_service_us, TimeCategory.SYS_FAULT)
-                self.stats.faults.prefetched_fault += 1
-                if self.obs is not None:
-                    blocked = page.arrival_us - clock.now
-                    self.obs.prefetch_to_use.observe(-blocked)
-                    self.obs.stall_latency.observe(blocked)
-                    self.obs.emit(clock.now, TraceKind.FAULT, vpage,
-                                  value=blocked, tag="prefetched_fault")
-                return page.arrival_us
-            self.stats.faults.hits += 1
-            return clock.now
-
-        if state == PageState.IN_TRANSIT:
-            self._in_transit.pop(vpage, None)
-            page.state = PageState.RESIDENT
-            page.used_since_arrival = True
-            page.prefetched_pending = False
-            self.fast.mark(vpage)
-            if is_write:
-                page.dirty = True
-                page.version += 1
-            self.ring.insert(page)
-            if page.arrival_us <= clock.now:
-                self.stats.faults.prefetched_hit += 1
-                if self.obs is not None:
-                    self.obs.prefetch_to_use.observe(clock.now - page.arrival_us)
-                    self.obs.emit(clock.now, TraceKind.FAULT, vpage,
-                                  tag="prefetched_hit")
-                return clock.now
-            clock.advance(cost.fault_service_us, TimeCategory.SYS_FAULT)
-            self.stats.faults.prefetched_fault += 1
-            if self.obs is not None:
-                blocked = page.arrival_us - clock.now
-                self.obs.prefetch_to_use.observe(-blocked)
-                self.obs.stall_latency.observe(blocked)
-                self.obs.emit(clock.now, TraceKind.FAULT, vpage,
-                              value=blocked, tag="prefetched_fault")
-            return page.arrival_us
-
-        if state == PageState.FREELIST:
-            clock.advance(cost.fault_reclaim_us, TimeCategory.SYS_FAULT)
-            if not self.frames.reclaim(vpage):
-                raise MachineError(f"page {vpage} on FREELIST but not reclaimable")
-            page.state = PageState.RESIDENT
-            page.via_prefetch = False
-            page.used_since_arrival = True
-            self.fast.mark(vpage)
-            if is_write:
-                page.dirty = True
-                page.version += 1
-            self.ring.insert(page)
-            if self.bitvector is not None:
-                self.bitvector.set(vpage)
-            self.stats.faults.reclaim_fault += 1
-            if self.obs is not None:
-                self.obs.emit(clock.now, TraceKind.FAULT, vpage, tag="reclaim")
-            return clock.now
-
-        # ON_DISK: demand fault without the wait.
-        clock.advance(cost.fault_service_us, TimeCategory.SYS_FAULT)
-        self._obtain_frame_for_fault()
-        completion = self.disks.read_page(vpage, clock.now, IOKind.FAULT)
-        page.state = PageState.RESIDENT
-        page.via_prefetch = False
-        page.used_since_arrival = True
-        page.arrival_us = completion
-        self.fast.mark(vpage)
-        if is_write:
-            page.dirty = True
-            page.version += 1
-        self.ring.insert(page)
-        if self.bitvector is not None:
-            self.bitvector.set(vpage)
-        if self.readahead:
-            self._sequential_readahead(vpage)
-        if page.prefetched_pending:
-            page.prefetched_pending = False
-            self.stats.faults.prefetched_fault += 1
-            tag = "prefetched_fault"
-        else:
-            self.stats.faults.nonprefetched_fault += 1
-            tag = "nonprefetched_fault"
-        if self.obs is not None:
-            blocked = max(0.0, completion - clock.now)
-            self.obs.stall_latency.observe(blocked)
-            self.obs.emit(clock.now, TraceKind.FAULT, vpage,
-                          value=blocked, tag=tag)
-        return completion
+            self._ra_state[ext.name] = (fetched[-1].vpage + 1, run)
 
     # ------------------------------------------------------------------
     # Prefetch and release hints (the system-call side)
@@ -714,6 +588,34 @@ class MemoryManager:
         self.stats.release.calls += 1
         self._prefetch_pages(start_vpage, npages)
 
+    def _begin_transit(self, page: Page) -> None:
+        """ON_DISK -> IN_TRANSIT for a prefetch that got a frame.
+
+        The page cannot settle until :meth:`_read_run` issues its read
+        and records the real completion time.
+        """
+        page.state = PageState.IN_TRANSIT
+        page.via_prefetch = True
+        page.used_since_arrival = False
+        page.prefetched_pending = True
+        page.arrival_us = float("inf")
+        self._in_transit[page.vpage] = page
+        if self.bitvector is not None:
+            self.bitvector.set(page.vpage)
+
+    def _read_run(self, run: list[Page], tag: str = "") -> None:
+        """Issue one prefetch read for a contiguous run of transit pages."""
+        start = run[0].vpage
+        now = self.clock.now
+        # The run is contiguous from start, so each completion addresses
+        # its page directly.
+        for vpage, done in self.disks.read_run(start, len(run), now,
+                                               IOKind.PREFETCH):
+            run[vpage - start].arrival_us = done
+        if self.obs is not None:
+            self.obs.emit(now, TraceKind.PREFETCH_ISSUED, start, len(run),
+                          tag=tag)
+
     def _prefetch_pages(self, start_vpage: int, npages: int) -> None:
         clock = self.clock
         pstats = self.stats.prefetch
@@ -723,32 +625,18 @@ class MemoryManager:
 
         # Gather contiguous sub-runs of fetchable pages so each becomes one
         # (mostly sequential) disk request per disk.
-        run_start: int | None = None
-        run_pages: list[Page] = []
+        run: list[Page] = []
 
         def flush_run() -> None:
-            nonlocal run_start, run_pages
-            if run_start is None:
-                return
-            completions = self.disks.read_run(
-                run_start, len(run_pages), clock.now, IOKind.PREFETCH
-            )
-            # The run is contiguous from run_start, so each completion
-            # addresses its page directly -- no intermediate dict.
-            for vpage, done in completions:
-                run_pages[vpage - run_start].arrival_us = done
-            pstats.disk_reads += len(run_pages)
-            if self.obs is not None:
-                self.obs.emit(clock.now, TraceKind.PREFETCH_ISSUED,
-                              run_start, len(run_pages))
-            run_start = None
-            run_pages = []
+            if run:
+                self._read_run(run)
+                pstats.disk_reads += len(run)
+                run.clear()
 
         page_of = self.page_of
         binding = self.binding
         obs = self.obs
         bitvector = self.bitvector
-        in_transit = self._in_transit
         try_frame = self._try_frame_for_prefetch
         for vpage in range(start_vpage, start_vpage + npages):
             page = page_of(vpage)
@@ -794,18 +682,8 @@ class MemoryManager:
             else:  # ON_DISK
                 page.prefetched_pending = True
                 if try_frame():
-                    page.state = PageState.IN_TRANSIT
-                    page.via_prefetch = True
-                    page.used_since_arrival = False
-                    # Unsettleable until flush_run issues the disk read
-                    # and records the real completion time.
-                    page.arrival_us = float("inf")
-                    in_transit[vpage] = page
-                    if bitvector is not None:
-                        bitvector.set(vpage)
-                    if run_start is None:
-                        run_start = vpage
-                    run_pages.append(page)
+                    self._begin_transit(page)
+                    run.append(page)
                 else:
                     pstats.dropped += 1
                     if obs is not None:
@@ -831,7 +709,7 @@ class MemoryManager:
         pages_get = self.pages.get
         tick_free = self._tick_free
         ring_forget = self.ring.forget
-        fast_unmark = self.fast.unmark
+        fast_clear = self.fast.clear
         add_to_freelist = self.frames.add_to_freelist
         bitvector = self.bitvector
         for vpage in vpages:
@@ -856,7 +734,7 @@ class MemoryManager:
             ring_forget(page)
             page.state = PageState.FREELIST
             page.via_prefetch = False
-            fast_unmark(vpage)
+            fast_clear(vpage)
             add_to_freelist(vpage)
             if bitvector is not None:
                 bitvector.clear(vpage)
@@ -879,13 +757,7 @@ class MemoryManager:
             self._tick_free()
             if not self.frames.take_fresh():
                 raise MachineError("warm_load exceeds available memory")
-            page.state = PageState.RESIDENT
-            page.via_prefetch = False
-            page.used_since_arrival = True
-            self.fast.mark(vpage)
-            self.ring.insert(page)
-            if self.bitvector is not None:
-                self.bitvector.set(vpage)
+            self._map(page, False)
 
     def flush_dirty(self) -> None:
         """Write back every dirty resident page and wait for the disks.

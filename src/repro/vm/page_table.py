@@ -2,16 +2,16 @@
 
 The programmer's abstraction in the paper is unlimited virtual memory: each
 out-of-core array is simply a mapped segment whose pages come from disk.
-:class:`AddressSpace` hands out page-aligned segments (one per array) and
-translates byte addresses to virtual page numbers; the page-table proper is
-the lazy ``vpage -> Page`` map owned by the memory manager.
+:class:`AddressSpace` hands out page-aligned segments (one per array); the
+page-table proper is the lazy ``vpage -> Page`` map owned by the memory
+manager.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import AddressError, MachineError
+from repro.errors import MachineError
 
 
 @dataclass(frozen=True)
@@ -23,16 +23,9 @@ class Segment:
     nbytes: int
     npages: int
 
-    @property
-    def end(self) -> int:
-        return self.base + self.nbytes
-
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.end
-
 
 class AddressSpace:
-    """Allocates page-aligned segments and translates addresses."""
+    """Allocates page-aligned segments, one per array."""
 
     def __init__(self, page_size: int) -> None:
         self.page_size = page_size
@@ -61,24 +54,3 @@ class AddressSpace:
             return self._segments[name]
         except KeyError:
             raise MachineError(f"no segment named {name!r}") from None
-
-    @property
-    def segments(self) -> tuple[Segment, ...]:
-        return tuple(self._segments.values())
-
-    def vpage_of(self, addr: int) -> int:
-        """Virtual page number of byte address ``addr``."""
-        if addr < self.page_size:
-            raise AddressError(f"address {addr:#x} is in the unmapped zero page")
-        return addr // self.page_size
-
-    def segment_of(self, addr: int) -> Segment:
-        for seg in self._segments.values():
-            if seg.contains(addr):
-                return seg
-        raise AddressError(f"address {addr:#x} falls outside every mapped segment")
-
-    @property
-    def total_pages(self) -> int:
-        """Total mapped pages across all segments (guard pages excluded)."""
-        return sum(s.npages for s in self._segments.values())

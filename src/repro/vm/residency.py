@@ -1,89 +1,109 @@
-"""Vectorized residency index over the page table.
+"""The per-page flag array: the shared bit vector and the fast-access mask.
 
-The memory manager keeps one :class:`PageFlagVector` -- a growable numpy
-``uint8`` array indexed by virtual page number -- that mirrors, for every
-page, the *fast-access predicate* of the chunk kernel::
+"The shared page is used as a bit vector with each bit representing one or
+more contiguous pages of the application's virtual memory space (a set bit
+indicates that the corresponding page is in memory).  The granularity of
+the bit vector is determined by the run-time layer at program start-up.
+Bits are set by the run-time layer when a prefetch request is issued, and
+by the OS when non-prefetched page faults occur.  The OS also clears bits
+when release requests are issued and when the memory manager reclaims
+pages." (paper, Section 2.4)
+
+At granularity > 1 the vector is deliberately *approximate*, exactly as a
+real shared page would be: evicting one page of a group clears the whole
+group's bit, so the filter errs toward issuing (correct but slower), while
+a resident sibling can mask a non-resident page, in which case the dropped
+prefetch simply shows up later as an ordinary fault.  Hints are
+non-binding, so neither error affects correctness.
+
+The memory manager keeps a second instance at granularity 1 as the chunk
+kernel's *fast-access mask*: a flag is set exactly when::
 
     page.state == RESIDENT and (page.used_since_arrival or not page.via_prefetch)
 
-A page satisfying the predicate can be read or written without entering
-the memory manager at all: the access is a plain hit (or the repeat use
-of an already-counted prefetched page), so the only architectural effects
-are the reference bit, the dirty bit, and the write-version counter.
-Everything else -- first use of a prefetched page, reclaims, faults --
-must take the slow path, where the manager updates this mask at every
-state transition (the transitions are enumerated in
-docs/performance.md).
+Such a page can be read or written without entering the memory manager
+at all.  The manager updates the mask at every state transition that
+changes the predicate (enumerated in docs/performance.md).
 
-The payoff is that :meth:`take` classifies a whole chunk of accesses with
-one numpy gather instead of one dict lookup + three attribute reads per
-event, which is what makes the vectorized hot path of
-:meth:`repro.machine.machine.Machine.run_chunk` possible.
+Both are one byte per bit in a growable numpy ``uint8`` array, so the
+vectorized hot path of :meth:`repro.machine.machine.Machine.run_chunk`
+classifies a whole window of events by gathering from :attr:`raw` after
+:meth:`reserve` has grown the array past the window's largest page.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
 
-class PageFlagVector:
-    """Auto-growing one-byte-per-page flag array with bulk gather."""
 
-    __slots__ = ("_flags", "drops")
+class ResidencyBitVector:
+    """Auto-growing bit vector over virtual pages, ``granularity`` pages/bit."""
 
-    def __init__(self, capacity: int = 1024) -> None:
-        self._flags = np.zeros(max(1, capacity), dtype=np.uint8)
-        #: Count of 1 -> 0 transitions (pages losing fast status).  The
-        #: chunk kernel snapshots this around each slow call: while it is
-        #: unchanged, previously computed fast classifications can only
-        #: have become *pessimistic* (pages turning fast), never wrong.
+    __slots__ = ("granularity", "_bits", "drops")
+
+    def __init__(self, granularity: int = 1) -> None:
+        if granularity <= 0:
+            raise ConfigError(f"bit-vector granularity must be positive, got {granularity}")
+        self.granularity = granularity
+        self._bits = np.zeros(1024, dtype=np.uint8)
+        #: Count of 1 -> 0 bit transitions.  The chunk kernel snapshots
+        #: this around each slow call: while it is unchanged, previously
+        #: computed classifications can only have become *pessimistic*
+        #: (bits turning on), never wrong.
         self.drops = 0
 
-    def _ensure(self, vpage: int) -> None:
-        if vpage >= len(self._flags):
-            grown = np.zeros(max(vpage + 1, 2 * len(self._flags)), dtype=np.uint8)
-            grown[: len(self._flags)] = self._flags
-            self._flags = grown
+    def _ensure(self, index: int) -> None:
+        if index >= len(self._bits):
+            grown = np.zeros(max(index + 1, 2 * len(self._bits)), dtype=np.uint8)
+            grown[: len(self._bits)] = self._bits
+            self._bits = grown
 
-    def mark(self, vpage: int) -> None:
-        """The page now satisfies the fast-access predicate."""
-        self._ensure(vpage)
-        self._flags[vpage] = 1
+    def set(self, vpage: int) -> None:
+        """``vpage`` is (becoming) resident, or turned fast."""
+        index = vpage // self.granularity
+        self._ensure(index)
+        self._bits[index] = 1
 
-    def unmark(self, vpage: int) -> None:
-        """The page no longer satisfies the predicate."""
-        if vpage < len(self._flags):
-            if self._flags[vpage]:
+    def clear(self, vpage: int) -> None:
+        """``vpage`` left memory, or lost fast status."""
+        index = vpage // self.granularity
+        if index < len(self._bits):
+            if self._bits[index]:
                 self.drops += 1
-            self._flags[vpage] = 0
+            self._bits[index] = 0
 
     def test(self, vpage: int) -> bool:
-        if vpage < len(self._flags):
-            return bool(self._flags[vpage])
+        """Is ``vpage``'s bit set?"""
+        index = vpage // self.granularity
+        if index < len(self._bits):
+            return bool(self._bits[index])
         return False
 
-    def take(self, vpages: np.ndarray) -> np.ndarray:
-        """Boolean gather: element i is ``test(vpages[i])``."""
-        flags = self._flags
-        in_range = vpages < len(flags)
-        clipped = np.where(in_range, vpages, 0)
-        return (flags[clipped] != 0) & in_range
-
     def reserve(self, vpage: int) -> np.ndarray:
-        """Grow to cover ``vpage`` and return the raw flag array.
+        """Grow to cover ``vpage``'s bit and return the raw bit array.
 
-        The chunk kernel calls this once per chunk with the chunk's
-        maximum page number so its per-window gathers can skip bounds
-        handling (``flags[pg] != 0`` directly).
+        Lets the chunk kernel test a whole window with a direct gather
+        (``bits[index] != 0``) instead of per-call bounds handling.
         """
-        self._ensure(vpage)
-        return self._flags
+        self._ensure(vpage // self.granularity)
+        return self._bits
 
-    def clear(self) -> None:
+    # Serialization (checkpoint snapshots).
+    def to_bytes(self) -> bytes:
+        return self._bits.tobytes()
+
+    def load_bytes(self, blob: bytes) -> None:
         self.drops += 1
-        self._flags[:] = 0
+        bits = np.frombuffer(blob, dtype=np.uint8).copy()
+        if len(bits) < 1024:
+            grown = np.zeros(1024, dtype=np.uint8)
+            grown[: len(bits)] = bits
+            bits = grown
+        self._bits = bits
 
     @property
     def raw(self) -> np.ndarray:
-        """The raw flag array (re-read after any call that may grow it)."""
-        return self._flags
+        """The raw bit array (re-read after any call that may grow it)."""
+        return self._bits

@@ -92,6 +92,45 @@ def test_lint_catches_bench_profile_drift(check_docs, tmp_path):
     assert any("'table3'" in p and "not documented" in p for p in problems)
 
 
+def test_lint_catches_fast_mask_method_drift(check_docs, tmp_path):
+    """The predicate section names exactly the methods that set or
+    clear ``MemoryManager.fast``, both ways."""
+    doc = (REPO_ROOT / "docs" / "performance.md").read_text()
+    mutated = tmp_path / "performance.md"
+
+    # A method that clears the mask, missing from the doc.
+    mutated.write_text(doc.replace("| `_evict` |", "| not-a-row |"))
+    problems = check_docs.check(performance_doc_path=mutated)
+    assert any("'_evict'" in p and "not documented" in p for p in problems)
+
+    # A documented method that does not touch the mask.
+    mutated.write_text(doc.replace("| `_map` |", "| `_map_renamed` |"))
+    problems = check_docs.check(performance_doc_path=mutated)
+    assert any("'_map_renamed'" in p for p in problems)
+    assert any("'_map'" in p and "not documented" in p for p in problems)
+
+
+def test_fast_mask_writers_follow_aliases_and_rebinding(check_docs, tmp_path):
+    source = tmp_path / "manager.py"
+    source.write_text(
+        "class MemoryManager:\n"
+        "    def __init__(self):\n"
+        "        self.fast = make()\n"
+        "    def aliased(self, vpages):\n"
+        "        fast_clear = self.fast.clear\n"
+        "        for v in vpages:\n"
+        "            fast_clear(v)\n"
+        "    def via_local(self, v):\n"
+        "        fast = self.fast\n"
+        "        fast.set(v)\n"
+        "    def rebuild(self):\n"
+        "        self.fast = make()\n"
+        "    def reader(self, v):\n"
+        "        return self.fast.test(v) or self.fast.raw\n")
+    assert check_docs.fast_mask_writers(source) == {
+        "aliased", "via_local", "rebuild"}
+
+
 def test_command_extraction_joins_cuts_and_skips_prose(check_docs, tmp_path):
     doc = tmp_path / "guide.md"
     doc.write_text(

@@ -19,12 +19,10 @@ from repro.core.ir.printer import format_program
 from repro.core.ir.visit import count_stmts, walk_hints, walk_loops, walk_refs
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
-from repro.errors import AddressError, MachineError
 from repro.interp.executor import Executor, run_program
 from repro.interp.lower import analyze_leaf
 from repro.interp.tracing import access_trace
 from repro.machine.machine import Machine
-from repro.vm.page_table import AddressSpace
 
 CFG = PlatformConfig(memory_pages=128)
 OPTS = CompilerOptions.from_platform(CFG)
@@ -224,26 +222,6 @@ class TestMinMaxBounds:
         b.params.update({"lo": 50, "hi": 99_999})
         stats = run_program(b.build(), Machine(CFG, prefetching=False))
         assert stats.times.user_compute == pytest.approx(1900.0)
-
-
-class TestAddressSpaceQueries:
-    def test_segment_of(self):
-        space = AddressSpace(4096)
-        seg = space.map_segment("a", 8192)
-        assert space.segment_of(seg.base + 100).name == "a"
-        with pytest.raises(AddressError):
-            space.segment_of(seg.end + 4096 + 1)
-
-    def test_vpage_of_zero_page(self):
-        space = AddressSpace(4096)
-        with pytest.raises(AddressError):
-            space.vpage_of(12)
-
-    def test_total_pages(self):
-        space = AddressSpace(4096)
-        space.map_segment("a", 4096 * 3)
-        space.map_segment("b", 100)
-        assert space.total_pages == 4
 
 
 class TestPrinterFallbacks:

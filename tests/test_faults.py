@@ -32,8 +32,8 @@ from repro.faults import (
 )
 from repro.interp.executor import Executor
 from repro.machine.machine import Machine
-from repro.runtime.bitvector import ResidencyBitVector
 from repro.sim.clock import Clock, TimeCategory
+from repro.vm.residency import ResidencyBitVector
 
 #: Small out-of-core platform: 64 frames of memory, 80 pages of data.
 CFG = PlatformConfig(memory_pages=64, num_disks=4)

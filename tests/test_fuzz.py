@@ -43,8 +43,8 @@ from repro.fuzz.strategies import scenarios
 from repro.harness.experiment import run_variant
 from repro.multiprog import CoScheduler
 from repro.obs import Observer
-from repro.runtime.bitvector import ResidencyBitVector
 from repro.seeding import derive_int, derive_key, derive_rng
+from repro.vm.residency import ResidencyBitVector
 
 
 def _quick(strategy, examples=15):

@@ -10,6 +10,8 @@ from repro.core.prefetch_pass import insert_prefetches
 from repro.errors import MachineError
 from repro.harness.experiment import run_variant
 from repro.multiprog import CoScheduler
+from repro.obs import Observer
+from repro.obs.trace import TraceKind
 
 CFG = PlatformConfig(memory_pages=256)
 OPTS = CompilerOptions.from_platform(CFG)
@@ -195,3 +197,18 @@ class TestWithNasApps:
         result = sched.run()
         assert all(p.finish_us > 0 for p in result.processes)
         assert result.stats.release.pages_released > 0
+
+    def test_stall_values_are_never_negative(self):
+        """A blocked process never waits less than zero: a page whose
+        prefetch lands during the fault service records a zero stall."""
+        platform = PlatformConfig(memory_pages=128)
+        opts = CompilerOptions.from_platform(platform)
+        obs = Observer()
+        sched = CoScheduler(platform, observer=obs)
+        for name in ("CGM", "MGRID"):
+            prog = get_app(name).make(120, seed=1)
+            sched.add_process(insert_prefetches(prog, opts).program, name=name)
+        sched.run()
+        assert obs.metrics.get("obs.stall_latency_us").min >= 0
+        faults = [e for e in obs.trace.events() if e.kind is TraceKind.FAULT]
+        assert faults and all(e.value >= 0 for e in faults)

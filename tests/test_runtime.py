@@ -4,12 +4,12 @@ import pytest
 
 from repro.config import PlatformConfig
 from repro.errors import ConfigError
-from repro.runtime.bitvector import ResidencyBitVector
 from repro.runtime.layer import RuntimeLayer
 from repro.sim.clock import Clock, TimeCategory
 from repro.sim.stats import RunStats
 from repro.storage.array_ctl import DiskArray
 from repro.vm.manager import MemoryManager
+from repro.vm.residency import ResidencyBitVector
 
 
 class TestBitVector:

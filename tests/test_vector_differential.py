@@ -9,11 +9,6 @@ kernel (the default) and once through the scalar loop
 (``scalar_chunks=True``, the same code path the ``REPRO_SCALAR=1``
 environment hatch selects), and everything observable must match
 exactly.
-
-A hypothesis property additionally pins the classification primitive
-itself: for arbitrary flag vectors and page-number arrays,
-:meth:`repro.vm.residency.PageFlagVector.take` must agree with the
-scalar ``test`` loop element for element.
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.apps.registry import ALL_APPS, get_app
 from repro.config import PlatformConfig
@@ -30,7 +24,6 @@ from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
 from repro.interp.executor import Executor
 from repro.machine.machine import Machine
-from repro.vm.residency import PageFlagVector
 
 # The golden-trace footprint: small enough that all sixteen configs run
 # in test time, out-of-core enough (data > memory) that every machinery
@@ -107,35 +100,3 @@ def test_scalar_env_hatch_forces_scalar_loop(monkeypatch):
     assert not Machine(PlatformConfig()).scalar_chunks
     monkeypatch.delenv("REPRO_SCALAR")
     assert not Machine(PlatformConfig()).scalar_chunks
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_flag_vector_take_matches_scalar_test(data):
-    """Property: bulk classification == per-page scalar classification.
-
-    Random residency vectors and random query pages, including pages
-    past the end of the flag array (never marked, so never fast).
-    """
-    capacity = data.draw(st.integers(min_value=1, max_value=64))
-    marked = data.draw(
-        st.lists(st.integers(min_value=0, max_value=capacity - 1),
-                 max_size=32)
-    )
-    unmarked = data.draw(
-        st.lists(st.integers(min_value=0, max_value=capacity - 1),
-                 max_size=32)
-    )
-    flags = PageFlagVector(capacity=capacity)
-    for vpage in marked:
-        flags.mark(vpage)
-    for vpage in unmarked:
-        flags.unmark(vpage)
-    queries = data.draw(
-        st.lists(st.integers(min_value=0, max_value=4 * capacity),
-                 min_size=1, max_size=64)
-    )
-    vpages = np.asarray(queries, dtype=np.int64)
-    bulk = flags.take(vpages)
-    scalar = np.array([flags.test(int(v)) for v in queries], dtype=bool)
-    assert np.array_equal(bulk, scalar)

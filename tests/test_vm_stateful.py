@@ -1,6 +1,7 @@
 """Stateful property tests: the VM under arbitrary operation sequences.
 
-Hypothesis drives random interleavings of accesses, prefetches, releases,
+Hypothesis drives random interleavings of accesses (through both
+``access`` and the co-scheduler's ``access_async``), prefetches, releases,
 time advances, and multiprogramming pressure against one MemoryManager and
 checks the global invariants after every step:
 
@@ -9,6 +10,9 @@ checks the global invariants after every step:
 * freelist contents are exactly the FREELIST-state pages;
 * in-transit bookkeeping matches page states;
 * the shared bit vector never claims a never-resident page;
+* the fast-access mask flags exactly the pages the chunk kernel may
+  touch without the manager;
+* a resident prefetched page not yet used arrived no later than now;
 * simulated time never runs backwards.
 """
 
@@ -54,6 +58,10 @@ class VMStateMachine(RuleBasedStateMachine):
     @rule(vpage=PAGES, write=st.booleans())
     def access(self, vpage: int, write: bool) -> None:
         self.manager.access(vpage, write)
+
+    @rule(vpage=PAGES, write=st.booleans())
+    def access_async(self, vpage: int, write: bool) -> None:
+        self.manager.access_async(vpage, write)
 
     @rule(vpage=PAGES, npages=st.integers(1, 6))
     def prefetch(self, vpage: int, npages: int) -> None:
@@ -138,6 +146,28 @@ class VMStateMachine(RuleBasedStateMachine):
         for vpage, page in self.manager.pages.items():
             if page.state == PageState.ON_DISK and not page.prefetched_pending:
                 assert not self.layer.bitvector.test(vpage), vpage
+
+    @invariant()
+    def fast_mask_matches_predicate(self) -> None:
+        if not hasattr(self, "manager"):
+            return
+        pages = self.manager.pages
+        fast = {
+            vpage for vpage, page in pages.items()
+            if page.state == PageState.RESIDENT
+            and (page.used_since_arrival or not page.via_prefetch)
+        }
+        flagged = set(self.manager.fast.raw.nonzero()[0].tolist())
+        assert flagged == fast, (flagged ^ fast)
+
+    @invariant()
+    def unused_prefetched_pages_have_arrived(self) -> None:
+        if not hasattr(self, "manager"):
+            return
+        for vpage, page in self.manager.pages.items():
+            if (page.state == PageState.RESIDENT and page.via_prefetch
+                    and not page.used_since_arrival):
+                assert page.arrival_us <= self.clock.now, vpage
 
     @invariant()
     def time_monotonic(self) -> None:
