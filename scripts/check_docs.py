@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint: reference tables in docs/ must match the code, both ways.
 
-Nineteen authoritative reference tables are checked:
+Twenty authoritative reference tables are checked:
 
 * **Event schema reference** (docs/observability.md) -- one row per
   ``TraceKind`` value;
@@ -14,6 +14,9 @@ Nineteen authoritative reference tables are checked:
 * **FaultPlan schema reference** (docs/robustness.md) -- one row per
   field of the fault-plan dataclasses (``FaultPlan``, ``DiskFaultSpec``,
   ``SlowWindow``, ``PressureStorm``);
+* **Snapshot state reference** (docs/robustness.md) -- one row per
+  ``Machine`` attribute a snapshot carries (``repro.checkpoint.
+  snapshot.STATE``);
 * **Checkpoint metric reference** (docs/robustness.md) -- one row per
   name in ``CKPT_METRIC_NAMES``;
 * **Bench profile reference** (docs/performance.md) -- one row per
@@ -133,74 +136,52 @@ def documented_tokens(doc_path: Path = DOC_PATH) -> dict[str, set[str]]:
     return tokens
 
 
+def _table_tokens(doc_path: Path, heading: str) -> set[str]:
+    """First-column backticked tokens of the table under ``heading``."""
+    doc = doc_path.read_text()
+    if heading not in doc:
+        raise SystemExit(f"{doc_path}: missing section {heading!r}")
+    return {match.group(1)
+            for line in _section_text(doc, heading).splitlines()
+            if (match := _ROW_TOKEN.match(line.strip()))}
+
+
 def documented_plan_fields(doc_path: Path = ROBUSTNESS_DOC_PATH) -> set[str]:
     """First-column tokens of the FaultPlan schema table.
 
     Nested fields are documented as ``owner.field`` (for example
     ``disks.read_error_rate``); top-level ``FaultPlan`` fields are bare.
     """
-    heading = "## FaultPlan schema reference"
-    doc = doc_path.read_text()
-    if heading not in doc:
-        raise SystemExit(f"{doc_path}: missing section {heading!r}")
-    fields = set()
-    for line in _section_text(doc, heading).splitlines():
-        match = _ROW_TOKEN.match(line.strip())
-        if match:
-            fields.add(match.group(1))
-    return fields
+    return _table_tokens(doc_path, "## FaultPlan schema reference")
 
 
 def documented_ckpt_metrics(doc_path: Path = ROBUSTNESS_DOC_PATH) -> set[str]:
     """First-column tokens of the checkpoint metric table."""
-    heading = "## Checkpoint metric reference"
-    doc = doc_path.read_text()
-    if heading not in doc:
-        raise SystemExit(f"{doc_path}: missing section {heading!r}")
-    metrics = set()
-    for line in _section_text(doc, heading).splitlines():
-        match = _ROW_TOKEN.match(line.strip())
-        if match:
-            metrics.add(match.group(1))
-    return metrics
+    return _table_tokens(doc_path, "## Checkpoint metric reference")
+
+
+def documented_snapshot_state(doc_path: Path = ROBUSTNESS_DOC_PATH) -> set[str]:
+    """First-column tokens of the snapshot state table."""
+    return _table_tokens(doc_path, "### Snapshot state reference")
 
 
 def documented_bench_profiles(doc_path: Path = PERFORMANCE_DOC_PATH) -> set[str]:
     """First-column tokens of the bench profile table."""
-    heading = "## Bench profile reference"
-    doc = doc_path.read_text()
-    if heading not in doc:
-        raise SystemExit(f"{doc_path}: missing section {heading!r}")
-    profiles = set()
-    for line in _section_text(doc, heading).splitlines():
-        match = _ROW_TOKEN.match(line.strip())
-        if match:
-            profiles.add(match.group(1))
-    return profiles
+    return _table_tokens(doc_path, "## Bench profile reference")
 
 
 def documented_fast_mask_writers(doc_path: Path = PERFORMANCE_DOC_PATH) -> set[str]:
     """First-column tokens of the fast-access predicate's method table."""
-    heading = "### The fast-access predicate"
-    doc = doc_path.read_text()
-    if heading not in doc:
-        raise SystemExit(f"{doc_path}: missing section {heading!r}")
-    methods = set()
-    for line in _section_text(doc, heading).splitlines():
-        match = _ROW_TOKEN.match(line.strip())
-        if match:
-            methods.add(match.group(1))
-    return methods
+    return _table_tokens(doc_path, "### The fast-access predicate")
 
 
 def fast_mask_writers(manager_path: Path = MANAGER_PATH) -> set[str]:
     """``MemoryManager`` methods that set or clear ``self.fast``.
 
-    A method counts when it takes a flag-writing method (``set``,
-    ``clear``, ``load_bytes``) off ``self.fast`` or off a local alias of
-    it -- so a bound method saved in a local (``fast_clear =
-    self.fast.clear``) counts -- or when it rebinds ``self.fast``
-    anywhere but ``__init__``.
+    A method counts when it takes a flag-writing method (``set`` or
+    ``clear``) off ``self.fast`` or off a local alias of it -- so a bound
+    method saved in a local (``fast_clear = self.fast.clear``) counts --
+    or when it rebinds ``self.fast`` anywhere but ``__init__``.
     """
     def is_self_fast(node: ast.AST) -> bool:
         return (isinstance(node, ast.Attribute) and node.attr == "fast"
@@ -220,7 +201,7 @@ def fast_mask_writers(manager_path: Path = MANAGER_PATH) -> set[str]:
                    for target in node.targets if isinstance(target, ast.Name)}
         for node in nodes:
             if (isinstance(node, ast.Attribute)
-                    and node.attr in ("set", "clear", "load_bytes")):
+                    and node.attr in ("set", "clear")):
                 owner = node.value
                 if is_self_fast(owner) or (isinstance(owner, ast.Name)
                                            and owner.id in aliases):
@@ -450,6 +431,7 @@ def check(
     import dataclasses
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.checkpoint.snapshot import STATE as SNAPSHOT_STATE
     from repro.fuzz.oracles import ORACLE_NAMES
     from repro.fuzz.strategies import STRATEGY_NAMES
     from repro.harness.bench import BENCH_PROFILES
@@ -504,6 +486,16 @@ def check(
     for stale in sorted(doc_ckpt - set(CKPT_METRIC_NAMES)):
         problems.append(
             f"checkpoint metric {stale!r} is documented but not in code")
+
+    doc_state = documented_snapshot_state(robustness_doc_path)
+    for missing in sorted(set(SNAPSHOT_STATE) - doc_state):
+        problems.append(
+            f"snapshot state attribute {missing!r} is in code but not "
+            f"documented")
+    for stale in sorted(doc_state - set(SNAPSHOT_STATE)):
+        problems.append(
+            f"snapshot state attribute {stale!r} is documented but not in "
+            f"code")
 
     doc_profiles = documented_bench_profiles(performance_doc_path)
     for missing in sorted(set(BENCH_PROFILES) - doc_profiles):
@@ -657,6 +649,7 @@ def main() -> int:
           f"{len(tokens['stall_causes'])} stall causes, "
           f"{len(documented_plan_fields())} fault-plan fields, "
           f"{len(documented_ckpt_metrics())} checkpoint metrics, "
+          f"{len(documented_snapshot_state())} snapshot state attributes, "
           f"{len(documented_bench_profiles())} bench profiles, "
           f"{len(documented_fast_mask_writers())} fast-mask methods, "
           f"{len(serve_tokens['jobspec_fields'])} job-spec fields, "

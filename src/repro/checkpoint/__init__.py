@@ -2,10 +2,11 @@
 
 The subsystem has three layers:
 
-* :mod:`repro.checkpoint.snapshot` -- capture/restore of the full
-  machine state (clock, VM, run-time layer, disks, fault RNG streams,
-  interpreter cursor, ``RunStats``, and an attached observer's metrics
-  -- never its trace events);
+* :mod:`repro.checkpoint.snapshot` -- a snapshot is the machine's
+  state objects (clock, ``RunStats``, address space, disks, VM,
+  run-time layer, fault injector) pickled as one graph, plus the
+  interpreter cursor and an attached observer's metrics; the observer
+  itself, its trace included, stays with each incarnation;
 * :mod:`repro.checkpoint.store` -- the versioned, checksummed on-disk
   format, written atomically with a retained ring of the last K
   checkpoints and corruption fallback;

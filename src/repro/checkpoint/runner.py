@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.checkpoint.snapshot import Snapshot, capture
+from repro.checkpoint.snapshot import Snapshot, capture, machine_signature
 from repro.checkpoint.store import CheckpointStore, read_checkpoint_file
 from repro.errors import CheckpointError, ProcessCrash, ensure_finite
 from repro.obs.trace import TraceKind
@@ -90,6 +90,8 @@ class Checkpointer:
         self.store = store
         self.label = config.label
         self.every_us = config.every_us
+        #: The incarnation's machine signature, stamped on every snapshot.
+        self.signature = machine_signature(machine, executor)
         self._next_due = config.every_us if config.every_us is not None else None
         self._pending_crashes = list(config.crash_at_us)
         #: Newest snapshot written by *this* incarnation (recovery loops
@@ -141,7 +143,8 @@ class Checkpointer:
 
     def write_checkpoint(self) -> Snapshot:
         """Capture and persist one snapshot (pure observation)."""
-        snap = capture(self.machine, self.executor, label=self.label)
+        snap = capture(self.machine, self.executor, label=self.label,
+                       signature=self.signature)
         if self.store is not None:
             path, seq = self.store.save(self.label, snap.meta, snap.payload)
             self.latest_path = path

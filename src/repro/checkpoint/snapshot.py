@@ -2,54 +2,74 @@
 
 A snapshot is taken only at an interpreter *safe point* (between work
 units), where no chunk is half-replayed and no layer holds transient
-state outside its long-lived fields.  Capture gathers live references
-to every mutable piece of the machine into one nested dict and pickles
-it -- the pickle *is* the deep copy, and its memo table preserves
-object identity across sections (the same :class:`~repro.vm.page.Page`
-object appears in the page table, the clock ring, and the in-transit
-map; all three must keep pointing at one object after restore).
+state outside its long-lived fields.  It is the machine's state objects
+themselves -- the ``Machine`` attributes named in :data:`STATE` --
+pickled as one graph, together with the executor's cursor and the
+observer's metrics.  One ``pickle`` call means one memo table, so every
+object the layers share is still one object after a restore: the clock
+and the ``RunStats`` every layer holds, the bit vector of the memory
+manager and the run-time layer, each :class:`~repro.vm.page.Page` (in the
+page table, the clock ring and the in-transit map), each disk's fault
+state (held by the disk and by the injector).  A field added to any
+component is captured, restored and compared (:func:`describe_state`)
+without being listed anywhere.
 
-Restore goes the other way and is strictly *in place*: it mutates the
-objects a freshly constructed machine already wired together, so every
-cross-layer reference (the shared clock, the shared ``RunStats``, the
-bit vector the run-time layer and the memory manager both hold) stays
-intact.  Anything that cannot line up -- different platform shape,
-different variant flags, different fault plan -- fails fast with a
-:class:`~repro.errors.CheckpointError` instead of resuming into a
-subtly different run.
+Per-incarnation state never enters the payload.  The observer is
+pickled as a reference that the loader binds to the restoring machine's
+observer, so its trace, sink, context stack and segment map stay its
+own; only its metrics are overwritten, in place, from the snapshot.
+The injector leaves its crash cursor out of its pickled state, and the
+restoring machine's cursor is kept.
+
+Restore checks the signature -- the whole platform, the variant flags,
+the fault plan, observer presence and the executor's mode -- and then
+sets the unpickled objects on a freshly built machine.  A snapshot that
+cannot line up fails fast with a :class:`~repro.errors.CheckpointError`
+instead of resuming into a subtly different run.
 """
 
 from __future__ import annotations
 
+import copyreg
 import dataclasses
 import hashlib
+import io
 import json
 import pickle
-from collections import OrderedDict, deque
+import types
 from typing import Any
 
+import numpy as np
+
 from repro.errors import CheckpointError
-from repro.faults.inject import LaggedBitVector
-from repro.sim.clock import TimeCategory
-from repro.vm.page import PageColumns
-from repro.vm.residency import ResidencyBitVector
+from repro.obs.observer import Observer
 
 #: Version of the pickled state layout (independent of the container
 #: format version in :mod:`repro.checkpoint.store`).
-SNAPSHOT_VERSION = 3  # v3: the observer's trace ring left the snapshot
+SNAPSHOT_VERSION = 4  # v4: the machine's state objects, pickled as one graph
+
+#: The ``Machine`` attributes a snapshot carries.  Every other attribute
+#: (config, variant flags, observer, kernel caches) belongs to the
+#: incarnation and stays with the restoring machine.
+STATE = ("clock", "stats", "address_space", "disks", "manager", "runtime",
+         "injector", "_finished")
 
 
-def _plan_fingerprint(plan) -> str | None:
-    if plan is None:
-        return None
-    blob = json.dumps(plan.to_dict(), sort_keys=True)
+def _fingerprint(fields: dict) -> str:
+    blob = json.dumps(fields, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def machine_signature(machine, executor) -> dict[str, Any]:
-    """Everything a snapshot's machine must agree on to be resumable."""
+    """Everything a snapshot's machine must agree on to be resumable.
+
+    Fixed for an incarnation's lifetime, so a checkpointer computes it
+    once and hands it to every :func:`capture`.
+    """
     runtime = machine.runtime
+    injector = machine.injector
     return {
+        "config": _fingerprint(dataclasses.asdict(machine.config)),
         "memory_pages": machine.config.memory_pages,
         "num_disks": machine.config.num_disks,
         "page_size": machine.config.page_size,
@@ -59,128 +79,48 @@ def machine_signature(machine, executor) -> dict[str, Any]:
         "readahead": machine.manager.readahead,
         "binding": machine.manager.binding,
         "observed": machine.obs is not None,
-        "plan_fingerprint": _plan_fingerprint(
-            machine.injector.plan if machine.injector is not None else None
-        ),
+        "plan_fingerprint": (_fingerprint(injector.plan.to_dict())
+                             if injector is not None else None),
         "vectorize": executor.vectorize,
         "warm": executor.warm_start,
     }
 
 
 # ----------------------------------------------------------------------
-# Capture
+# The observer, bound by reference
 # ----------------------------------------------------------------------
 
 
-def _capture_bitvector(vec) -> Any:
-    if vec is None:
-        return None
-    if isinstance(vec, LaggedBitVector):
-        return ("lagged", vec.inner.to_bytes(), list(vec._pending))
-    if isinstance(vec, ResidencyBitVector):
-        return ("plain", vec.to_bytes())
-    raise CheckpointError(f"unknown bit-vector type {type(vec).__name__}")
+def _observer_reference():
+    """What an observer pickles as; only a snapshot loader resolves it."""
+    raise CheckpointError("an observer reference loads only into a machine")
 
 
-def _capture_metrics(registry) -> list[tuple[str, str, dict]]:
-    captured = []
-    for name in registry.names():
-        inst = registry.get(name)
-        if inst.kind == "counter":
-            state = {"value": inst.value}
-        elif inst.kind == "gauge":
-            state = {"value": inst.value, "min": inst.min, "max": inst.max,
-                     "seen": inst._seen}
-        else:  # histogram
-            state = {"bounds": list(inst.bounds), "buckets": list(inst.buckets),
-                     "count": inst.count, "total": inst.total,
-                     "min": inst.min, "max": inst.max}
-        captured.append((name, inst.kind, state))
-    return captured
+#: The pickler's reductions: copyreg's, plus the observer as a reference.
+_DISPATCH = dict(copyreg.dispatch_table)
+_DISPATCH[Observer] = lambda obs: (_observer_reference, ())
 
 
-def _capture_state(machine, executor) -> dict[str, Any]:
-    manager = machine.manager
-    runtime = machine.runtime
-    injector = machine.injector
-    state: dict[str, Any] = {
-        "version": SNAPSHOT_VERSION,
-        "clock": {
-            "now": machine.clock.now,
-            "by_category": {c.value: t
-                            for c, t in machine.clock.breakdown().items()},
-        },
-        "stats": machine.stats,
-        "vm": {
-            # Pickled as one section so the shared Page objects keep one
-            # identity across the page table, ring, and in-transit map.
-            "pages": manager.pages,
-            "ring": manager.ring._ring,
-            "ring_live": manager.ring._live,
-            "in_transit": manager._in_transit,
-            "frames": {
-                "total": manager.frames.total_frames,
-                "fresh": manager.frames.fresh,
-                "freelist": list(manager.frames.freelist),
-                "in_use": manager.frames.in_use,
-                "reserved": manager.frames.reserved,
-            },
-            "free_last_us": manager._free_last_us,
-            "pressure_events": list(manager._pressure_events),
-            "ra_state": dict(manager._ra_state),
-            "bound_versions": dict(manager._bound_versions),
-        },
-        "bitvector": _capture_bitvector(manager.bitvector),
-        "runtime": None if runtime is None else {
-            "filtered_streak": runtime._filtered_streak,
-            "suppressed_remaining": runtime._suppressed_remaining,
-        },
-        "disks": [
-            {
-                "busy_until": d.busy_until,
-                "last_block": d.last_block,
-                "busy_us": d.busy_us,
-                "sequential_count": d.sequential_count,
-                "near_count": d.near_count,
-                "random_count": d.random_count,
-            }
-            for d in machine.disks.disks
-        ],
-        "disk_array": {
-            "reads_fault": machine.disks.reads_fault,
-            "reads_prefetch": machine.disks.reads_prefetch,
-            "writes": machine.disks.writes,
-            "retries": machine.disks.retries,
-            "degraded_reads": machine.disks.degraded_reads,
-            "degraded_writes": machine.disks.degraded_writes,
-        },
-        "injector": None if injector is None else {
-            # RNG streams resume mid-sequence; the crash cursor is
-            # deliberately NOT captured (see FaultInjector.crash_cursor).
-            "disk_rngs": (
-                {idx: st._rng.getstate()
-                 for idx, st in injector.storage.states.items()}
-                if injector.storage is not None else None
-            ),
-            "hints": None if injector.hints is None else {
-                "rng": injector.hints._rng.getstate(),
-                "consecutive_failures": injector.hints.consecutive_failures,
-                "cooldown_remaining": injector.hints.cooldown_remaining,
-                "in_fallback": injector.hints.in_fallback,
-            },
-        },
-        "machine": {"finished": machine._finished},
-        "executor": {
-            "units": executor.units,
-            "out_of_range_hints": executor.out_of_range_hints,
-        },
-        # Metrics only: trace events are per-incarnation artifacts, so
-        # the payload does not grow with trace occupancy.
-        "obs": None if machine.obs is None else {
-            "metrics": _capture_metrics(machine.obs.metrics),
-        },
-    }
-    return state
+class _Loader(pickle.Unpickler):
+    """Unpickles a payload, binding observer references to ``observer``."""
+
+    def __init__(self, payload: bytes, observer) -> None:
+        super().__init__(io.BytesIO(payload))
+        self.observer = observer
+
+    def find_class(self, module: str, name: str):
+        if module == __name__ and name == _observer_reference.__name__:
+            return lambda: self.observer
+        return super().find_class(module, name)
+
+
+def _graph(machine) -> dict[str, Any]:
+    return {name: getattr(machine, name) for name in STATE}
+
+
+# ----------------------------------------------------------------------
+# Capture and restore
+# ----------------------------------------------------------------------
 
 
 class Snapshot:
@@ -198,9 +138,11 @@ class Snapshot:
     def cursor(self) -> int:
         return self.meta["cursor"]
 
-    def state(self) -> dict[str, Any]:
+    def state(self, observer=None) -> dict[str, Any]:
+        """The unpickled payload, its observer references bound to
+        ``observer``."""
         try:
-            state = pickle.loads(self.payload)
+            state = _Loader(self.payload, observer).load()
         except Exception as exc:
             raise CheckpointError(f"unreadable snapshot payload: {exc}") from None
         if not isinstance(state, dict) or state.get("version") != SNAPSHOT_VERSION:
@@ -212,43 +154,64 @@ class Snapshot:
         return state
 
     def restore_into(self, machine, executor) -> None:
-        """Apply this snapshot to a freshly constructed machine, in place.
+        """Swap this snapshot's state objects into a freshly built machine.
 
         The executor must already have bound the program's arrays (the
         runner arranges this via the resume hook); after restore its
         skip-replay cursor is armed and execution continues live from
         the captured safe point.
         """
-        _check_signature(self.meta, machine, executor)
-        _restore_state(machine, executor, self.state())
+        _check_signature(self.meta, machine_signature(machine, executor))
+        state = self.state(machine.obs)
+        graph = state["machine"]
+        if machine.injector is not None:
+            graph["injector"].crash_cursor = machine.injector.crash_cursor
+        for name in STATE:
+            setattr(machine, name, graph[name])
+        executor._skip_until, executor.out_of_range_hints = state["executor"]
+        if machine.obs is not None:
+            # The resumed incarnation's trace starts empty; its first
+            # event is the runner's checkpoint_restore.
+            machine.obs.trace.clear()
+            _overwrite_metrics(machine.obs.metrics, state["metrics"])
 
 
-def capture(machine, executor, label: str = "run") -> Snapshot:
-    """Snapshot the machine at the current (safe-point) state."""
+def capture(machine, executor, label: str = "run",
+            signature: dict[str, Any] | None = None) -> Snapshot:
+    """Snapshot the machine at the current (safe-point) state.
+
+    ``signature`` is the incarnation's :func:`machine_signature`, when
+    the caller already holds it.
+    """
     meta = {
         "snapshot_version": SNAPSHOT_VERSION,
         "label": label,
         "cycle_us": machine.clock.now,
         "cursor": executor.units,
-        "signature": machine_signature(machine, executor),
+        "signature": signature or machine_signature(machine, executor),
     }
-    payload = pickle.dumps(_capture_state(machine, executor), protocol=4)
-    return Snapshot(meta, payload)
+    state = {
+        "version": SNAPSHOT_VERSION,
+        "machine": _graph(machine),
+        "executor": (executor.units, executor.out_of_range_hints),
+        # Metrics only: the trace is per-incarnation, so the payload does
+        # not grow with trace occupancy.
+        "metrics": None if machine.obs is None else machine.obs.metrics.as_dict(),
+    }
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=4)
+    pickler.dispatch_table = _DISPATCH
+    pickler.dump(state)
+    return Snapshot(meta, buffer.getvalue())
 
 
-# ----------------------------------------------------------------------
-# Restore
-# ----------------------------------------------------------------------
-
-
-def _check_signature(meta, machine, executor) -> None:
+def _check_signature(meta, have: dict[str, Any]) -> None:
     if meta.get("snapshot_version") != SNAPSHOT_VERSION:
         raise CheckpointError(
             f"snapshot version {meta.get('snapshot_version')!r} is not "
             f"supported (this build reads version {SNAPSHOT_VERSION})"
         )
     want = meta.get("signature")
-    have = machine_signature(machine, executor)
     if want != have:
         diffs = sorted(
             k for k in set(want or {}) | set(have)
@@ -260,160 +223,23 @@ def _check_signature(meta, machine, executor) -> None:
         )
 
 
-def _restore_bitvector(vec, state) -> None:
-    if state is None:
-        if vec is not None:
-            raise CheckpointError("snapshot has no bit vector but machine does")
-        return
-    if vec is None:
-        raise CheckpointError("snapshot has a bit vector but machine does not")
-    if state[0] == "lagged":
-        if not isinstance(vec, LaggedBitVector):
-            raise CheckpointError("snapshot bit vector is lagged, machine's is not")
-        vec.inner.load_bytes(state[1])
-        vec._pending = deque(state[2])
-    else:
-        if not isinstance(vec, ResidencyBitVector):
-            raise CheckpointError("snapshot bit vector is plain, machine's is not")
-        vec.load_bytes(state[1])
-
-
-def _restore_metrics(registry, captured) -> None:
-    for name, kind, state in captured:
-        if kind == "counter":
-            inst = registry.counter(name)
-            inst.value = state["value"]
-        elif kind == "gauge":
-            inst = registry.gauge(name)
-            inst.value = state["value"]
-            inst.min = state["min"]
-            inst.max = state["max"]
-            inst._seen = state["seen"]
-        else:
-            inst = registry.histogram(name, bounds=tuple(state["bounds"]))
-            if list(inst.bounds) != list(state["bounds"]):
+def _overwrite_metrics(registry, captured: dict[str, dict]) -> None:
+    """Load ``captured`` (a ``MetricsRegistry.as_dict()``) into the live
+    instruments, so references to them -- the observer's pre-bound
+    histograms -- stay valid."""
+    for name, payload in captured.items():
+        kind = payload["kind"]
+        if kind == "histogram":
+            live = registry.histogram(name, tuple(payload["bounds"]))
+            if list(live.bounds) != payload["bounds"]:
                 raise CheckpointError(
                     f"histogram {name!r} bounds changed since the snapshot"
                 )
-            inst.buckets = list(state["buckets"])
-            inst.count = state["count"]
-            inst.total = state["total"]
-            inst.min = state["min"]
-            inst.max = state["max"]
-
-
-def _restore_state(machine, executor, state: dict[str, Any]) -> None:
-    # Clock -- shared by every layer; mutate in place.
-    machine.clock.restore(
-        state["clock"]["now"],
-        {TimeCategory(key): value
-         for key, value in state["clock"]["by_category"].items()})
-
-    # RunStats -- replace each section on the existing (shared) object.
-    for f in dataclasses.fields(type(machine.stats)):
-        setattr(machine.stats, f.name, getattr(state["stats"], f.name))
-
-    # VM: page table, replacement ring, in-transit map, frame pool.
-    manager = machine.manager
-    vm = state["vm"]
-    manager.pages = vm["pages"]
-    if manager.pages:
-        # The unpickled pages share one PageColumns (pickle memo); adopt
-        # it as the manager's store so later page creation and the chunk
-        # kernel's bulk scatters hit the same arrays.
-        manager.cols = next(iter(manager.pages.values())).cols
-        for page in manager.pages.values():
-            manager.cols.ensure(page.vpage)
-    else:
-        manager.cols = PageColumns()
-    ring = vm["ring"]
-    manager.ring._ring = ring if isinstance(ring, deque) else deque(ring)
-    manager.ring._live = vm["ring_live"]
-    manager._in_transit = vm["in_transit"]
-    frames = vm["frames"]
-    pool = manager.frames
-    if frames["total"] != pool.total_frames:
-        raise CheckpointError(
-            f"snapshot has {frames['total']} frames, machine has "
-            f"{pool.total_frames}"
-        )
-    pool.fresh = frames["fresh"]
-    pool.freelist = OrderedDict((frame, None) for frame in frames["freelist"])
-    pool.in_use = frames["in_use"]
-    pool.reserved = frames["reserved"]
-    manager._free_last_us = vm["free_last_us"]
-    manager._pressure_events = list(vm["pressure_events"])
-    manager._ra_state = dict(vm["ra_state"])
-    manager._bound_versions = dict(vm["bound_versions"])
-    manager.rebuild_fast_mask()
-
-    _restore_bitvector(manager.bitvector, state["bitvector"])
-
-    runtime = machine.runtime
-    if (runtime is None) != (state["runtime"] is None):
-        raise CheckpointError("snapshot and machine disagree on the run-time layer")
-    if runtime is not None:
-        runtime._filtered_streak = state["runtime"]["filtered_streak"]
-        runtime._suppressed_remaining = state["runtime"]["suppressed_remaining"]
-
-    disks = machine.disks
-    if len(state["disks"]) != len(disks.disks):
-        raise CheckpointError(
-            f"snapshot has {len(state['disks'])} disks, machine has "
-            f"{len(disks.disks)}"
-        )
-    for disk, d in zip(disks.disks, state["disks"]):
-        disk.busy_until = d["busy_until"]
-        disk.last_block = d["last_block"]
-        disk.busy_us = d["busy_us"]
-        disk.sequential_count = d["sequential_count"]
-        disk.near_count = d["near_count"]
-        disk.random_count = d["random_count"]
-    array = state["disk_array"]
-    disks.reads_fault = array["reads_fault"]
-    disks.reads_prefetch = array["reads_prefetch"]
-    disks.writes = array["writes"]
-    disks.retries = array["retries"]
-    disks.degraded_reads = array["degraded_reads"]
-    disks.degraded_writes = array["degraded_writes"]
-
-    injector = machine.injector
-    if (injector is None) != (state["injector"] is None):
-        raise CheckpointError("snapshot and machine disagree on fault injection")
-    if injector is not None:
-        inj = state["injector"]
-        if (injector.storage is None) != (inj["disk_rngs"] is None):
-            raise CheckpointError("snapshot and machine disagree on storage faults")
-        if injector.storage is not None:
-            for idx, rng_state in inj["disk_rngs"].items():
-                disk_state = injector.storage.states.get(idx)
-                if disk_state is None:
-                    raise CheckpointError(
-                        f"snapshot faults disk {idx}, machine's plan does not"
-                    )
-                disk_state._rng.setstate(rng_state)
-        if (injector.hints is None) != (inj["hints"] is None):
-            raise CheckpointError("snapshot and machine disagree on hint faults")
-        if injector.hints is not None:
-            hints = inj["hints"]
-            injector.hints._rng.setstate(hints["rng"])
-            injector.hints.consecutive_failures = hints["consecutive_failures"]
-            injector.hints.cooldown_remaining = hints["cooldown_remaining"]
-            injector.hints.in_fallback = hints["in_fallback"]
-        # injector.crash_cursor is per-incarnation state: left untouched.
-
-    machine._finished = state["machine"]["finished"]
-
-    executor._skip_until = state["executor"]["units"]
-    executor.out_of_range_hints = state["executor"]["out_of_range_hints"]
-
-    if (machine.obs is None) != (state["obs"] is None):
-        raise CheckpointError("snapshot and machine disagree on observability")
-    if machine.obs is not None:
-        # The resumed incarnation's trace starts empty; its first event
-        # is the runner's checkpoint_restore.
-        machine.obs.trace.clear()
-        _restore_metrics(machine.obs.metrics, state["obs"]["metrics"])
+        else:
+            live = getattr(registry, kind)(name)
+        saved = type(live).from_dict(name, payload)
+        for slot in type(live).__slots__:
+            setattr(live, slot, getattr(saved, slot))
 
 
 # ----------------------------------------------------------------------
@@ -421,74 +247,41 @@ def _restore_state(machine, executor, state: dict[str, Any]) -> None:
 # ----------------------------------------------------------------------
 
 
-def describe_state(machine, units: int = 0) -> dict[str, Any]:
-    """A canonical, comparison-friendly rendering of the machine state.
+_ATOMS = (type(None), bool, int, float, str, bytes)
+#: Pickled by name: the classes and constructors a reduction names.
+_NAMED = (type, types.FunctionType, types.BuiltinFunctionType)
 
-    Used by the round-trip property tests: comparing two machines'
-    descriptions avoids false negatives from pickle memo ordering while
-    still covering every field a snapshot carries (frames, bit vector,
-    disk queues, RNG streams, ...).
+
+def describe_state(machine, units: int = 0) -> list:
+    """A canonical, comparison-friendly rendering of what a snapshot carries.
+
+    One walk of the graph :func:`capture` pickles, through the same
+    reductions, so every field of every component is compared without
+    being listed.  An object met again renders as a back-reference to
+    its first occurrence, which also pins the sharing a restore must
+    keep.
     """
-    manager = machine.manager
-    runtime = machine.runtime
-    injector = machine.injector
-    vec = manager.bitvector
-    if vec is None:
-        bitvector = None
-    elif isinstance(vec, LaggedBitVector):
-        bitvector = ("lagged", bytes(vec.inner._bits).hex(), list(vec._pending))
-    else:
-        bitvector = ("plain", bytes(vec._bits).hex())
-    return {
-        "clock": {
-            "now": machine.clock.now,
-            "by_category": sorted(
-                (c.value, t) for c, t in machine.clock.breakdown().items()
-            ),
-        },
-        "stats": dataclasses.asdict(machine.stats),
-        "pages": sorted(
-            (p.vpage, int(p.state), p.dirty, p.ref_bit, p.arrival_us,
-             p.via_prefetch, p.used_since_arrival, p.prefetched_pending,
-             p.ring_token, p.version)
-            for p in manager.pages.values()
-        ),
-        "ring": [(p.vpage, token) for p, token in manager.ring._ring],
-        "ring_live": manager.ring._live,
-        "in_transit": sorted(manager._in_transit),
-        "frames": {
-            "fresh": manager.frames.fresh,
-            "freelist": list(manager.frames.freelist),
-            "in_use": manager.frames.in_use,
-            "reserved": manager.frames.reserved,
-        },
-        "free_last_us": manager._free_last_us,
-        "pressure_events": sorted(manager._pressure_events),
-        "ra_state": sorted(manager._ra_state.items()),
-        "bound_versions": sorted(manager._bound_versions.items()),
-        "bitvector": bitvector,
-        "runtime": None if runtime is None else (
-            runtime._filtered_streak, runtime._suppressed_remaining,
-        ),
-        "disks": [
-            (d.busy_until, d.last_block, d.busy_us,
-             d.sequential_count, d.near_count, d.random_count)
-            for d in machine.disks.disks
-        ],
-        "disk_array": (
-            machine.disks.reads_fault, machine.disks.reads_prefetch,
-            machine.disks.writes, machine.disks.retries,
-            machine.disks.degraded_reads, machine.disks.degraded_writes,
-        ),
-        "disk_rngs": None if injector is None or injector.storage is None else
-            sorted((idx, st._rng.getstate())
-                   for idx, st in injector.storage.states.items()),
-        "hints": None if injector is None or injector.hints is None else (
-            injector.hints._rng.getstate(),
-            injector.hints.consecutive_failures,
-            injector.hints.cooldown_remaining,
-            injector.hints.in_fallback,
-        ),
-        "finished": machine._finished,
-        "units": units,
-    }
+    metrics = None if machine.obs is None else machine.obs.metrics.as_dict()
+    return _describe((_graph(machine), units, metrics), {})
+
+
+def _describe(obj, seen: dict[int, tuple[int, Any]]) -> Any:
+    if isinstance(obj, _ATOMS):
+        return obj
+    if isinstance(obj, _NAMED):
+        return f"{obj.__module__}.{obj.__qualname__}"
+    if id(obj) in seen:
+        return ("same-as", seen[id(obj)][0])
+    seen[id(obj)] = (len(seen), obj)  # keeps temporaries alive: ids stay unique
+    if isinstance(obj, (list, tuple)):
+        return [_describe(item, seen) for item in obj]
+    if isinstance(obj, dict):
+        return [(_describe(key, seen), _describe(value, seen))
+                for key, value in obj.items()]
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    reducer = _DISPATCH.get(type(obj))
+    reduced = reducer(obj) if reducer is not None else obj.__reduce_ex__(4)
+    return [_describe(list(part) if index >= 3 and part is not None else part,
+                      seen)
+            for index, part in enumerate(reduced)]

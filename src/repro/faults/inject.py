@@ -213,6 +213,12 @@ class FaultInjector:
         #: ledger carries the delivered count instead.
         self.crash_cursor = 0
 
+    def __getstate__(self) -> tuple:
+        # A snapshot pickles the injector without its crash cursor; the
+        # restore keeps the restoring incarnation's.
+        return None, {"plan": self.plan, "storage": self.storage,
+                      "hints": self.hints}
+
     def next_crash_us(self) -> float | None:
         """The next undelivered crash cycle, or None when exhausted."""
         if self.crash_cursor < len(self.plan.crashes):

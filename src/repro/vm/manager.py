@@ -122,20 +122,6 @@ class MemoryManager:
             self.pages[vpage] = page
         return page
 
-    def rebuild_fast_mask(self) -> None:
-        """Recompute the fast-access mask from the page table.
-
-        Needed after a checkpoint restore, which replaces ``pages``
-        wholesale; every other mutation keeps the mask in sync inline.
-        """
-        fast = ResidencyBitVector()
-        for vpage, page in self.pages.items():
-            if page.state == PageState.RESIDENT and (
-                page.used_since_arrival or not page.via_prefetch
-            ):
-                fast.set(vpage)
-        self.fast = fast
-
     # ------------------------------------------------------------------
     # Multiprogramming pressure (future-work extension, paper Section 6)
     # ------------------------------------------------------------------

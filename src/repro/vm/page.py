@@ -101,6 +101,18 @@ class Page:
         #: Insertion token for lazy deletion in the clock ring.
         self.ring_token = 0
 
+    # A snapshot pickles every page: a tuple state spares each slot name
+    # a memo fetch in the payload.
+    def __getstate__(self) -> tuple:
+        return (self.vpage, self.state, self.arrival_us, self.via_prefetch,
+                self.used_since_arrival, self.prefetched_pending,
+                self.ring_token, self.cols)
+
+    def __setstate__(self, state: tuple) -> None:
+        (self.vpage, self.state, self.arrival_us, self.via_prefetch,
+         self.used_since_arrival, self.prefetched_pending, self.ring_token,
+         self.cols) = state
+
     # Columnar fields: same read/write semantics as plain attributes,
     # backed by the shared arrays so the chunk kernel can update whole
     # segments at once.

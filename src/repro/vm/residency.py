@@ -90,19 +90,6 @@ class ResidencyBitVector:
         self._ensure(vpage // self.granularity)
         return self._bits
 
-    # Serialization (checkpoint snapshots).
-    def to_bytes(self) -> bytes:
-        return self._bits.tobytes()
-
-    def load_bytes(self, blob: bytes) -> None:
-        self.drops += 1
-        bits = np.frombuffer(blob, dtype=np.uint8).copy()
-        if len(bits) < 1024:
-            grown = np.zeros(1024, dtype=np.uint8)
-            grown[: len(bits)] = bits
-            bits = grown
-        self._bits = bits
-
     @property
     def raw(self) -> np.ndarray:
         """The raw bit array (re-read after any call that may grow it)."""

@@ -110,6 +110,26 @@ def test_lint_catches_fast_mask_method_drift(check_docs, tmp_path):
     assert any("'_map'" in p and "not documented" in p for p in problems)
 
 
+def test_lint_catches_snapshot_state_drift(check_docs, tmp_path):
+    """The robustness doc's snapshot state table names exactly the
+    Machine attributes a snapshot carries, both ways."""
+    from repro.checkpoint.snapshot import STATE
+
+    assert check_docs.documented_snapshot_state() == set(STATE)
+    doc = (REPO_ROOT / "docs" / "robustness.md").read_text()
+    mutated = tmp_path / "robustness.md"
+
+    # A state attribute missing from the doc.
+    mutated.write_text(doc.replace("| `manager` |", "| not-a-row |"))
+    problems = check_docs.check(robustness_doc_path=mutated)
+    assert any("'manager'" in p and "not documented" in p for p in problems)
+
+    # A documented attribute the snapshot does not carry.
+    mutated.write_text(doc.replace("| `clock` |", "| `clock_renamed` |"))
+    problems = check_docs.check(robustness_doc_path=mutated)
+    assert any("'clock_renamed'" in p for p in problems)
+
+
 def test_fast_mask_writers_follow_aliases_and_rebinding(check_docs, tmp_path):
     source = tmp_path / "manager.py"
     source.write_text(

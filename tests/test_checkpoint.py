@@ -33,6 +33,7 @@ from repro.checkpoint import (
     run_with_recovery,
 )
 from repro.checkpoint.runner import setup_checkpointing
+from repro.checkpoint.snapshot import STATE
 from repro.checkpoint.store import CONTAINER_VERSION, encode_checkpoint
 from repro.config import PlatformConfig
 from repro.core.options import CompilerOptions
@@ -97,6 +98,17 @@ class _SafePointProbe:
 
     def at_safe_point(self, executor):
         self.cycles.append(self.machine.clock.now)
+
+
+def _snapshots(program, make, every_us):
+    """Every snapshot an uninterrupted run writes at ``every_us``."""
+    machine, executor = make()
+    ckpt = Checkpointer(machine, executor, CheckpointConfig(every_us=every_us))
+    snaps = []
+    ckpt.on_write = snaps.append
+    executor.checkpointer = ckpt
+    executor.run(program)
+    return snaps
 
 
 def _probe_run(program, prefetching, plan=None):
@@ -289,25 +301,32 @@ class TestRingFreeSnapshots:
         assert obs.trace.total_emitted >= 50_000
         after = capture(machine, executor)
         assert len(after.payload) == len(before.payload)
-        assert "ring" not in after.state()["obs"]
+        # The observer is pickled as a reference: no repro.obs object,
+        # the trace ring least of all, is in the payload.
+        assert b"repro.obs" not in after.payload
+        assert b"TraceBuffer" not in after.payload
 
     def test_v2_checkpoint_rejected(self, programs, tmp_path):
+        """v2 and v3 payloads are both refused."""
         program = programs[("EMBAR", True)]
         machine, executor = _factory(True)()
         executor.run(program)
         snap = capture(machine, executor, label="old")
-        state = snap.state()
-        state["version"] = 2
-        path = tmp_path / "old.00000001.ckpt"
-        path.write_bytes(encode_checkpoint(
-            dict(snap.meta, snapshot_version=2, seq=1),
-            pickle.dumps(state, protocol=4)))
-        fresh, fresh_ex = _factory(True)()
-        setup_checkpointing(fresh, fresh_ex,
-                            CheckpointConfig(label="old", resume_from=path))
-        with pytest.raises(CheckpointError,
-                           match="version 2 is not supported.*reads version 3"):
-            fresh_ex.run(program)
+        for version in (2, 3):
+            state = snap.state()
+            state["version"] = version
+            path = tmp_path / f"old{version}.00000001.ckpt"
+            path.write_bytes(encode_checkpoint(
+                dict(snap.meta, snapshot_version=version, seq=1),
+                pickle.dumps(state, protocol=4)))
+            fresh, fresh_ex = _factory(True)()
+            setup_checkpointing(fresh, fresh_ex,
+                                CheckpointConfig(label=f"old{version}",
+                                                 resume_from=path))
+            with pytest.raises(CheckpointError,
+                               match=f"version {version} is not supported"
+                                     ".*reads version 4"):
+                fresh_ex.run(program)
 
     @pytest.mark.parametrize("variant", ["O", "P"])
     @pytest.mark.parametrize("app", APP_NAMES)
@@ -576,6 +595,82 @@ class TestGuards:
         other_ex.bind(programs[("EMBAR", False)])
         with pytest.raises(CheckpointError, match="signature"):
             snap.restore_into(other, other_ex)
+
+    @pytest.mark.parametrize("change", [
+        {"bitvector_granularity": 4},
+        {"free_target_fraction": 2 * CFG.free_target_fraction},
+        {"cost": dataclasses.replace(
+            CFG.cost, filter_check_us=3 * CFG.cost.filter_check_us)},
+    ], ids=["bitvector_granularity", "free_target_fraction", "filter_check_us"])
+    def test_snapshot_pins_the_whole_platform(self, programs, change):
+        """A platform that differs in any field refuses the snapshot, even
+        where memory, disks and page size agree."""
+        program = programs[("BUK", True)]
+        snaps = _snapshots(program, _factory(True), every_us=50_000.0)
+        snap = snaps[len(snaps) // 2]
+        other = Machine(CFG.scaled(**change), prefetching=True)
+        other_ex = Executor(other)
+        other_ex.bind(program)
+        with pytest.raises(CheckpointError, match="signature keys: config$"):
+            snap.restore_into(other, other_ex)
+
+
+# ----------------------------------------------------------------------
+# The snapshot is the machine's state objects, swapped in whole
+# ----------------------------------------------------------------------
+
+#: Machine attributes that belong to the incarnation: a restore keeps
+#: the restoring machine's own.
+KEPT = {"config", "prefetching", "scalar_chunks", "obs", "_ovh_seq"}
+
+
+class TestStateGraph:
+    def test_every_machine_attribute_is_classified(self):
+        """A new Machine attribute must join the snapshot's STATE or the
+        kept side."""
+        machines = [
+            Machine(CFG, prefetching=False),
+            Machine(CFG, prefetching=True),
+            Machine(CFG, prefetching=True,
+                    fault_plan=default_plan(CFG.num_disks, seed=1)),
+            Machine(CFG, prefetching=True, observer=Observer()),
+        ]
+        for machine in machines:
+            assert set(vars(machine)) == set(STATE) | KEPT
+
+    def test_restore_leaves_no_stale_reference(self, programs):
+        program = programs[("EMBAR", True)]
+        plan = dataclasses.replace(default_plan(CFG.num_disks, seed=1),
+                                   crashes=(1e12,))
+        snaps = _snapshots(program, _factory(True, plan, observer=Observer()),
+                           every_us=50_000.0)
+        snap = snaps[len(snaps) // 2]
+        obs = Observer()
+        machine, executor = _factory(True, plan, observer=obs)()
+        executor.bind(program)
+        machine.injector.crash_cursor = 1  # this incarnation's own
+        snap.restore_into(machine, executor)
+
+        manager, runtime = machine.manager, machine.runtime
+        injector = machine.injector
+        assert manager.clock is machine.clock
+        assert runtime.clock is machine.clock
+        assert runtime.bitvector is manager.bitvector
+        assert manager.bitvector.clock is machine.clock  # lagged
+        assert manager.stats is machine.stats and runtime.stats is machine.stats
+        assert runtime.manager is manager and manager.disks is machine.disks
+        assert runtime.hint_faults is injector.hints
+        assert machine.disks.faults is injector.storage
+        assert injector.storage.states
+        for index, state in injector.storage.states.items():
+            assert machine.disks.disks[index].faults is state
+        assert machine.obs is obs
+        for component in (manager, runtime, machine.disks):
+            assert component.obs is obs
+        assert obs.stall_latency is obs.metrics.get("obs.stall_latency_us")
+        assert injector.crash_cursor == 1
+        ring_pages = {id(page) for page, _token in manager.ring._ring}
+        assert ring_pages <= {id(page) for page in manager.pages.values()}
 
 
 # ----------------------------------------------------------------------
