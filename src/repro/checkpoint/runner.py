@@ -142,7 +142,17 @@ class Checkpointer:
     # ------------------------------------------------------------------
 
     def write_checkpoint(self) -> Snapshot:
-        """Capture and persist one snapshot (pure observation)."""
+        """Capture and persist one snapshot (pure observation).
+
+        ``ckpt.writes`` and ``ckpt.last_cycle_us`` are set before the
+        capture, so a snapshot counts itself and a run resumed from it
+        counts every checkpoint of the run; ``ckpt.payload_bytes`` is set
+        after, as no snapshot can hold its own size.
+        """
+        obs = self.machine.obs
+        if obs is not None:
+            obs.metrics.counter("ckpt.writes").inc()
+            obs.metrics.gauge("ckpt.last_cycle_us").set(self.machine.clock.now)
         snap = capture(self.machine, self.executor, label=self.label,
                        signature=self.signature)
         if self.store is not None:
@@ -153,13 +163,10 @@ class Checkpointer:
             snap.meta = dict(snap.meta, seq=self.writes + 1)
         self.latest = snap
         self.writes += 1
-        obs = self.machine.obs
         if obs is not None:
             obs.emit(self.machine.clock.now, TraceKind.CHECKPOINT_WRITE,
                      -1, 1, float(len(snap.payload)), f"seq{snap.meta['seq']}")
-            obs.metrics.counter("ckpt.writes").inc()
             obs.metrics.gauge("ckpt.payload_bytes").set(float(len(snap.payload)))
-            obs.metrics.gauge("ckpt.last_cycle_us").set(self.machine.clock.now)
         if self.on_write is not None:
             self.on_write(snap)
         return snap

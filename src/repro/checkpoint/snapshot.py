@@ -8,11 +8,11 @@ pickled as one graph, together with the executor's cursor and the
 observer's metrics.  One ``pickle`` call means one memo table, so every
 object the layers share is still one object after a restore: the clock
 and the ``RunStats`` every layer holds, the bit vector of the memory
-manager and the run-time layer, each :class:`~repro.vm.page.Page` (in the
-page table, the clock ring and the in-transit map), each disk's fault
-state (held by the disk and by the injector).  A field added to any
-component is captured, restored and compared (:func:`describe_state`)
-without being listed anywhere.
+manager and the run-time layer, the manager's
+:class:`~repro.vm.page.PageColumns` (read by the clock ring too), each
+disk's fault state (held by the disk and by the injector).  A field
+added to any component is captured, restored and compared
+(:func:`describe_state`) without being listed anywhere.
 
 Per-incarnation state never enters the payload.  The observer is
 pickled as a reference that the loader binds to the restoring machine's
@@ -46,7 +46,7 @@ from repro.obs.observer import Observer
 
 #: Version of the pickled state layout (independent of the container
 #: format version in :mod:`repro.checkpoint.store`).
-SNAPSHOT_VERSION = 4  # v4: the machine's state objects, pickled as one graph
+SNAPSHOT_VERSION = 5  # v5: v4's graph, with page state pickled as columns
 
 #: The ``Machine`` attributes a snapshot carries.  Every other attribute
 #: (config, variant flags, observer, kernel caches) belongs to the

@@ -15,12 +15,12 @@ machine.Machine` and hands each layer its slice of the plan:
   demand-paging fallback state machine) and, with ``bitvector_lag_us``
   set, its bit vector is wrapped in a :class:`LaggedBitVector`.
 
-Determinism: every random stream is derived via
-:func:`repro.seeding.derive_rng` from ``plan.seed`` plus a fixed
-per-layer salt, and all draws happen at well-defined points of the
-(single-threaded) simulation, so a plan is exactly reproducible.  No
-injector exists when no plan is given -- the opt-out costs one
-``is None`` check per already-slow path.
+Determinism: every random stream is a :class:`repro.seeding.KeyedRng`
+derived from ``plan.seed`` plus a fixed per-layer salt, and all draws
+happen at well-defined points of the (single-threaded) simulation, so a
+plan is exactly reproducible; a snapshot carries each stream as its key
+and draw count.  No injector exists when no plan is given -- the opt-out
+costs one ``is None`` check per already-slow path.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections import deque
 
 from repro.errors import ConfigError
 from repro.faults.plan import DiskFaultSpec, FaultPlan
-from repro.seeding import derive_rng
+from repro.seeding import KeyedRng
 
 
 class DiskFaultState:
@@ -39,7 +39,7 @@ class DiskFaultState:
 
     def __init__(self, spec: DiskFaultSpec, seed: int) -> None:
         self.spec = spec
-        self._rng = derive_rng(seed, "disk", spec.disk)
+        self._rng = KeyedRng(seed, "disk", spec.disk)
         self._has_errors = spec.read_error_rate > 0.0
 
     def service_scale(self, at_us: float) -> float:
@@ -106,7 +106,7 @@ class HintFaultState:
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self._rng = derive_rng(plan.seed, "hints")
+        self._rng = KeyedRng(plan.seed, "hints")
         self.consecutive_failures = 0
         self.cooldown_remaining = 0
         self.in_fallback = False

@@ -203,8 +203,7 @@ class FilterSoundnessChecker:
         if kind is not TraceKind.PREFETCH_FILTERED:
             return
         for page_no in range(vpage, vpage + npages):
-            page = self.manager.pages.get(page_no)
-            state = page.state if page is not None else PageState.ON_DISK
+            state = self.manager.state_of(page_no)
             self.checked += 1
             if state not in (PageState.RESIDENT, PageState.IN_TRANSIT):
                 raise OracleViolation(

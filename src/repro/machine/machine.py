@@ -28,7 +28,6 @@ from repro.sim.clock import Clock, TimeCategory
 from repro.sim.stats import RunStats, TimeBreakdown
 from repro.storage.array_ctl import DiskArray
 from repro.vm.manager import MemoryManager
-from repro.vm.page import PageState
 from repro.vm.page_table import AddressSpace, Segment
 
 
@@ -217,11 +216,20 @@ class Machine:
             self._run_chunk_vector(kinds, pages, costs)
 
     def _run_chunk_scalar(self, kinds: list, pages: list, costs: list) -> None:
-        """The reference event loop (one Python iteration per event)."""
+        """The reference event loop (one Python iteration per event).
+
+        An access is a hit when its page's byte in the manager's
+        fast-access mask is set (the mask is the fast-access predicate,
+        docs/performance.md); the hit then writes the page's ref, dirty
+        and version columns directly.  Every buffer is a local, re-read
+        after each slow call: readahead or a prefetch can grow the store.
+        """
+        if not kinds:
+            return
         clock = self.clock
         manager = self.manager
-        page_map = manager.pages
-        resident = PageState.RESIDENT
+        mask = manager.fast
+        cols = manager.cols
         runtime = self.runtime
         obs = self.obs
         # The inline filter fast path is only valid for the plain filter;
@@ -239,8 +247,17 @@ class Machine:
             and not runtime.adaptive and obs is None
             and self.injector is None
         )
-        bits = runtime.bitvector.raw if filter_on else None
-        granularity = runtime.bitvector.granularity if filter_on else 1
+        bitvec = runtime.bitvector if filter_on else None
+        granularity = bitvec.granularity if filter_on else 1
+        # With capacity for the chunk's largest page, no event needs a
+        # bounds check; growth during a slow call only adds capacity.
+        maxp = max(pages)
+        mask.reserve(maxp)
+        if filter_on:
+            bitvec.reserve(maxp)
+        fast = mask.bits
+        bits = bitvec.bits if filter_on else None
+        ref, dirty, version = cols.ref, cols.dirty, cols.version
         addr_gen_cost = self.config.cost.addr_gen_us
         filter_cost = self.config.cost.filter_check_us + addr_gen_cost
 
@@ -261,22 +278,14 @@ class Machine:
                 clock.advance(pending_overhead, TimeCategory.USER_OVERHEAD)
                 pending_overhead = 0.0
 
-        for i in range(len(kinds)):
-            pending_compute += costs[i]
-            kind = kinds[i]
-            vpage = pages[i]
+        for kind, vpage, cost in zip(kinds, pages, costs):
+            pending_compute += cost
             if kind <= 1:  # READ or WRITE
-                page = page_map.get(vpage)
-                if (
-                    fast_access_ok
-                    and page is not None
-                    and page.state == resident
-                    and (page.used_since_arrival or not page.via_prefetch)
-                ):
-                    page.ref_bit = True
+                if fast_access_ok and fast[vpage]:
+                    ref[vpage] = 1
                     if kind == 1:
-                        page.dirty = True
-                        page.version += 1
+                        dirty[vpage] = 1
+                        version[vpage] += 1
                     hits += 1
                     continue
                 flush_time()
@@ -287,8 +296,7 @@ class Machine:
                 if bits is not None:
                     inserted += 1
                     pending_overhead += filter_cost
-                    index = vpage // granularity
-                    if index < len(bits) and bits[index]:
+                    if bits[vpage // granularity]:
                         filtered += 1
                         continue
                     flush_time()
@@ -306,6 +314,11 @@ class Machine:
                 runtime.release([vpage])
             else:
                 raise MachineError(f"unknown event kind {kind}")
+            # Back from a slow call: re-read every buffer it may have grown.
+            fast = mask.bits
+            if bits is not None:
+                bits = bitvec.bits
+            ref, dirty, version = cols.ref, cols.dirty, cols.version
 
         flush_time()
         self.stats.faults.hits += hits
@@ -423,8 +436,8 @@ class Machine:
             """Page effects of the fast accesses in [a, b).
 
             Two array scatters into the columnar page store: ref bits and
-            dirty bits are sticky (duplicate scatter == repeated
-            attribute write), so they go in per segment -- the very next
+            dirty bits are sticky (duplicate scatter == repeated item
+            write), so they go in per segment -- the very next
             slow call may read them (victim selection, write-back).  The
             column references are re-read every call because slow calls
             can grow the store.
@@ -433,13 +446,13 @@ class Machine:
                 return
             pg = pages_a[a:b]
             if all_access:
-                cols.ref[pg] = 1
+                cols.ref_view[pg] = 1
             else:
-                cols.ref[pg[is_access[a:b]]] = 1
+                cols.ref_view[pg[is_access[a:b]]] = 1
             if has_write:
                 w = pg[is_write[a:b]]
                 if w.size:
-                    cols.dirty[w] = 1
+                    cols.dirty_view[w] = 1
 
         def flush_versions(upto: int) -> None:
             """Write-version counters for every fast write in [0, upto).
@@ -455,7 +468,7 @@ class Machine:
             w = pages_a[:upto][is_write[:upto]]
             if w.size:
                 bc = np.bincount(w)
-                version = cols.version
+                version = cols.version_view
                 version[: len(bc)] += bc
                 for v in slow_writes:
                     version[v] -= 1

@@ -19,6 +19,11 @@ For consumers that need an *integer* seed (numpy generators, hypothesis)
 ``derive_int`` hashes the same key with SHA-256, so it is stable across
 processes and Python versions (``hash()`` is salted per process and must
 never be used for this).
+
+A stream that travels inside a checkpoint is a :class:`KeyedRng`: the
+same ``random.Random(key)`` draws, but it pickles as its key and the
+number of draws taken (a few dozen bytes) instead of the Mersenne-Twister
+state (625 ints), and fast-forwards on load.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-__all__ = ["derive_key", "derive_rng", "derive_int"]
+__all__ = ["derive_key", "derive_rng", "derive_int", "KeyedRng"]
 
 
 def derive_key(*parts: object) -> str:
@@ -52,3 +57,30 @@ def derive_int(*parts: object, bits: int = 64) -> int:
     """
     digest = hashlib.sha256(derive_key(*parts).encode()).digest()
     return int.from_bytes(digest, "big") % (1 << bits)
+
+
+class KeyedRng:
+    """``random.Random(key)``, drawn only through :meth:`random`, that
+    pickles as ``(key, draws)``."""
+
+    __slots__ = ("key", "draws", "_rng")
+
+    def __init__(self, *parts: object) -> None:
+        self.key = derive_key(*parts)
+        #: Draws taken so far.
+        self.draws = 0
+        self._rng = random.Random(self.key)
+
+    def random(self) -> float:
+        """The stream's next float in [0, 1)."""
+        self.draws += 1
+        return self._rng.random()
+
+    def __getstate__(self) -> tuple[str, int]:
+        return self.key, self.draws
+
+    def __setstate__(self, state: tuple[str, int]) -> None:
+        self.key, self.draws = state
+        rng = self._rng = random.Random(self.key)
+        for _ in range(self.draws):
+            rng.random()

@@ -105,11 +105,5 @@ class Clock:
         """A copy of the per-category accounting, in declaration order."""
         return dict(zip(TimeCategory, self._spent))
 
-    def restore(self, now: float, breakdown: dict[TimeCategory, float]) -> None:
-        """Reset to ``now`` with ``breakdown``'s per-category sums (a
-        category it omits restarts at zero)."""
-        self.now = now
-        self._spent = [breakdown.get(c, 0.0) for c in TimeCategory]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Clock(now={self.now:.1f}us)"

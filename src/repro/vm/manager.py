@@ -31,7 +31,9 @@ from repro.sim.clock import Clock, TimeCategory
 from repro.sim.stats import RunStats
 from repro.storage.array_ctl import DiskArray, IOKind
 from repro.vm.frames import FramePool
-from repro.vm.page import Page, PageColumns, PageState
+from repro.vm.page import (
+    FREELIST, IN_TRANSIT, ON_DISK, RESIDENT, PageColumns, PageState,
+)
 from repro.vm.replacement import ClockRing
 from repro.vm.residency import ResidencyBitVector
 
@@ -88,19 +90,19 @@ class MemoryManager:
         self.binding = binding
         self._bound_versions: dict[int, int] = {}
         self.frames = FramePool(config.available_frames)
-        self.ring = ClockRing()
-        self.pages: dict[int, Page] = {}
+        #: Every per-page field, one column each, indexed by vpage; its
+        #: first-touch list is the set of pages the manager has created.
+        self.cols = PageColumns()
+        self.ring = ClockRing(self.cols)
         #: Fast-access mask: a granularity-1 flag per page mirroring the
         #: chunk kernel's predicate (resident and past its first
         #: prefetched use); every state transition below keeps it in sync
-        #: so ``run_chunk`` can classify a whole chunk of accesses with
-        #: one numpy gather.
+        #: so ``run_chunk`` classifies a whole chunk of accesses with one
+        #: numpy gather, and the scalar loop each access with one byte.
         self.fast = ResidencyBitVector()
-        #: Columnar ref/dirty/version store shared by every Page; the
-        #: chunk kernel scatters whole fast segments into it.
-        self.cols = PageColumns()
-        #: Pages currently IN_TRANSIT, for settle-on-pressure handling.
-        self._in_transit: dict[int, Page] = {}
+        #: Pages currently IN_TRANSIT, in transit order (an ordered set),
+        #: for settle-on-pressure handling.
+        self._in_transit: dict[int, None] = {}
         self._free_last_us = 0.0
         #: Multiprogramming pressure schedule: a heap of (time_us,
         #: frame_delta); positive deltas claim frames for a competitor,
@@ -114,13 +116,10 @@ class MemoryManager:
     # Bookkeeping helpers
     # ------------------------------------------------------------------
 
-    def page_of(self, vpage: int) -> Page:
-        page = self.pages.get(vpage)
-        if page is None:
-            self.cols.ensure(vpage)
-            page = Page(vpage, self.cols)
-            self.pages[vpage] = page
-        return page
+    def state_of(self, vpage: int) -> PageState:
+        """``vpage``'s residency state (ON_DISK for a page never touched)."""
+        cols = self.cols
+        return PageState(cols.state[vpage] if vpage < cols.capacity else ON_DISK)
 
     # ------------------------------------------------------------------
     # Multiprogramming pressure (future-work extension, paper Section 6)
@@ -198,22 +197,23 @@ class MemoryManager:
     def _settle_arrived(self) -> int:
         """Convert IN_TRANSIT pages whose reads completed into residents."""
         now = self.clock.now
-        settled = 0
-        for vpage in [v for v, p in self._in_transit.items() if p.arrival_us <= now]:
-            page = self._in_transit.pop(vpage)
-            page.state = PageState.RESIDENT
-            self.ring.insert(page)
-            settled += 1
-        return settled
+        cols = self.cols
+        arrival = cols.arrival_us
+        settled = [v for v in self._in_transit if arrival[v] <= now]
+        for vpage in settled:
+            del self._in_transit[vpage]
+            cols.state[vpage] = RESIDENT
+            self.ring.insert(vpage)
+        return len(settled)
 
-    def _select_victim(self) -> Page | None:
+    def _select_victim(self) -> int | None:
         """Run the clock hand, settling arrived prefetches if it finds none."""
         victim = self.ring.select_victim()
         if victim is None and self._settle_arrived():
             victim = self.ring.select_victim()
         return victim
 
-    def _evict(self, victim: Page, tag: str) -> None:
+    def _evict(self, victim: int, tag: str) -> None:
         """RESIDENT -> ON_DISK for the clock hand's ``victim``.
 
         Writes are buffered and pipelined, so a dirty victim's write-back
@@ -221,20 +221,22 @@ class MemoryManager:
         where the vacated frame goes.
         """
         now = self.clock.now
+        cols = self.cols
+        dirty = cols.dirty[victim]
         self.stats.memory.evictions += 1
         if self.obs is not None:
-            self.obs.emit(now, TraceKind.EVICTION, victim.vpage,
-                          value=float(victim.dirty), tag=tag)
-        if victim.dirty:
-            self.disks.write_page(victim.vpage, now)
+            self.obs.emit(now, TraceKind.EVICTION, victim,
+                          value=float(dirty), tag=tag)
+        if dirty:
+            self.disks.write_page(victim, now)
             self.stats.memory.eviction_writebacks += 1
-            victim.dirty = False
-        victim.state = PageState.ON_DISK
-        victim.via_prefetch = False
-        victim.used_since_arrival = False
-        self.fast.clear(victim.vpage)
+            cols.dirty[victim] = 0
+        cols.state[victim] = ON_DISK
+        cols.via_prefetch[victim] = 0
+        cols.used_since_arrival[victim] = 0
+        self.fast.clear(victim)
         if self.bitvector is not None:
-            self.bitvector.clear(victim.vpage)
+            self.bitvector.clear(victim)
 
     def _steal_free_frame(self) -> bool:
         """FREELIST -> ON_DISK: take the oldest free-list frame, if any,
@@ -242,9 +244,9 @@ class MemoryManager:
         stolen = self.frames.steal_from_freelist()
         if stolen is None:
             return False
-        discarded = self.pages[stolen]
-        discarded.state = PageState.ON_DISK
-        discarded.via_prefetch = False
+        cols = self.cols
+        cols.state[stolen] = ON_DISK
+        cols.via_prefetch[stolen] = 0
         self.fast.clear(stolen)
         if self.bitvector is not None:
             self.bitvector.clear(stolen)
@@ -279,10 +281,11 @@ class MemoryManager:
         if victim is None and self._in_transit:
             # Every frame is pinned by an in-flight prefetch: wait for the
             # earliest *issued* arrival, settle it, and evict it.
+            arrival = self.cols.arrival_us
             issued = [
-                p.arrival_us
-                for p in self._in_transit.values()
-                if p.arrival_us != float("inf")
+                arrival[v]
+                for v in self._in_transit
+                if arrival[v] != float("inf")
             ]
             if issued:
                 waited = self.clock.wait_until(min(issued), TimeCategory.STALL_READ)
@@ -310,38 +313,40 @@ class MemoryManager:
 
     def access(self, vpage: int, is_write: bool) -> AccessOutcome:
         """Perform one memory access, charging all costs to the clock."""
-        page = self.pages.get(vpage) or self.page_of(vpage)
-        state = page.state
-        if state == PageState.FREELIST:
+        cols = self.cols
+        cols.create(vpage)
+        state = cols.state[vpage]
+        if state == FREELIST:
             # Run any due daemon/pressure work *before* committing to the
             # reclaim: it may steal this very frame, in which case the
             # access proceeds as an ordinary demand fault.
             self._tick_free()
-            state = page.state
+            state = cols.state[vpage]
 
         if self.binding and not is_write and vpage in self._bound_versions:
             # Only a load consumes the binding buffer (a store writes
             # memory, bypassing it); the check runs before any bump, so
             # an intervening store since the copy is visible here.
-            self._check_binding_staleness(page)
+            self._check_binding_staleness(vpage)
 
-        if state == PageState.RESIDENT:
-            return self._touch_resident(page, is_write)
+        if state == RESIDENT:
+            return self._touch_resident(vpage, is_write)
         clock = self.clock
-        if state == PageState.IN_TRANSIT:
-            if self._map_in_transit(page, is_write):
+        if state == IN_TRANSIT:
+            if self._map_in_transit(vpage, is_write):
                 return AccessOutcome.PREFETCHED_HIT
             use_ts = clock.now
             clock.advance(self.config.cost.fault_service_us, TimeCategory.SYS_FAULT)
-            waited = clock.wait_until(page.arrival_us, TimeCategory.STALL_READ)
-            self._in_flight_fault(page, use_ts, waited)
+            waited = clock.wait_until(cols.arrival_us[vpage],
+                                      TimeCategory.STALL_READ)
+            self._in_flight_fault(vpage, use_ts, waited)
             return AccessOutcome.PREFETCHED_FAULT
-        if state == PageState.FREELIST:
-            return self._reclaim(page, is_write)
+        if state == FREELIST:
+            return self._reclaim(vpage, is_write)
         # ON_DISK: a full demand fault -- trap, frame, read, wait, then map.
         completion = self._start_fault_read(vpage)
         waited = clock.wait_until(completion, TimeCategory.STALL_READ)
-        return self._map_fault(page, completion, is_write, waited)
+        return self._map_fault(vpage, completion, is_write, waited)
 
     def access_async(self, vpage: int, is_write: bool) -> float:
         """Like :meth:`access`, but never waits: returns the ready time.
@@ -354,30 +359,31 @@ class MemoryManager:
         disjoint, so only the owning (blocked) process could observe it
         before the data arrives, and it is blocked.
         """
-        page = self.pages.get(vpage) or self.page_of(vpage)
-        state = page.state
-        if state == PageState.FREELIST:
+        cols = self.cols
+        cols.create(vpage)
+        state = cols.state[vpage]
+        if state == FREELIST:
             self._tick_free()
-            state = page.state
+            state = cols.state[vpage]
 
         clock = self.clock
-        if state == PageState.RESIDENT:
-            self._touch_resident(page, is_write)
+        if state == RESIDENT:
+            self._touch_resident(vpage, is_write)
             return clock.now
-        if state == PageState.IN_TRANSIT:
-            if self._map_in_transit(page, is_write):
+        if state == IN_TRANSIT:
+            if self._map_in_transit(vpage, is_write):
                 return clock.now
             use_ts = clock.now
             clock.advance(self.config.cost.fault_service_us, TimeCategory.SYS_FAULT)
-            self._in_flight_fault(page, use_ts,
-                                  max(0.0, page.arrival_us - clock.now))
-            return page.arrival_us
-        if state == PageState.FREELIST:
-            self._reclaim(page, is_write)
+            arrival = cols.arrival_us[vpage]
+            self._in_flight_fault(vpage, use_ts, max(0.0, arrival - clock.now))
+            return arrival
+        if state == FREELIST:
+            self._reclaim(vpage, is_write)
             return clock.now
         # ON_DISK: the demand fault without the wait.
         completion = self._start_fault_read(vpage)
-        self._map_fault(page, completion, is_write,
+        self._map_fault(vpage, completion, is_write,
                         max(0.0, completion - clock.now))
         return completion
 
@@ -385,30 +391,31 @@ class MemoryManager:
     # charges no I/O wait: ``access`` waits before it maps a faulted
     # page, ``access_async`` leaves the wait to its caller.
 
-    def _touch_resident(self, page: Page, is_write: bool) -> AccessOutcome:
+    def _touch_resident(self, vpage: int, is_write: bool) -> AccessOutcome:
         """RESIDENT: a plain hit, or the first use of a prefetched page."""
-        page.ref_bit = True
+        cols = self.cols
+        cols.ref[vpage] = 1
         if is_write:
-            page.dirty = True
-            page.version += 1
-        if page.via_prefetch and not page.used_since_arrival:
-            page.used_since_arrival = True
-            page.prefetched_pending = False
-            self.fast.set(page.vpage)
-            self._count_prefetched_hit(page)
+            cols.dirty[vpage] = 1
+            cols.version[vpage] += 1
+        if cols.via_prefetch[vpage] and not cols.used_since_arrival[vpage]:
+            cols.used_since_arrival[vpage] = 1
+            cols.prefetched_pending[vpage] = 0
+            self.fast.set(vpage)
+            self._count_prefetched_hit(vpage)
             return AccessOutcome.PREFETCHED_HIT
         self.stats.faults.hits += 1
         return AccessOutcome.HIT
 
-    def _count_prefetched_hit(self, page: Page) -> None:
+    def _count_prefetched_hit(self, vpage: int) -> None:
         """A prefetched page's data was in memory by its first use."""
         self.stats.faults.prefetched_hit += 1
         if self.obs is not None:
             now = self.clock.now
-            self.obs.prefetch_to_use.observe(now - page.arrival_us)
-            self.obs.emit(now, TraceKind.FAULT, page.vpage, tag="prefetched_hit")
+            self.obs.prefetch_to_use.observe(now - self.cols.arrival_us[vpage])
+            self.obs.emit(now, TraceKind.FAULT, vpage, tag="prefetched_hit")
 
-    def _map_in_transit(self, page: Page, is_write: bool) -> bool:
+    def _map_in_transit(self, vpage: int, is_write: bool) -> bool:
         """IN_TRANSIT -> RESIDENT at first touch.
 
         True when the read had already completed: the OS mapped the page
@@ -416,41 +423,42 @@ class MemoryManager:
         the access caught up with its own prefetch: it still traps, but
         stalls only for the remaining latency (:meth:`_in_flight_fault`).
         """
-        self._in_transit.pop(page.vpage, None)
-        page.state = PageState.RESIDENT
-        page.used_since_arrival = True
-        page.prefetched_pending = False
-        self.fast.set(page.vpage)
+        cols = self.cols
+        self._in_transit.pop(vpage, None)
+        cols.state[vpage] = RESIDENT
+        cols.used_since_arrival[vpage] = 1
+        cols.prefetched_pending[vpage] = 0
+        self.fast.set(vpage)
         if is_write:
-            page.dirty = True
-            page.version += 1
-        self.ring.insert(page)
-        if page.arrival_us <= self.clock.now:
-            self._count_prefetched_hit(page)
+            cols.dirty[vpage] = 1
+            cols.version[vpage] += 1
+        self.ring.insert(vpage)
+        if cols.arrival_us[vpage] <= self.clock.now:
+            self._count_prefetched_hit(vpage)
             return True
         return False
 
-    def _in_flight_fault(self, page: Page, use_ts: float, stall: float) -> None:
+    def _in_flight_fault(self, vpage: int, use_ts: float, stall: float) -> None:
         """Count a trap on a page whose prefetch was still in flight at
         ``use_ts``; ``stall`` is how long the faulting process waits."""
         self.stats.faults.prefetched_fault += 1
         if self.obs is not None:
-            self.obs.prefetch_to_use.observe(use_ts - page.arrival_us)
+            self.obs.prefetch_to_use.observe(use_ts - self.cols.arrival_us[vpage])
             self.obs.stall_latency.observe(stall)
-            self.obs.emit(self.clock.now, TraceKind.FAULT, page.vpage,
+            self.obs.emit(self.clock.now, TraceKind.FAULT, vpage,
                           value=stall, tag="prefetched_fault")
 
-    def _reclaim(self, page: Page, is_write: bool) -> AccessOutcome:
+    def _reclaim(self, vpage: int, is_write: bool) -> AccessOutcome:
         """FREELIST -> RESIDENT: a cheap reclaim, the contents are still
         in the frame.  The caller ran due daemon work first, so nothing
         can steal the frame in between."""
         self.clock.advance(self.config.cost.fault_reclaim_us, TimeCategory.SYS_FAULT)
-        if not self.frames.reclaim(page.vpage):
-            raise MachineError(f"page {page.vpage} on FREELIST but not reclaimable")
-        self._map(page, is_write)
+        if not self.frames.reclaim(vpage):
+            raise MachineError(f"page {vpage} on FREELIST but not reclaimable")
+        self._map(vpage, is_write)
         self.stats.faults.reclaim_fault += 1
         if self.obs is not None:
-            self.obs.emit(self.clock.now, TraceKind.FAULT, page.vpage, tag="reclaim")
+            self.obs.emit(self.clock.now, TraceKind.FAULT, vpage, tag="reclaim")
         return AccessOutcome.RECLAIM
 
     def _start_fault_read(self, vpage: int) -> float:
@@ -460,17 +468,19 @@ class MemoryManager:
         self._obtain_frame_for_fault()
         return self.disks.read_page(vpage, self.clock.now, IOKind.FAULT)
 
-    def _map_fault(self, page: Page, completion: float, is_write: bool,
+    def _map_fault(self, vpage: int, completion: float, is_write: bool,
                    stall: float) -> AccessOutcome:
         """ON_DISK -> RESIDENT once the fault's read is started: map the
         page and count the fault; ``stall`` is how long the faulting
         process waits."""
-        page.arrival_us = completion
-        self._map(page, is_write)
+        self.cols.arrival_us[vpage] = completion
+        self._map(vpage, is_write)
         if self.readahead:
-            self._sequential_readahead(page.vpage)
-        if page.prefetched_pending:
-            page.prefetched_pending = False
+            self._sequential_readahead(vpage)
+        # Readahead may have grown the store: index it afresh.
+        pending = self.cols.prefetched_pending
+        if pending[vpage]:
+            pending[vpage] = 0
             self.stats.faults.prefetched_fault += 1
             outcome = AccessOutcome.PREFETCHED_FAULT
         else:
@@ -478,29 +488,30 @@ class MemoryManager:
             outcome = AccessOutcome.NONPREFETCHED_FAULT
         if self.obs is not None:
             self.obs.stall_latency.observe(stall)
-            self.obs.emit(self.clock.now, TraceKind.FAULT, page.vpage,
+            self.obs.emit(self.clock.now, TraceKind.FAULT, vpage,
                           value=stall, tag=outcome.value)
         return outcome
 
-    def _map(self, page: Page, is_write: bool) -> None:
-        """Make ``page`` resident on demand (fault, reclaim, warm load)."""
-        page.state = PageState.RESIDENT
-        page.via_prefetch = False
-        page.used_since_arrival = True
-        self.fast.set(page.vpage)
+    def _map(self, vpage: int, is_write: bool) -> None:
+        """Make ``vpage`` resident on demand (fault, reclaim, warm load)."""
+        cols = self.cols
+        cols.state[vpage] = RESIDENT
+        cols.via_prefetch[vpage] = 0
+        cols.used_since_arrival[vpage] = 1
+        self.fast.set(vpage)
         if is_write:
-            page.dirty = True
-            page.version += 1
-        self.ring.insert(page)
+            cols.dirty[vpage] = 1
+            cols.version[vpage] += 1
+        self.ring.insert(vpage)
         if self.bitvector is not None:
-            self.bitvector.set(page.vpage)
+            self.bitvector.set(vpage)
 
-    def _check_binding_staleness(self, page) -> None:
+    def _check_binding_staleness(self, vpage: int) -> None:
         """Figure-1 check: was the page written since its binding copy?"""
-        bound = self._bound_versions.pop(page.vpage, None)
+        bound = self._bound_versions.pop(vpage, None)
         if bound is None:
             return
-        if page.version != bound:
+        if self.cols.version[vpage] != bound:
             self.stats.prefetch.binding_stale += 1
 
     def _sequential_readahead(self, vpage: int) -> None:
@@ -523,20 +534,22 @@ class MemoryManager:
             return
         window = min(self.READAHEAD_MAX_WINDOW, 2 ** run)
         last_page = ext.base_vpage + ext.npages - 1
-        fetched: list[Page] = []
+        cols = self.cols
+        fetched = 0
         for target in range(vpage + 1, min(vpage + window, last_page) + 1):
-            page = self.page_of(target)
-            if page.state != PageState.ON_DISK or not self._try_frame_for_prefetch():
+            cols.create(target)
+            if (cols.state[target] != ON_DISK
+                    or not self._try_frame_for_prefetch()):
                 break
-            self._begin_transit(page)
-            fetched.append(page)
+            self._begin_transit(target)
+            fetched += 1
         if fetched:
-            self._read_run(fetched, "readahead")
-            self.stats.prefetch.readahead_pages += len(fetched)
+            self._read_run(vpage + 1, fetched, "readahead")
+            self.stats.prefetch.readahead_pages += fetched
             # The stream's next *fault* lands just past the window; treat
             # it as continuing the run (the window position is part of
             # the per-stream state, as in real readahead implementations).
-            self._ra_state[ext.name] = (fetched[-1].vpage + 1, run)
+            self._ra_state[ext.name] = (vpage + fetched + 1, run)
 
     # ------------------------------------------------------------------
     # Prefetch and release hints (the system-call side)
@@ -574,32 +587,32 @@ class MemoryManager:
         self.stats.release.calls += 1
         self._prefetch_pages(start_vpage, npages)
 
-    def _begin_transit(self, page: Page) -> None:
+    def _begin_transit(self, vpage: int) -> None:
         """ON_DISK -> IN_TRANSIT for a prefetch that got a frame.
 
         The page cannot settle until :meth:`_read_run` issues its read
         and records the real completion time.
         """
-        page.state = PageState.IN_TRANSIT
-        page.via_prefetch = True
-        page.used_since_arrival = False
-        page.prefetched_pending = True
-        page.arrival_us = float("inf")
-        self._in_transit[page.vpage] = page
+        cols = self.cols
+        cols.state[vpage] = IN_TRANSIT
+        cols.via_prefetch[vpage] = 1
+        cols.used_since_arrival[vpage] = 0
+        cols.prefetched_pending[vpage] = 1
+        cols.arrival_us[vpage] = float("inf")
+        self._in_transit[vpage] = None
         if self.bitvector is not None:
-            self.bitvector.set(page.vpage)
+            self.bitvector.set(vpage)
 
-    def _read_run(self, run: list[Page], tag: str = "") -> None:
-        """Issue one prefetch read for a contiguous run of transit pages."""
-        start = run[0].vpage
+    def _read_run(self, start: int, npages: int, tag: str = "") -> None:
+        """Issue one prefetch read for the transit pages
+        ``[start, start + npages)``."""
         now = self.clock.now
-        # The run is contiguous from start, so each completion addresses
-        # its page directly.
-        for vpage, done in self.disks.read_run(start, len(run), now,
+        arrival = self.cols.arrival_us
+        for vpage, done in self.disks.read_run(start, npages, now,
                                                IOKind.PREFETCH):
-            run[vpage - start].arrival_us = done
+            arrival[vpage] = done
         if self.obs is not None:
-            self.obs.emit(now, TraceKind.PREFETCH_ISSUED, start, len(run),
+            self.obs.emit(now, TraceKind.PREFETCH_ISSUED, start, npages,
                           tag=tag)
 
     def _prefetch_pages(self, start_vpage: int, npages: int) -> None:
@@ -611,54 +624,55 @@ class MemoryManager:
 
         # Gather contiguous sub-runs of fetchable pages so each becomes one
         # (mostly sequential) disk request per disk.
-        run: list[Page] = []
+        run_start = run_len = 0
 
         def flush_run() -> None:
-            if run:
-                self._read_run(run)
-                pstats.disk_reads += len(run)
-                run.clear()
+            nonlocal run_len
+            if run_len:
+                self._read_run(run_start, run_len)
+                pstats.disk_reads += run_len
+                run_len = 0
 
-        page_of = self.page_of
+        cols = self.cols
         binding = self.binding
         obs = self.obs
         bitvector = self.bitvector
         try_frame = self._try_frame_for_prefetch
         for vpage in range(start_vpage, start_vpage + npages):
-            page = page_of(vpage)
-            state = page.state
-            if state == PageState.FREELIST:
+            cols.create(vpage)
+            state = cols.state[vpage]
+            if state == FREELIST:
                 # Let due daemon/pressure work steal the frame now if it
                 # is going to; re-dispatch on the refreshed state.
                 self._tick_free()
-                state = page.state
+                state = cols.state[vpage]
             if binding:
                 # An explicit asynchronous read() copies the value of
                 # every requested page at issue time, resident or not.
-                self._bound_versions[vpage] = page.version
-            if state == PageState.RESIDENT:
+                self._bound_versions[vpage] = cols.version[vpage]
+            if state == RESIDENT:
                 pstats.unnecessary_issued += 1
                 if obs is not None:
                     obs.emit(clock.now, TraceKind.PREFETCH_UNNECESSARY,
                              vpage, tag="resident")
                 flush_run()
-            elif state == PageState.IN_TRANSIT:
+            elif state == IN_TRANSIT:
                 pstats.in_transit += 1
                 if obs is not None:
                     obs.emit(clock.now, TraceKind.PREFETCH_UNNECESSARY,
                              vpage, tag="in_transit")
                 flush_run()
-            elif state == PageState.FREELIST:
+            elif state == FREELIST:
                 if not self.frames.reclaim(vpage):
                     raise MachineError(
                         f"page {vpage} on FREELIST but missing from the pool"
                     )
                 self._tick_free()
-                page.state = PageState.RESIDENT
-                page.via_prefetch = True
-                page.used_since_arrival = False
-                page.arrival_us = clock.now
-                self.ring.insert(page)
+                cols.state[vpage] = RESIDENT
+                cols.via_prefetch[vpage] = 1
+                cols.used_since_arrival[vpage] = 0
+                cols.arrival_us[vpage] = clock.now
+                self.ring.insert(vpage)
                 if bitvector is not None:
                     bitvector.set(vpage)
                 pstats.reclaimed += 1
@@ -666,10 +680,12 @@ class MemoryManager:
                     obs.emit(clock.now, TraceKind.PREFETCH_RECLAIMED, vpage)
                 flush_run()
             else:  # ON_DISK
-                page.prefetched_pending = True
+                cols.prefetched_pending[vpage] = 1
                 if try_frame():
-                    self._begin_transit(page)
-                    run.append(page)
+                    self._begin_transit(vpage)
+                    if not run_len:
+                        run_start = vpage
+                    run_len += 1
                 else:
                     pstats.dropped += 1
                     if obs is not None:
@@ -692,34 +708,35 @@ class MemoryManager:
         clock = self.clock
         rstats = self.stats.release
         released = writebacks = 0
-        pages_get = self.pages.get
+        cols = self.cols
+        state, dirty, via_prefetch = cols.state, cols.dirty, cols.via_prefetch
         tick_free = self._tick_free
         ring_forget = self.ring.forget
         fast_clear = self.fast.clear
         add_to_freelist = self.frames.add_to_freelist
         bitvector = self.bitvector
         for vpage in vpages:
-            page = pages_get(vpage)
-            if page is None or page.state != PageState.RESIDENT:
+            if vpage >= cols.capacity or state[vpage] != RESIDENT:
                 rstats.noop += 1
                 continue
             # Account free time *before* the transition: _tick_free may
             # reentrantly run the page-out daemon / pressure events, which
             # must never observe the page half-moved (state changed but
             # not yet on the pool's free list) -- and which may evict this
-            # very page, so the residency check repeats afterwards.
+            # very page, so the residency check repeats afterwards.  They
+            # create no page, so the column buffers stay current.
             tick_free()
-            if page.state != PageState.RESIDENT:
+            if state[vpage] != RESIDENT:
                 rstats.noop += 1
                 continue
-            if page.dirty:
+            if dirty[vpage]:
                 self.disks.write_page(vpage, clock.now)
                 rstats.writebacks += 1
                 writebacks += 1
-                page.dirty = False
-            ring_forget(page)
-            page.state = PageState.FREELIST
-            page.via_prefetch = False
+                dirty[vpage] = 0
+            ring_forget(vpage)
+            state[vpage] = FREELIST
+            via_prefetch[vpage] = 0
             fast_clear(vpage)
             add_to_freelist(vpage)
             if bitvector is not None:
@@ -736,14 +753,15 @@ class MemoryManager:
 
     def warm_load(self, vpages: list[int]) -> None:
         """Preload pages at time zero (warm-started runs, Figure 6)."""
+        cols = self.cols
         for vpage in vpages:
-            page = self.page_of(vpage)
-            if page.state != PageState.ON_DISK:
+            cols.create(vpage)
+            if cols.state[vpage] != ON_DISK:
                 continue
             self._tick_free()
             if not self.frames.take_fresh():
                 raise MachineError("warm_load exceeds available memory")
-            self._map(page, False)
+            self._map(vpage, False)
 
     def flush_dirty(self) -> None:
         """Write back every dirty resident page and wait for the disks.
@@ -752,9 +770,12 @@ class MemoryManager:
         results back out to disk" (Section 3.2); charged identically to the
         original and prefetching versions.
         """
-        for page in self.pages.values():
-            if page.state == PageState.RESIDENT and page.dirty:
-                self.disks.write_page(page.vpage, self.clock.now)
-                page.dirty = False
+        # First-touch order, as the disk model's results depend on it.
+        cols = self.cols
+        state, dirty = cols.state, cols.dirty
+        for vpage in cols.order:
+            if state[vpage] == RESIDENT and dirty[vpage]:
+                self.disks.write_page(vpage, self.clock.now)
+                dirty[vpage] = 0
         self.clock.wait_until(self.disks.drain_time(), TimeCategory.STALL_FLUSH)
         self.finalize_accounting()

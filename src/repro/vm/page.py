@@ -1,7 +1,6 @@
-"""Per-page metadata.
+"""Per-page state, one column per field.
 
-Each virtual page the application ever touches gets one :class:`Page`
-record.  The states form the life cycle::
+The states form the life cycle::
 
     ON_DISK --fault--> RESIDENT
     ON_DISK --prefetch--> IN_TRANSIT --first touch / settle--> RESIDENT
@@ -13,20 +12,21 @@ record.  The states form the life cycle::
 since it was last resident; if the page nevertheless faults, the fault is
 classified *prefetched fault* (paper Figure 4(a)).
 
-The three fields the chunk kernel updates in bulk -- the reference bit,
-the dirty bit, and the write-version counter -- live in a columnar
-:class:`PageColumns` store (one numpy array per field, indexed by virtual
-page number) rather than on the :class:`Page` objects themselves.  The
-vectorized hot path of :meth:`repro.machine.machine.Machine.run_chunk`
-applies a whole fast segment's page effects with three array scatters
-instead of one Python attribute write per event; the scalar paths are
-unchanged because ``Page`` exposes the same fields as properties over
-the shared columns.
+There is no per-page object.  Every field of every page lives in one
+:class:`PageColumns` store indexed by virtual page number -- the paper's
+own layout for residency, "a bit vector with each bit representing one
+or more contiguous pages" (Section 2.4), extended to every field.  The
+flags are ``bytearray`` columns and the numbers ``array.array`` columns,
+so the memory manager and the scalar event loop read and write single
+items at plain-buffer cost, while the chunk kernel gathers and scatters
+whole segments through a numpy view of the same memory.  A page never
+touched reads as a fresh ON_DISK page (every column zero).
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 
 import numpy as np
 
@@ -40,108 +40,99 @@ class PageState(enum.IntEnum):
     FREELIST = 3
 
 
-class PageColumns:
-    """Columnar store for the bulk-updated page fields.
+#: The states as plain ints, for column reads and writes (an ``int``
+#: compares several times faster than an enum member lookup).
+ON_DISK, IN_TRANSIT, RESIDENT, FREELIST = (int(state) for state in PageState)
 
-    One auto-growing array per field, indexed by virtual page number.
-    The memory manager owns one instance shared by all of its pages;
-    ``ensure`` must cover a page number before any property touches it
-    (the manager guarantees this on page creation, the chunk kernel per
-    chunk).  References to the arrays go stale across ``ensure`` growth,
-    so bulk users re-read them after any call that can create pages.
+#: Column name -> ``array`` typecode; ``"B"`` columns are ``bytearray``s.
+COLUMNS = {
+    "state": "B",
+    #: The current/last arrival was caused by a prefetch.
+    "via_prefetch": "B",
+    #: The application has touched the page since its arrival.
+    "used_since_arrival": "B",
+    #: A prefetch was issued since the page last left memory.
+    "prefetched_pending": "B",
+    #: Clock reference bit.
+    "ref": "B",
+    "dirty": "B",
+    #: The manager has created the page (it is on the first-touch list).
+    "known": "B",
+    #: Completion time of the in-flight read while IN_TRANSIT.
+    "arrival_us": "d",
+    #: Write-version counter, used to detect the stale reads that
+    #: *binding* prefetches would produce (the paper's Figure 1).
+    "version": "q",
+    #: Insertion token for lazy deletion in the clock ring.
+    "ring_token": "q",
+}
+_DTYPES = {"B": np.uint8, "d": np.float64, "q": np.int64}
+_INITIAL_CAPACITY = 1024
+
+
+class PageColumns:
+    """Columnar store for every per-page field.
+
+    Each column named in :data:`COLUMNS` is an attribute holding its
+    buffer, with a numpy view of the same memory under ``<name>_view``.
+    Growth (:meth:`ensure`) allocates new buffers and rebuilds every
+    view, so a caller that holds a buffer or view across a call that can
+    create pages must re-read it afterwards.  ``order`` is the
+    first-touch list: every page the manager has created, in creation
+    order; ``top`` is one past the highest of them.
     """
 
-    __slots__ = ("ref", "dirty", "version")
+    __slots__ = (*COLUMNS, *(f"{name}_view" for name in COLUMNS),
+                 "capacity", "order", "top")
 
-    def __init__(self, capacity: int = 1024) -> None:
-        self.ref = np.zeros(max(1, capacity), dtype=np.uint8)
-        self.dirty = np.zeros(max(1, capacity), dtype=np.uint8)
-        self.version = np.zeros(max(1, capacity), dtype=np.int64)
+    def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
+        self._allocate(max(1, capacity))
+        self.order = array("q")
+        self.top = 0
+
+    def _allocate(self, capacity: int) -> None:
+        """Fresh all-zero columns of ``capacity`` pages, with their views."""
+        for name, code in COLUMNS.items():
+            column = (bytearray(capacity) if code == "B"
+                      else array(code, bytes(8 * capacity)))
+            setattr(self, name, column)
+            setattr(self, f"{name}_view", np.frombuffer(column, _DTYPES[code]))
+        self.capacity = capacity
 
     def ensure(self, vpage: int) -> None:
         """Grow every column to cover ``vpage``."""
-        if vpage >= len(self.ref):
-            cap = max(vpage + 1, 2 * len(self.ref))
-            for name in self.__slots__:
-                old = getattr(self, name)
-                grown = np.zeros(cap, dtype=old.dtype)
-                grown[: len(old)] = old
-                setattr(self, name, grown)
+        if vpage >= self.capacity:
+            old = [getattr(self, f"{name}_view") for name in COLUMNS]
+            self._allocate(max(vpage + 1, 2 * self.capacity))
+            for name, view in zip(COLUMNS, old):
+                getattr(self, f"{name}_view")[: len(view)] = view
 
+    def create(self, vpage: int) -> None:
+        """Record the manager's first touch of ``vpage`` (idempotent)."""
+        if vpage >= self.capacity:
+            self.ensure(vpage)
+        if not self.known[vpage]:
+            self.known[vpage] = 1
+            self.order.append(vpage)
+            if vpage >= self.top:
+                self.top = vpage + 1
 
-class Page:
-    """Mutable per-page record (kept intentionally small: hot path)."""
+    # A snapshot carries each column's raw bytes up to the highest page
+    # created -- every page above it is all zeros -- and no views.
 
-    __slots__ = (
-        "vpage",
-        "state",
-        "arrival_us",
-        "via_prefetch",
-        "used_since_arrival",
-        "prefetched_pending",
-        "ring_token",
-        "cols",
-    )
-
-    def __init__(self, vpage: int, cols: PageColumns | None = None) -> None:
-        if cols is None:
-            # Standalone page (unit tests): private one-page store.
-            cols = PageColumns(vpage + 1)
-        self.vpage = vpage
-        self.cols = cols
-        self.state = PageState.ON_DISK
-        #: Completion time of the in-flight read while IN_TRANSIT.
-        self.arrival_us = 0.0
-        #: True if the current/last arrival was caused by a prefetch.
-        self.via_prefetch = False
-        #: True once the application has touched the page after arrival.
-        self.used_since_arrival = False
-        #: A prefetch was issued since the page last left memory.
-        self.prefetched_pending = False
-        #: Insertion token for lazy deletion in the clock ring.
-        self.ring_token = 0
-
-    # A snapshot pickles every page: a tuple state spares each slot name
-    # a memo fetch in the payload.
     def __getstate__(self) -> tuple:
-        return (self.vpage, self.state, self.arrival_us, self.via_prefetch,
-                self.used_since_arrival, self.prefetched_pending,
-                self.ring_token, self.cols)
+        top = self.top
+        return (top, self.order.tobytes(),
+                b"".join(memoryview(getattr(self, name))[:top]
+                         for name in COLUMNS))
 
     def __setstate__(self, state: tuple) -> None:
-        (self.vpage, self.state, self.arrival_us, self.via_prefetch,
-         self.used_since_arrival, self.prefetched_pending, self.ring_token,
-         self.cols) = state
-
-    # Columnar fields: same read/write semantics as plain attributes,
-    # backed by the shared arrays so the chunk kernel can update whole
-    # segments at once.
-
-    @property
-    def dirty(self) -> bool:
-        return bool(self.cols.dirty[self.vpage])
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        self.cols.dirty[self.vpage] = value
-
-    @property
-    def ref_bit(self) -> bool:
-        return bool(self.cols.ref[self.vpage])
-
-    @ref_bit.setter
-    def ref_bit(self, value: bool) -> None:
-        self.cols.ref[self.vpage] = value
-
-    @property
-    def version(self) -> int:
-        """Write-version counter, used to detect the stale reads that
-        *binding* prefetches would produce (the paper's Figure 1)."""
-        return int(self.cols.version[self.vpage])
-
-    @version.setter
-    def version(self, value: int) -> None:
-        self.cols.version[self.vpage] = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Page({self.vpage}, {self.state.name}, dirty={self.dirty})"
+        top, order, blob = state
+        self._allocate(max(top, _INITIAL_CAPACITY))
+        offset = 0
+        for name, code in COLUMNS.items():
+            column = np.frombuffer(blob, _DTYPES[code], top, offset)
+            getattr(self, f"{name}_view")[:top] = column
+            offset += column.nbytes
+        self.order = array("q", order)
+        self.top = top

@@ -3,8 +3,8 @@
 The programmer's abstraction in the paper is unlimited virtual memory: each
 out-of-core array is simply a mapped segment whose pages come from disk.
 :class:`AddressSpace` hands out page-aligned segments (one per array); the
-page-table proper is the lazy ``vpage -> Page`` map owned by the memory
-manager.
+page-table proper is the memory manager's columnar page store
+(:class:`~repro.vm.page.PageColumns`), indexed by virtual page number.
 """
 
 from __future__ import annotations

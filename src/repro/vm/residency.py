@@ -19,16 +19,20 @@ non-binding, so neither error affects correctness.
 The memory manager keeps a second instance at granularity 1 as the chunk
 kernel's *fast-access mask*: a flag is set exactly when::
 
-    page.state == RESIDENT and (page.used_since_arrival or not page.via_prefetch)
+    state[v] == RESIDENT and (used_since_arrival[v] or not via_prefetch[v])
 
-Such a page can be read or written without entering the memory manager
-at all.  The manager updates the mask at every state transition that
-changes the predicate (enumerated in docs/performance.md).
+over the columns of :class:`~repro.vm.page.PageColumns`.  Such a page
+can be read or written without entering the memory manager at all.  The
+manager updates the mask at every state transition that changes the
+predicate (enumerated in docs/performance.md).
 
-Both are one byte per bit in a growable numpy ``uint8`` array, so the
-vectorized hot path of :meth:`repro.machine.machine.Machine.run_chunk`
-classifies a whole window of events by gathering from :attr:`raw` after
-:meth:`reserve` has grown the array past the window's largest page.
+Both are one byte per bit in a growable ``bytearray``.  ``test`` and
+the scalar event loop index the bytes directly; the vectorized hot path
+of :meth:`repro.machine.machine.Machine.run_chunk` classifies a whole
+window of events by gathering from :attr:`raw`, a numpy view of the same
+memory, after :meth:`reserve` has grown the array past the window's
+largest page.  Growth allocates a new buffer and view, so holders of
+either re-read them after any call that may grow the array.
 """
 
 from __future__ import annotations
@@ -37,60 +41,74 @@ import numpy as np
 
 from repro.errors import ConfigError
 
+_INITIAL_BITS = 1024
+
 
 class ResidencyBitVector:
     """Auto-growing bit vector over virtual pages, ``granularity`` pages/bit."""
 
-    __slots__ = ("granularity", "_bits", "drops")
+    __slots__ = ("granularity", "bits", "raw", "drops")
 
     def __init__(self, granularity: int = 1) -> None:
         if granularity <= 0:
             raise ConfigError(f"bit-vector granularity must be positive, got {granularity}")
         self.granularity = granularity
-        self._bits = np.zeros(1024, dtype=np.uint8)
+        self._adopt(bytearray(_INITIAL_BITS))
         #: Count of 1 -> 0 bit transitions.  The chunk kernel snapshots
         #: this around each slow call: while it is unchanged, previously
         #: computed classifications can only have become *pessimistic*
         #: (bits turning on), never wrong.
         self.drops = 0
 
+    def _adopt(self, bits: bytearray) -> None:
+        #: One byte per bit.
+        self.bits = bits
+        #: The same bytes as a numpy ``uint8`` array, for bulk gathers.
+        self.raw = np.frombuffer(bits, dtype=np.uint8)
+
     def _ensure(self, index: int) -> None:
-        if index >= len(self._bits):
-            grown = np.zeros(max(index + 1, 2 * len(self._bits)), dtype=np.uint8)
-            grown[: len(self._bits)] = self._bits
-            self._bits = grown
+        if index >= len(self.bits):
+            grown = bytearray(max(index + 1, 2 * len(self.bits)))
+            grown[: len(self.bits)] = self.bits
+            self._adopt(grown)
 
     def set(self, vpage: int) -> None:
         """``vpage`` is (becoming) resident, or turned fast."""
         index = vpage // self.granularity
         self._ensure(index)
-        self._bits[index] = 1
+        self.bits[index] = 1
 
     def clear(self, vpage: int) -> None:
         """``vpage`` left memory, or lost fast status."""
         index = vpage // self.granularity
-        if index < len(self._bits):
-            if self._bits[index]:
-                self.drops += 1
-            self._bits[index] = 0
+        bits = self.bits
+        if index < len(bits) and bits[index]:
+            self.drops += 1
+            bits[index] = 0
 
     def test(self, vpage: int) -> bool:
         """Is ``vpage``'s bit set?"""
         index = vpage // self.granularity
-        if index < len(self._bits):
-            return bool(self._bits[index])
-        return False
+        bits = self.bits
+        return index < len(bits) and bits[index] != 0
 
-    def reserve(self, vpage: int) -> np.ndarray:
-        """Grow to cover ``vpage``'s bit and return the raw bit array.
+    def reserve(self, vpage: int) -> None:
+        """Grow to cover ``vpage``'s bit.
 
         Lets the chunk kernel test a whole window with a direct gather
-        (``bits[index] != 0``) instead of per-call bounds handling.
+        (``raw[index] != 0``), and the scalar loop index :attr:`bits`,
+        with no per-event bounds handling.
         """
         self._ensure(vpage // self.granularity)
-        return self._bits
 
-    @property
-    def raw(self) -> np.ndarray:
-        """The raw bit array (re-read after any call that may grow it)."""
-        return self._bits
+    # A snapshot carries the bytes up to the last set bit: the rest are
+    # zeros, which a shorter array reads the same way.
+
+    def __getstate__(self) -> tuple:
+        return self.granularity, bytes(self.bits).rstrip(b"\0"), self.drops
+
+    def __setstate__(self, state: tuple) -> None:
+        self.granularity, data, self.drops = state
+        bits = bytearray(max(len(data), _INITIAL_BITS))
+        bits[: len(data)] = data
+        self._adopt(bits)

@@ -13,6 +13,7 @@ into a fresh machine.
 """
 
 import dataclasses
+import io
 import json
 import pickle
 import re
@@ -307,12 +308,12 @@ class TestRingFreeSnapshots:
         assert b"TraceBuffer" not in after.payload
 
     def test_v2_checkpoint_rejected(self, programs, tmp_path):
-        """v2 and v3 payloads are both refused."""
+        """v2, v3 and v4 payloads are all refused."""
         program = programs[("EMBAR", True)]
         machine, executor = _factory(True)()
         executor.run(program)
         snap = capture(machine, executor, label="old")
-        for version in (2, 3):
+        for version in (2, 3, 4):
             state = snap.state()
             state["version"] = version
             path = tmp_path / f"old{version}.00000001.ckpt"
@@ -325,7 +326,7 @@ class TestRingFreeSnapshots:
                                                  resume_from=path))
             with pytest.raises(CheckpointError,
                                match=f"version {version} is not supported"
-                                     ".*reads version 4"):
+                                     ".*reads version 5"):
                 fresh_ex.run(program)
 
     @pytest.mark.parametrize("variant", ["O", "P"])
@@ -370,6 +371,25 @@ class TestRingFreeSnapshots:
         assert stats == base_stats
         assert {k: v for k, v in metrics.items() if k.startswith("obs.")} \
             == base_metrics
+
+    def test_writes_count_the_snapshot_a_run_resumed_from(self, programs):
+        """``ckpt.writes`` counts every checkpoint of the run, so a
+        resumed run reads the same count as an uninterrupted one."""
+        program = programs[("EMBAR", True)]
+        uninterrupted = run_with_recovery(
+            _factory(True), program,
+            CheckpointConfig(every_us=DEFAULT_CHECKPOINT_EVERY_US))
+        half = uninterrupted.stats.elapsed_us / 2
+        finals = {}
+        for crashes in ((), (half,)):
+            config = CheckpointConfig(every_us=DEFAULT_CHECKPOINT_EVERY_US,
+                                      crash_at_us=crashes)
+            rec, observers = _observed_recovery(program, True, False, config)
+            assert rec.crashes == len(crashes)
+            metrics = observers[-1].metrics
+            assert metrics.get("ckpt.writes").value == 40 == rec.checkpoints
+            finals[crashes] = metrics.get("ckpt.last_cycle_us").value
+        assert finals[()] == finals[(half,)]
 
 
 # ----------------------------------------------------------------------
@@ -625,6 +645,27 @@ KEPT = {"config", "prefetching", "scalar_chunks", "obs", "_ovh_seq"}
 
 
 class TestStateGraph:
+    def test_payload_carries_page_state_as_columns(self, programs):
+        """No per-page object: page state is one PageColumns store, and
+        each fault RNG stream travels as its key and draw count."""
+        machine, executor = _factory(
+            True, default_plan(CFG.num_disks, seed=1), observer=Observer())()
+        executor.run(programs[("EMBAR", True)])
+        classes = set()
+
+        class Recorder(pickle.Unpickler):
+            def find_class(self, module, name):
+                classes.add((module, name))
+                if name == "_observer_reference":
+                    return lambda: None
+                return super().find_class(module, name)
+
+        Recorder(io.BytesIO(capture(machine, executor).payload)).load()
+        assert {name for module, name in classes
+                if module == "repro.vm.page"} == {"PageColumns"}
+        assert ("repro.seeding", "KeyedRng") in classes
+        assert ("random", "Random") not in classes
+
     def test_every_machine_attribute_is_classified(self):
         """A new Machine attribute must join the snapshot's STATE or the
         kept side."""
@@ -669,8 +710,8 @@ class TestStateGraph:
             assert component.obs is obs
         assert obs.stall_latency is obs.metrics.get("obs.stall_latency_us")
         assert injector.crash_cursor == 1
-        ring_pages = {id(page) for page, _token in manager.ring._ring}
-        assert ring_pages <= {id(page) for page in manager.pages.values()}
+        assert manager.ring.cols is manager.cols
+        assert all(manager.cols.known[v] for v, _token in manager.ring._ring)
 
 
 # ----------------------------------------------------------------------

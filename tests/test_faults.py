@@ -9,6 +9,7 @@ the clean run.
 """
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from repro.faults import (
     load_plan,
     save_plan,
 )
+from repro.faults.inject import DiskFaultState, HintFaultState
 from repro.interp.executor import Executor
 from repro.machine.machine import Machine
 from repro.sim.clock import Clock, TimeCategory
@@ -267,7 +269,7 @@ class TestDegradedRuns:
         ))
         machine, stats = run_faulted(write_program, plan)
         assert stats.disk.degraded_writes > 0
-        assert not any(page.dirty for page in machine.manager.pages.values())
+        assert not any(machine.manager.cols.dirty)
 
 
 class TestDeterminism:
@@ -295,6 +297,23 @@ class TestDeterminism:
         _, first = run_faulted(read_program, self.PLAN)
         _, second = run_faulted(read_program, self.PLAN.with_seed(12))
         assert first.publish().as_dict() != second.publish().as_dict()
+
+    @pytest.mark.parametrize("draws", [0, 1, 57, 2_000])
+    def test_streams_pickle_as_key_and_draw_count(self, draws):
+        """A round-tripped fault stream continues where the original is."""
+        disk = DiskFaultState(self.PLAN.disks[0], self.PLAN.seed)
+        hints = HintFaultState(self.PLAN)
+        for _ in range(draws):
+            disk.draw_read_error()
+            hints.draw_failure()
+        for state in (disk, hints):
+            # The stream alone: its key and count, not the 625-word
+            # generator state.
+            assert len(pickle.dumps(state._rng, protocol=4)) < 200
+            copy = pickle.loads(pickle.dumps(state, protocol=4))
+            assert copy._rng.draws == draws
+            assert ([copy._rng.random() for _ in range(1_000)]
+                    == [state._rng.random() for _ in range(1_000)])
 
 
 class TestChaosSweep:
@@ -372,7 +391,7 @@ class TestFaultProperties:
         assert stats.elapsed_us > 0
         # (b) no write lost: nothing left dirty, and every scheduled
         # write-back reached a disk (degraded writes redirect, not drop).
-        assert not any(page.dirty for page in machine.manager.pages.values())
+        assert not any(machine.manager.cols.dirty)
         assert stats.disk.writes >= (
             stats.release.writebacks + stats.memory.eviction_writebacks
         )

@@ -57,7 +57,8 @@ class TestPressureMechanics:
         m.access(base + 20, False)
         assert m.manager.frames.reserved == 4
         resident = sum(
-            1 for page in m.manager.pages.values() if page.state.name == "RESIDENT"
+            1 for v in m.manager.cols.order
+            if m.manager.state_of(v).name == "RESIDENT"
         )
         assert resident <= 4
         m.manager.frames.check_invariant()

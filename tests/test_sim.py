@@ -84,16 +84,6 @@ class TestClock:
                 capture_output=True, text=True).stdout)
         assert len(outputs) == 1
 
-    def test_restore_round_trips_the_breakdown(self):
-        clock = Clock()
-        clock.advance(4.0, TimeCategory.SYS_RELEASE)
-        clock.wait_until(10.0, TimeCategory.STALL_READ)
-        copy = Clock()
-        copy.restore(clock.now, clock.breakdown())
-        assert copy.now == 10.0
-        assert copy.breakdown() == clock.breakdown()
-        assert copy.spent(TimeCategory.STALL_READ) == 6.0
-
 
 class TestTimeBreakdown:
     def test_from_clock(self):

@@ -50,17 +50,18 @@ def _run(app_name: str, prefetching: bool, scalar: bool):
 
 def _page_table(machine: Machine) -> dict:
     """Everything the page table knows, per page."""
+    cols = machine.manager.cols
     return {
         vpage: (
-            page.state,
-            page.dirty,
-            page.ref_bit,
-            page.version,
-            page.via_prefetch,
-            page.used_since_arrival,
-            page.arrival_us,
+            cols.state[vpage],
+            cols.dirty[vpage],
+            cols.ref[vpage],
+            cols.version[vpage],
+            cols.via_prefetch[vpage],
+            cols.used_since_arrival[vpage],
+            cols.arrival_us[vpage],
         )
-        for vpage, page in machine.manager.pages.items()
+        for vpage in cols.order
     }
 
 

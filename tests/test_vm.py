@@ -1,5 +1,9 @@
-"""Tests for the VM substrate: frames, clock ring, and the memory manager."""
+"""Tests for the VM substrate: frames, clock ring, the columnar page
+store, and the memory manager."""
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,9 +14,10 @@ from repro.sim.stats import RunStats
 from repro.storage.array_ctl import DiskArray
 from repro.vm.frames import FramePool
 from repro.vm.manager import AccessOutcome, MemoryManager
-from repro.vm.page import Page, PageState
+from repro.vm.page import COLUMNS, PageColumns, PageState
 from repro.vm.page_table import AddressSpace
 from repro.vm.replacement import ClockRing
+from repro.vm.residency import ResidencyBitVector
 
 
 class TestAddressSpace:
@@ -107,53 +112,116 @@ class TestFramePool:
 
 
 class TestClockRing:
-    def _page(self, n):
-        page = Page(n)
-        page.state = PageState.RESIDENT
-        return page
+    def _ring(self, n):
+        """A ring over a fresh store whose pages 0..n-1 are resident."""
+        cols = PageColumns()
+        for vpage in range(n):
+            cols.state[vpage] = PageState.RESIDENT
+        return ClockRing(cols), cols
 
     def test_victim_is_oldest_unreferenced(self):
-        ring = ClockRing()
-        pages = [self._page(i) for i in range(3)]
-        for p in pages:
-            ring.insert(p)
+        ring, _ = self._ring(3)
+        for vpage in range(3):
+            ring.insert(vpage)
         # All inserted with ref bits set: first sweep clears, second evicts
         # the first-inserted page.
         victim = ring.select_victim()
-        assert victim is pages[0]
+        assert victim == 0
 
     def test_referenced_page_survives_one_sweep(self):
-        ring = ClockRing()
-        a, b = self._page(0), self._page(1)
-        ring.insert(a)
-        ring.insert(b)
-        a.ref_bit = True
-        b.ref_bit = False
-        assert ring.select_victim() is b
+        ring, cols = self._ring(2)
+        ring.insert(0)
+        ring.insert(1)
+        cols.ref[0] = 1
+        cols.ref[1] = 0
+        assert ring.select_victim() == 1
 
     def test_forget_makes_entry_stale(self):
-        ring = ClockRing()
-        a, b = self._page(0), self._page(1)
-        ring.insert(a)
-        ring.insert(b)
-        ring.forget(a)
-        a.state = PageState.FREELIST
-        assert ring.select_victim() is b
+        ring, cols = self._ring(2)
+        ring.insert(0)
+        ring.insert(1)
+        ring.forget(0)
+        cols.state[0] = PageState.FREELIST
+        assert ring.select_victim() == 1
 
     def test_empty_ring(self):
-        assert ClockRing().select_victim() is None
+        assert ClockRing(PageColumns()).select_victim() is None
 
     def test_second_chance_order(self):
-        ring = ClockRing()
-        pages = [self._page(i) for i in range(4)]
-        for p in pages:
-            ring.insert(p)
+        ring, cols = self._ring(4)
+        for vpage in range(4):
+            ring.insert(vpage)
         # Touch page 0 again right before eviction: it survives, page 1 goes.
         first = ring.select_victim()
-        assert first is pages[0]
-        pages[1].ref_bit = True
+        assert first == 0
+        cols.ref[1] = 1
         second = ring.select_victim()
-        assert second is pages[2]
+        assert second == 2
+
+
+class TestColumnarStore:
+    """Every numpy view is its buffer's memory, through growth and
+    pickling, so the kernel's bulk scatters and the scalar paths' item
+    writes land in one store."""
+
+    @staticmethod
+    def _assert_views_share(cols):
+        for name in COLUMNS:
+            view = getattr(cols, f"{name}_view")
+            buffer = np.frombuffer(getattr(cols, name), view.dtype)
+            assert np.shares_memory(view, buffer), name
+            assert len(view) == cols.capacity, name
+
+    def test_views_survive_growth_and_pickling(self):
+        cols = PageColumns(capacity=4)
+        cols.create(2)
+        cols.version[2] = 7
+        cols.arrival_us[2] = 1.5
+        self._assert_views_share(cols)
+        cols.ensure(100)
+        assert cols.capacity > 100
+        assert cols.version[2] == 7 and cols.arrival_us[2] == 1.5
+        self._assert_views_share(cols)
+        cols.create(50)
+        restored = pickle.loads(pickle.dumps(cols))
+        self._assert_views_share(restored)
+        assert list(restored.order) == [2, 50] and restored.top == 51
+        assert restored.version[2] == 7 and restored.arrival_us[2] == 1.5
+        # A scatter through a view is visible through the item accessor.
+        restored.version_view[[2, 50]] += 1
+        restored.ref_view[[2, 50]] = 1
+        assert (restored.version[2], restored.version[50]) == (8, 1)
+        assert restored.ref[2] == restored.ref[50] == 1
+
+    def test_pickle_stops_at_the_highest_created_page(self):
+        small, large = PageColumns(), PageColumns()
+        for cols in (small, large):
+            cols.create(3)
+            cols.dirty[3] = 1
+        large.ensure(50_000)
+        assert pickle.dumps(small) == pickle.dumps(large)
+        assert len(pickle.dumps(large)) < 300
+
+    def test_bit_vector_views_survive_growth_and_pickling(self):
+        bits = ResidencyBitVector()
+        bits.set(3)
+        bits.set(9)
+        bits.clear(9)
+        bits.reserve(5_000)
+        assert np.shares_memory(bits.raw, np.frombuffer(bits.bits, np.uint8))
+        restored = pickle.loads(pickle.dumps(bits))
+        assert np.shares_memory(restored.raw,
+                                np.frombuffer(restored.bits, np.uint8))
+        assert restored.test(3) and not restored.test(9)
+        assert restored.drops == bits.drops == 1
+        assert not restored.test(4_000)
+        restored.reserve(4_000)
+        assert np.shares_memory(restored.raw,
+                                np.frombuffer(restored.bits, np.uint8))
+        # A scatter through the view is visible through the byte accessor.
+        restored.raw[[7, 4_000]] = 1
+        assert restored.test(7) and restored.test(4_000)
+        assert restored.bits[4_000] == 1
 
 
 def make_manager(frames=8, num_disks=2):
@@ -187,7 +255,7 @@ class TestManagerFaults:
     def test_write_marks_dirty(self):
         mgr, _, _, _ = make_manager()
         mgr.access(1, is_write=True)
-        assert mgr.pages[1].dirty
+        assert mgr.cols.dirty[1]
 
     def test_eviction_when_full(self):
         mgr, _, stats, _ = make_manager(frames=2)
@@ -195,7 +263,7 @@ class TestManagerFaults:
         mgr.access(2, False)
         mgr.access(3, False)
         assert stats.memory.evictions == 1
-        states = [mgr.pages[v].state for v in (1, 2, 3)]
+        states = [mgr.state_of(v) for v in (1, 2, 3)]
         assert states.count(PageState.RESIDENT) == 2
 
     def test_dirty_eviction_writes_back(self):
@@ -212,13 +280,13 @@ class TestManagerFaults:
         mgr.access(3, False)
         # First eviction sweeps all reference bits and takes the oldest.
         mgr.access(4, False)
-        assert mgr.pages[1].state == PageState.ON_DISK
+        assert mgr.state_of(1) == PageState.ON_DISK
         # Page 2's bit was cleared by the sweep; touching it again sets it,
         # so the next eviction skips 2 and takes 3.
         mgr.access(2, False)
         mgr.access(5, False)
-        assert mgr.pages[3].state == PageState.ON_DISK
-        assert mgr.pages[2].state == PageState.RESIDENT
+        assert mgr.state_of(3) == PageState.ON_DISK
+        assert mgr.state_of(2) == PageState.RESIDENT
 
 
 class TestManagerPrefetch:
@@ -245,8 +313,8 @@ class TestManagerPrefetch:
         mgr.access(2, False)
         mgr.prefetch_call(3, 1)
         assert stats.prefetch.dropped == 1
-        assert mgr.pages[3].state == PageState.ON_DISK
-        assert mgr.pages[3].prefetched_pending
+        assert mgr.state_of(3) == PageState.ON_DISK
+        assert mgr.cols.prefetched_pending[3]
 
     def test_dropped_prefetch_fault_classified_prefetched(self):
         mgr, _, stats, _ = make_manager(frames=2)
@@ -280,7 +348,7 @@ class TestManagerPrefetch:
     def test_block_prefetch_reads_in_parallel(self):
         mgr, clock, stats, cfg = make_manager(frames=8, num_disks=4)
         mgr.prefetch_call(1, 4)
-        arrivals = {mgr.pages[v].arrival_us for v in range(1, 5)}
+        arrivals = {mgr.cols.arrival_us[v] for v in range(1, 5)}
         # Four pages across four disks: all finish within one service time.
         assert max(arrivals) <= cfg.disk.random_service_us(1) + clock.now
 
@@ -290,7 +358,7 @@ class TestManagerRelease:
         mgr, _, stats, _ = make_manager()
         mgr.access(1, False)
         mgr.release_call([1])
-        assert mgr.pages[1].state == PageState.FREELIST
+        assert mgr.state_of(1) == PageState.FREELIST
         assert stats.release.pages_released == 1
 
     def test_release_dirty_schedules_writeback(self):
@@ -299,7 +367,7 @@ class TestManagerRelease:
         mgr.release_call([1])
         assert stats.release.writebacks == 1
         assert mgr.disks.writes == 1
-        assert not mgr.pages[1].dirty
+        assert not mgr.cols.dirty[1]
 
     def test_release_nonresident_is_noop(self):
         mgr, _, stats, _ = make_manager()
@@ -329,7 +397,7 @@ class TestManagerRelease:
         mgr.release_call([1])
         mgr.access(3, False)
         assert stats.memory.evictions == 0  # took the free-list frame
-        assert mgr.pages[1].state == PageState.ON_DISK  # contents discarded
+        assert mgr.state_of(1) == PageState.ON_DISK  # contents discarded
 
     def test_bundled_prefetch_release_frees_then_fetches(self):
         mgr, _, stats, _ = make_manager(frames=2)
@@ -339,7 +407,7 @@ class TestManagerRelease:
         # Release of page 1 freed the frame the prefetch then used.
         assert stats.prefetch.dropped == 0
         assert stats.prefetch.disk_reads == 1
-        assert mgr.pages[3].state == PageState.IN_TRANSIT
+        assert mgr.state_of(3) == PageState.IN_TRANSIT
 
 
 class TestManagerAccounting:
@@ -355,7 +423,7 @@ class TestManagerAccounting:
     def test_warm_load(self):
         mgr, clock, stats, _ = make_manager(frames=4)
         mgr.warm_load([1, 2, 3])
-        assert all(mgr.pages[v].state == PageState.RESIDENT for v in (1, 2, 3))
+        assert all(mgr.state_of(v) == PageState.RESIDENT for v in (1, 2, 3))
         assert clock.now == 0.0
         assert mgr.access(1, False) is AccessOutcome.HIT
 

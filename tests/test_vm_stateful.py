@@ -8,10 +8,11 @@ checks the global invariants after every step:
 * frame conservation (fresh + freelist + in-use + reserved == total);
 * the resident page count equals the in-use frame count;
 * freelist contents are exactly the FREELIST-state pages;
-* in-transit bookkeeping matches page states;
+* the in-transit map's keys are exactly the IN_TRANSIT pages;
+* the clock ring's live entries are exactly the RESIDENT pages;
 * the shared bit vector never claims a never-resident page;
-* the fast-access mask flags exactly the pages the chunk kernel may
-  touch without the manager;
+* the fast-access mask flags exactly the pages the chunk kernel and the
+  scalar loop may touch without the manager;
 * a resident prefetched page not yet used arrived no later than now;
 * simulated time never runs backwards.
 """
@@ -50,6 +51,11 @@ class VMStateMachine(RuleBasedStateMachine):
         )
         self.last_now = 0.0
         self.pressure_outstanding = 0
+
+    def _pages(self, state: PageState) -> set[int]:
+        """The created pages in ``state``, read off the state column."""
+        cols = self.manager.cols
+        return {v for v in cols.order if cols.state[v] == state}
 
     # ------------------------------------------------------------------
     # Rules
@@ -108,11 +114,8 @@ class VMStateMachine(RuleBasedStateMachine):
     def resident_matches_in_use(self) -> None:
         if not hasattr(self, "manager"):
             return
-        resident = sum(
-            1
-            for p in self.manager.pages.values()
-            if p.state in (PageState.RESIDENT, PageState.IN_TRANSIT)
-        )
+        resident = (len(self._pages(PageState.RESIDENT))
+                    + len(self._pages(PageState.IN_TRANSIT)))
         assert resident == self.manager.frames.in_use, (
             resident, self.manager.frames.in_use
         )
@@ -121,10 +124,7 @@ class VMStateMachine(RuleBasedStateMachine):
     def freelist_matches_states(self) -> None:
         if not hasattr(self, "manager"):
             return
-        on_freelist = {
-            v for v, p in self.manager.pages.items()
-            if p.state == PageState.FREELIST
-        }
+        on_freelist = self._pages(PageState.FREELIST)
         assert on_freelist == set(self.manager.frames.freelist), (
             on_freelist, set(self.manager.frames.freelist)
         )
@@ -133,41 +133,48 @@ class VMStateMachine(RuleBasedStateMachine):
     def in_transit_tracked(self) -> None:
         if not hasattr(self, "manager"):
             return
-        in_transit = {
-            v for v, p in self.manager.pages.items()
-            if p.state == PageState.IN_TRANSIT
-        }
+        in_transit = self._pages(PageState.IN_TRANSIT)
         assert in_transit == set(self.manager._in_transit)
+
+    @invariant()
+    def ring_live_entries_are_resident_pages(self) -> None:
+        if not hasattr(self, "manager"):
+            return
+        ring = self.manager.ring
+        tokens = self.manager.cols.ring_token
+        live = [v for v, token in ring._ring if tokens[v] == token]
+        assert len(live) == len(set(live)) == ring.live_count
+        assert set(live) == self._pages(PageState.RESIDENT)
 
     @invariant()
     def bitvector_never_claims_on_disk_unprefetched(self) -> None:
         if not hasattr(self, "manager"):
             return
-        for vpage, page in self.manager.pages.items():
-            if page.state == PageState.ON_DISK and not page.prefetched_pending:
+        cols = self.manager.cols
+        for vpage in self._pages(PageState.ON_DISK):
+            if not cols.prefetched_pending[vpage]:
                 assert not self.layer.bitvector.test(vpage), vpage
 
     @invariant()
     def fast_mask_matches_predicate(self) -> None:
         if not hasattr(self, "manager"):
             return
-        pages = self.manager.pages
+        cols = self.manager.cols
         fast = {
-            vpage for vpage, page in pages.items()
-            if page.state == PageState.RESIDENT
-            and (page.used_since_arrival or not page.via_prefetch)
+            vpage for vpage in self._pages(PageState.RESIDENT)
+            if cols.used_since_arrival[vpage] or not cols.via_prefetch[vpage]
         }
-        flagged = set(self.manager.fast.raw.nonzero()[0].tolist())
+        flagged = {v for v, bit in enumerate(self.manager.fast.bits) if bit}
         assert flagged == fast, (flagged ^ fast)
 
     @invariant()
     def unused_prefetched_pages_have_arrived(self) -> None:
         if not hasattr(self, "manager"):
             return
-        for vpage, page in self.manager.pages.items():
-            if (page.state == PageState.RESIDENT and page.via_prefetch
-                    and not page.used_since_arrival):
-                assert page.arrival_us <= self.clock.now, vpage
+        cols = self.manager.cols
+        for vpage in self._pages(PageState.RESIDENT):
+            if cols.via_prefetch[vpage] and not cols.used_since_arrival[vpage]:
+                assert cols.arrival_us[vpage] <= self.clock.now, vpage
 
     @invariant()
     def time_monotonic(self) -> None:
