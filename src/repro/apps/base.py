@@ -16,14 +16,6 @@ def doubles_for_pages(pages: int) -> int:
     return pages * ELEMS_PER_PAGE
 
 
-def cube_side_for_pages(pages: int, arrays: int, components: int = 1) -> int:
-    """Grid side G such that ``arrays`` G^3-component grids fill ``pages``."""
-    total_elems = doubles_for_pages(pages)
-    per_grid = total_elems // (arrays * components)
-    side = round(per_grid ** (1.0 / 3.0))
-    return max(4, side)
-
-
 def pencil_dims_for_pages(
     pages: int, arrays: int, components: int = 1, side: int = 112
 ) -> tuple[int, int, int]:

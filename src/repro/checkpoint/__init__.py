@@ -7,9 +7,9 @@ The subsystem has three layers:
   run-time layer, fault injector) pickled as one graph, plus the
   interpreter cursor and an attached observer's metrics; the observer
   itself, its trace included, stays with each incarnation;
-* :mod:`repro.checkpoint.store` -- the versioned, checksummed on-disk
-  format, written atomically with a retained ring of the last K
-  checkpoints and corruption fallback;
+* :mod:`repro.checkpoint.store` -- the versioned on-disk format: one
+  file per label of K + 1 checksummed slots, the last K checkpoints
+  retained, each save one durable write, with corruption fallback;
 * :mod:`repro.checkpoint.runner` -- the policy object
   (:class:`Checkpointer`) hooked into the interpreter's safe points,
   plus the in-process kill/resume loop :func:`run_with_recovery`.

@@ -205,16 +205,17 @@ class Checkpointer:
 def _load_resume_snapshot(config: CheckpointConfig) -> tuple[Snapshot, int] | None:
     """Resolve ``--resume-from`` (file or directory) into a Snapshot.
 
-    A directory with *no* checkpoints for this label resolves to None --
-    start fresh.  That is what lets a multi-variant ``compare``/``bench``
-    resume: variants the crashed invocation never reached simply run
-    from the beginning.  A directory whose retained checkpoints are all
-    corrupt, or an unreadable/corrupt file, still raises.
+    A directory with *no* checkpoints for this label (no slot file, or
+    only a crash ledger in it) resolves to None -- start fresh.  That is
+    what lets a multi-variant ``compare``/``bench`` resume: variants the
+    crashed invocation never reached simply run from the beginning.  A
+    directory whose retained checkpoints are all corrupt, or an
+    unreadable/corrupt file, still raises.
     """
     source = Path(config.resume_from)
     if source.is_dir():
         store = CheckpointStore(source, keep=config.keep)
-        if not store.sequences(config.label):
+        if not store.slots_in_use(config.label):
             return None
         meta, payload, _path, skipped = store.load_latest_good(config.label)
         return Snapshot(meta, payload), skipped

@@ -252,11 +252,6 @@ class RunStats:
     robust: RobustnessStats = field(default_factory=RobustnessStats)
     elapsed_us: float = 0.0
 
-    @property
-    def speedup_baseline(self) -> float:
-        """Convenience alias for elapsed time (for ratio computations)."""
-        return self.elapsed_us
-
     def publish(self, registry=None):
         """Publish every counter into a metrics registry (and return it).
 

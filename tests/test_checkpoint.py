@@ -15,8 +15,12 @@ into a fresh machine.
 import dataclasses
 import io
 import json
+import os
 import pickle
 import re
+import struct
+import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +39,12 @@ from repro.checkpoint import (
 )
 from repro.checkpoint.runner import setup_checkpointing
 from repro.checkpoint.snapshot import STATE
-from repro.checkpoint.store import CONTAINER_VERSION, encode_checkpoint
+from repro.checkpoint.store import (
+    CONTAINER_VERSION,
+    MAGIC,
+    decode_checkpoint,
+    encode_checkpoint,
+)
 from repro.config import PlatformConfig
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
@@ -313,13 +322,13 @@ class TestRingFreeSnapshots:
         machine, executor = _factory(True)()
         executor.run(program)
         snap = capture(machine, executor, label="old")
+        store = CheckpointStore(tmp_path)
         for version in (2, 3, 4):
             state = snap.state()
             state["version"] = version
-            path = tmp_path / f"old{version}.00000001.ckpt"
-            path.write_bytes(encode_checkpoint(
-                dict(snap.meta, snapshot_version=version, seq=1),
-                pickle.dumps(state, protocol=4)))
+            path, _seq = store.save(
+                f"old{version}", dict(snap.meta, snapshot_version=version),
+                pickle.dumps(state, protocol=4))
             fresh, fresh_ex = _factory(True)()
             setup_checkpointing(fresh, fresh_ex,
                                 CheckpointConfig(label=f"old{version}",
@@ -393,83 +402,251 @@ class TestRingFreeSnapshots:
 
 
 # ----------------------------------------------------------------------
-# The store: container format, retention ring, corruption fallback
+# The store: slot file, retention, corruption fallback, durable saves
 # ----------------------------------------------------------------------
+
+#: Header size and slot alignment of a slot file (docs/robustness.md).
+BLOCK = 4096
+
+
+def _slot_span(path, slot):
+    """(offset, length) of the record in ``slot``, from the file's header."""
+    blob = path.read_bytes()
+    _version, slot_size, _count, _crashes = struct.unpack_from(
+        "<IQII", blob, len(MAGIC))
+    offset = BLOCK + slot * slot_size
+    (length,) = struct.unpack_from("<Q", blob, offset)
+    return offset + 8, length
+
+
+def _slot_seqs(path):
+    """The seq held by each slot, None where it is empty or corrupt."""
+    blob = path.read_bytes()
+    _version, slot_size, count, _crashes = struct.unpack_from(
+        "<IQII", blob, len(MAGIC))
+    seqs = []
+    for slot in range(count):
+        offset, length = _slot_span(path, slot)
+        try:
+            meta, _payload = decode_checkpoint(blob[offset:offset + length])
+        except CheckpointError:
+            seqs.append(None)
+        else:
+            seqs.append(meta["seq"])
+    return seqs
+
+
+def _overwrite(path, offset, data):
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        fh.write(data)
+
+
+def _flip(path, offset):
+    byte = path.read_bytes()[offset]
+    _overwrite(path, offset, bytes([byte ^ 0xFF]))
+
+
+class _Torn(Exception):
+    """The simulated crash that cuts a checkpoint write short."""
+
+
+def _tearing_pwrite(cut, torn):
+    """An ``os.pwrite`` that writes ``cut`` bytes, then crashes; appends
+    to ``torn`` whether the record was really cut short."""
+    real = os.pwrite
+
+    def pwrite(fd, data, offset):
+        real(fd, data[:cut], offset)
+        torn.append(cut < len(data))
+        raise _Torn(cut)
+    return pwrite
 
 
 class TestStore:
-    def _completed_run_with_store(self, program, tmp_path, every_frac=0.2):
+    def _completed_run_with_store(self, program, tmp_path, every_frac=0.2,
+                                  keep=3):
         base = _uninterrupted(program, True)
         config = CheckpointConfig(every_us=base.elapsed_us * every_frac,
-                                  directory=tmp_path, label="t")
+                                  directory=tmp_path, label="t", keep=keep)
         machine, executor = _factory(True)()
         setup_checkpointing(machine, executor, config)
         executor.run(program)
         return base, executor.checkpointer
 
+    def _resume(self, program, tmp_path, keep=3):
+        machine, executor = _factory(True)()
+        setup_checkpointing(
+            machine, executor,
+            CheckpointConfig(directory=tmp_path, label="t", keep=keep,
+                             resume_from=tmp_path),
+        )
+        stats = executor.run(program)
+        assert executor.checkpointer.restores == 1
+        return stats
+
     def test_retention_ring_keeps_newest(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=2)
-        for _ in range(4):
-            store.save("x", {"cycle_us": 0.0}, b"payload")
-        assert store.sequences("x") == [3, 4]
-        meta, payload, path, skipped = store.load_latest_good("x")
-        assert (meta["seq"], payload, skipped) == (4, b"payload", 0)
-        assert path == store.path_for("x", 4)
+        for k in range(1, 5):
+            store.save("x", {"cycle_us": 0.0}, b"payload%d" % k)
+        path = store.path_for("x")
+        # The newest two, plus the spare slot the next save overwrites.
+        assert sorted(_slot_seqs(path)) == [2, 3, 4]
+        meta, payload, loaded, skipped = store.load_latest_good("x")
+        assert (meta["seq"], payload, skipped) == (4, b"payload4", 0)
+        assert loaded == path == tmp_path / "x.ckpt"
+        store.save("x", {"cycle_us": 0.0}, b"payload5")
+        assert sorted(_slot_seqs(path)) == [3, 4, 5]
 
     def test_flipped_byte_detected(self, tmp_path):
         store = CheckpointStore(tmp_path)
         path, _seq = store.save("x", {"cycle_us": 1.0}, b"some payload bytes")
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        path.write_bytes(bytes(blob))
+        offset, length = _slot_span(path, 0)
+        _flip(path, offset + length // 2)
         with pytest.raises(CheckpointError, match="checksum|truncated|magic"):
             read_checkpoint_file(path)
 
     def test_unknown_container_version_rejected(self, tmp_path):
-        blob = encode_checkpoint({"cycle_us": 0.0}, b"p")
-        # The version field sits right after the magic, little-endian.
-        from repro.checkpoint.store import MAGIC
-        bad = bytearray(blob)
-        bad[len(MAGIC)] = CONTAINER_VERSION + 1
-        path = tmp_path / "x.00000001.ckpt"
-        path.write_bytes(bytes(bad))
+        path, _seq = CheckpointStore(tmp_path).save("x", {"cycle_us": 0.0}, b"p")
+        # The version field sits right after the magic, little-endian,
+        # and is checked before the header's checksum.
+        _overwrite(path, len(MAGIC), bytes([CONTAINER_VERSION + 1]))
         with pytest.raises(CheckpointError, match="version"):
+            read_checkpoint_file(path)
+        # A version-1 checkpoint (one bare record per file) is refused.
+        old = bytearray(encode_checkpoint({"cycle_us": 0.0, "seq": 1}, b"p"))
+        old[len(MAGIC)] = 1
+        path.write_bytes(bytes(old))
+        with pytest.raises(CheckpointError, match="version 1 is not supported"):
             read_checkpoint_file(path)
 
     def test_corrupt_newest_falls_back_to_previous(self, stream_program, tmp_path):
         base, ckpt = self._completed_run_with_store(stream_program, tmp_path)
         store = ckpt.store
-        seqs = store.sequences("t")
-        assert len(seqs) >= 2
-        newest = store.path_for("t", seqs[-1])
-        blob = bytearray(newest.read_bytes())
-        blob[-1] ^= 0xFF
-        newest.write_bytes(bytes(blob))
-        meta, _payload, path, skipped = store.load_latest_good("t")
+        newest = ckpt.writes
+        assert newest >= 2
+        path = store.path_for("t")
+        offset, length = _slot_span(path, (newest - 1) % (store.keep + 1))
+        _flip(path, offset + length - 1)
+        meta, _payload, loaded, skipped = store.load_latest_good("t")
         assert skipped == 1
-        assert meta["seq"] == seqs[-2]
-        assert path == store.path_for("t", seqs[-2])
+        assert meta["seq"] == newest - 1
+        assert loaded == path
 
     def test_resume_from_corrupt_newest_still_bit_identical(
             self, stream_program, tmp_path):
         base, ckpt = self._completed_run_with_store(stream_program, tmp_path)
-        store = ckpt.store
-        newest = store.path_for("t", store.sequences("t")[-1])
-        newest.write_bytes(b"REPRO-CKPT" + b"\x00" * 8)  # truncated garbage
-        machine, executor = _factory(True)()
-        setup_checkpointing(
-            machine, executor,
-            CheckpointConfig(directory=tmp_path, label="t",
-                             resume_from=tmp_path),
-        )
-        stats = executor.run(stream_program)
-        assert executor.checkpointer.restores == 1
+        path = ckpt.store.path_for("t")
+        offset, _length = _slot_span(path, (ckpt.writes - 1) % 4)
+        _overwrite(path, offset, b"REPRO-CKPT" + b"\x00" * 8)  # garbage
+        stats = self._resume(stream_program, tmp_path)
         assert dataclasses.asdict(stats) == dataclasses.asdict(base)
+
+    @pytest.mark.parametrize("keep", [1, 3])
+    def test_torn_save_resumes_from_previous_record(
+            self, stream_program, tmp_path, monkeypatch, keep):
+        """A crash mid-``pwrite`` at any byte offset leaves the record
+        before it intact; a design with only ``keep`` slots would tear
+        the oldest retained one (with keep = 1, the only one)."""
+        base, ckpt = self._completed_run_with_store(stream_program, tmp_path,
+                                                    keep=keep)
+        newest = ckpt.writes
+        meta, payload, _path, _skipped = ckpt.store.load_latest_good("t")
+        record = encode_checkpoint(dict(meta, seq=newest + 1), payload)
+        for cut in (0, 1, 8, 9, 60, len(record) // 2, len(record) + 7):
+            torn = []
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "pwrite", _tearing_pwrite(cut, torn))
+                with pytest.raises(_Torn):
+                    CheckpointStore(tmp_path, keep=keep).save("t", meta, payload)
+            assert torn == [True]
+            loaded, _payload, _path, _skipped = \
+                CheckpointStore(tmp_path, keep=keep).load_latest_good("t")
+            assert loaded["seq"] == newest, cut
+            stats = self._resume(stream_program, tmp_path, keep=keep)
+            assert dataclasses.asdict(stats) == dataclasses.asdict(base), cut
+
+    @pytest.mark.skipif(not hasattr(os, "fdatasync"),
+                        reason="the platform saves with fsync")
+    def test_steady_state_save_is_one_pwrite_and_one_fdatasync(
+            self, tmp_path, monkeypatch):
+        store = CheckpointStore(tmp_path)
+        path, _seq = store.save("x", {"cycle_us": 0.0}, b"a" * 3000)
+        inode = path.stat().st_ino
+        calls = {}
+        for name in ("pwrite", "fdatasync", "fsync", "rename", "replace",
+                     "unlink", "listdir", "scandir"):
+            real = getattr(os, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(os, name, counted)
+        for k in range(5):
+            store.save("x", {"cycle_us": float(k)}, b"b" * (1000 + k))
+        monkeypatch.undo()
+        assert calls == {"pwrite": 5, "fdatasync": 5}
+        assert path.stat().st_ino == inode
+        assert store.load_latest_good("x")[0]["seq"] == 6
+
+    @settings(max_examples=40, deadline=None)
+    @given(keep=st.integers(1, 4),
+           sizes=st.lists(st.integers(0, 20_000), min_size=1, max_size=10),
+           torn=st.booleans(), next_size=st.integers(0, 20_000),
+           pick=st.integers(0, 4), position=st.integers(0, 1 << 20))
+    def test_newest_intact_record_survives_one_damaged_slot(
+            self, keep, sizes, torn, next_size, pick, position):
+        """Saves of random sizes (slots grow 4 KB -> 32 KB), then one
+        torn save or one flipped slot: the store returns the newest
+        intact record, and nothing older than the keep-th newest save
+        unless the newest itself was damaged (then the spare slot's)."""
+        with tempfile.TemporaryDirectory() as root:
+            store = CheckpointStore(root, keep=keep)
+            payloads = {}
+            for seq, size in enumerate(sizes, 1):
+                payloads[seq] = bytes([seq]) * size
+                assert store.save("x", {"cycle_us": 0.0}, payloads[seq]) \
+                    == (store.path_for("x"), seq)
+            newest = len(sizes)
+            path = store.path_for("x")
+            held = list(range(max(1, newest - keep), newest + 1))
+            assert sorted(s for s in _slot_seqs(path) if s) == held
+            damaged = None
+            if torn:
+                cuts = []
+                payloads[newest + 1] = b"\xee" * next_size
+                with mock.patch.object(
+                        os, "pwrite", _tearing_pwrite(position % 30_000, cuts)):
+                    try:
+                        store.save("x", {"cycle_us": 0.0}, payloads[newest + 1])
+                    except _Torn:
+                        pass
+                # An atomic rewrite (the record outgrew its slot) is not
+                # torn, nor is a crash after the whole record was written.
+                if cuts != [True]:
+                    newest += 1
+            else:
+                damaged = held[pick % len(held)]
+                offset, length = _slot_span(path, (damaged - 1) % (keep + 1))
+                _flip(path, offset - 8 + position % (length + 8))
+            intact = [s for s in range(max(1, newest - keep), newest + 1)
+                      if s != damaged]
+            fresh = CheckpointStore(root, keep=keep)
+            if not intact:
+                with pytest.raises(CheckpointError, match="corrupt|no checkpoints"):
+                    fresh.load_latest_good("x")
+                return
+            meta, payload, _path, _skipped = fresh.load_latest_good("x")
+            assert meta["seq"] == max(intact)
+            assert payload == payloads[meta["seq"]]
+            assert meta["seq"] > newest - keep or damaged == newest
 
     def test_all_corrupt_raises(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        path, _ = store.save("x", {"cycle_us": 0.0}, b"p")
-        path.write_bytes(b"junk")
+        for _ in range(2):
+            path, seq = store.save("x", {"cycle_us": 0.0}, b"p")
+            offset, length = _slot_span(path, seq - 1)
+            _flip(path, offset + length - 1)
         with pytest.raises(CheckpointError, match="corrupt"):
             store.load_latest_good("x")
 
@@ -484,13 +661,24 @@ class TestStore:
         assert store.record_crash("x") == 2
         assert store.crashes_delivered("x") == 2
         assert store.crashes_delivered("other") == 0
+        # A slot file holding only the ledger is no checkpoint to resume.
+        assert store.slots_in_use("x") == 0
+        # The ledger lives in the slot file's header: saves keep it, and
+        # bumping it keeps the records.
+        store.save("x", {"cycle_us": 0.0}, b"p")
+        assert store.slots_in_use("x") == 1
+        assert store.record_crash("x") == 3
+        fresh = CheckpointStore(tmp_path)
+        assert fresh.crashes_delivered("x") == 3
+        assert fresh.load_latest_good("x")[0]["seq"] == 1
 
     def test_atomic_writes_leave_no_temp_files(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.save("x", {"cycle_us": 0.0}, b"p")
         store.record_crash("x")
+        store.save("x", {"cycle_us": 0.0}, b"p" * 9000)  # outgrows its slot
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["x.00000001.ckpt", "x.crashes.json"]
+        assert names == ["x.ckpt"]
 
 
 # ----------------------------------------------------------------------
@@ -774,7 +962,9 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert "process crashed" in err and "--resume-from" in err
-        assert list(ckpt_dir.glob("EMBAR-P.*.ckpt"))
+        assert f"--resume-from {ckpt_dir / 'EMBAR-P.ckpt'}" in err
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == ["EMBAR-P.ckpt"]
+        assert CheckpointStore(ckpt_dir).load_latest_good("EMBAR-P")[0]["seq"]
         resumed = tmp_path / "resumed.json"
         assert main(common + ["--resume-from", str(ckpt_dir),
                               "--metrics-out", str(resumed)]) == 0
