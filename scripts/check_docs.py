@@ -1,57 +1,18 @@
 #!/usr/bin/env python
 """Lint: reference tables in docs/ must match the code, both ways.
 
-Twenty authoritative reference tables are checked:
+:func:`tables` is the registry of authoritative reference tables: for
+each, the document it lives in, its heading, what one row names, and the
+names the code has.  The lint reads the first-column backticked tokens
+of each of those sections (and only those sections -- other tables in
+the docs may legitimately backtick other things) and fails when a name
+is in code but undocumented, or is documented but no longer in code.
+A new reference table is one more :func:`tables` row.
 
-* **Event schema reference** (docs/observability.md) -- one row per
-  ``TraceKind`` value;
-* **Metric reference** (docs/observability.md) -- one row per name in
-  ``RUN_METRIC_NAMES`` + ``OBS_METRIC_NAMES``;
-* **Span state reference** (docs/observability.md) -- one row per
-  ``SpanState`` value;
-* **Stall cause reference** (docs/observability.md) -- one row per
-  entry of ``STALL_CAUSES``;
-* **FaultPlan schema reference** (docs/robustness.md) -- one row per
-  field of the fault-plan dataclasses (``FaultPlan``, ``DiskFaultSpec``,
-  ``SlowWindow``, ``PressureStorm``);
-* **Snapshot state reference** (docs/robustness.md) -- one row per
-  ``Machine`` attribute a snapshot carries (``repro.checkpoint.
-  snapshot.STATE``);
-* **Checkpoint metric reference** (docs/robustness.md) -- one row per
-  name in ``CKPT_METRIC_NAMES``;
-* **Bench profile reference** (docs/performance.md) -- one row per
-  profile in ``repro.harness.bench.BENCH_PROFILES``;
-* **The fast-access predicate** (docs/performance.md) -- one row per
-  ``MemoryManager`` method that sets or clears the fast-access mask
-  ``self.fast``, found in the source with ``ast``;
-* **JobSpec schema reference** (docs/serving.md) -- one row per field
-  of ``repro.serve.jobspec.JobSpec``;
-* **Serve metric reference** (docs/serving.md) -- one row per name in
-  ``SERVE_METRIC_NAMES``;
-* **Strategy reference** (docs/robustness.md) -- one row per name in
-  ``repro.fuzz.strategies.STRATEGY_NAMES``;
-* **Oracle reference** (docs/robustness.md) -- one row per name in
-  ``repro.fuzz.oracles.ORACLE_NAMES``;
-* **Fuzz metric reference** (docs/robustness.md) -- one row per name in
-  ``FUZZ_METRIC_NAMES``;
-* **SLO rule schema reference** (docs/observability.md) -- one row per
-  field of ``repro.obs.telemetry.SloRule``;
-* **SLO metric reference** (docs/observability.md) -- one row per name
-  in ``SLO_METRIC_NAMES``;
-* **Telemetry metric reference** (docs/observability.md) -- one row per
-  name in ``TELEMETRY_METRIC_NAMES``;
-* **Farm timeline reference** (docs/observability.md) -- one row per
-  name in ``FARM_SPAN_NAMES`` + ``FARM_INSTANT_NAMES`` +
-  ``FARM_COUNTER_NAMES``;
-* **Ledger record reference** (docs/serving.md) -- one row per kind in
-  ``repro.serve.ledger.LEDGER_RECORD_KINDS``;
-* **Recovery semantics** (docs/serving.md) -- one row per key of
-  ``repro.serve.ledger.RECOVERY_SEMANTICS``.
-
-This script parses those sections (and only those sections -- other
-tables in the docs may legitimately backtick other things) and fails
-when a kind / metric / field / method exists in code but is
-undocumented, or is documented but no longer exists.
+Two checks on the code ride along: every ``*_METRIC_NAMES`` family of
+``repro.obs.metrics`` names each metric once and no metric is in two
+families, and ``RECOVERY_SEMANTICS`` covers exactly the ledger's record
+kinds.
 
 It also lints **documented commands**: every ``repro`` invocation in a
 fenced code block of README.md or docs/ (``python -m repro ...``, a
@@ -79,15 +40,18 @@ import re
 import shlex
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DOC_PATH = REPO_ROOT / "docs" / "observability.md"
-ROBUSTNESS_DOC_PATH = REPO_ROOT / "docs" / "robustness.md"
-PERFORMANCE_DOC_PATH = REPO_ROOT / "docs" / "performance.md"
-SERVING_DOC_PATH = REPO_ROOT / "docs" / "serving.md"
+#: Document key -> the document holding that key's reference tables.
+DOCS = {
+    "observability": REPO_ROOT / "docs" / "observability.md",
+    "robustness": REPO_ROOT / "docs" / "robustness.md",
+    "performance": REPO_ROOT / "docs" / "performance.md",
+    "serving": REPO_ROOT / "docs" / "serving.md",
+}
 MANAGER_PATH = REPO_ROOT / "src" / "repro" / "vm" / "manager.py"
-#: Documents whose commands are linted besides the four above.
+#: Documents whose commands are linted besides those of :data:`DOCS`.
 OTHER_COMMAND_DOCS = (REPO_ROOT / "README.md",
                       REPO_ROOT / "docs" / "tutorial.md",
                       REPO_ROOT / "docs" / "internals.md")
@@ -100,16 +64,20 @@ INLINE_COMMAND_DOCS = (REPO_ROOT / "README.md",
 _SHELL_STOPS = {"|", "||", "&&", ";", ">", ">>", "2>", "<", "&"}
 _ENV_ASSIGNMENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
 
-#: Section heading -> what its table's first column enumerates.
-SECTIONS = {
-    "## Event schema reference": "kinds",
-    "## Metric reference": "metrics",
-    "## Span state reference": "span_states",
-    "## Stall cause reference": "stall_causes",
-}
-
 _ROW_TOKEN = re.compile(r"^\|\s*`([a-z0-9_.]+)`\s*\|")
 _INLINE_CODE = re.compile(r"`([^`]+)`")
+
+
+class Table(NamedTuple):
+    """One reference table and the names its rows must match."""
+
+    #: Key of :data:`DOCS`.
+    doc: str
+    heading: str
+    #: What one row names, in the singular (``"event kind"``).
+    label: str
+    #: The names the code has.
+    names: set[str]
 
 
 def _section_text(doc: str, heading: str) -> str:
@@ -122,20 +90,6 @@ def _section_text(doc: str, heading: str) -> str:
     return rest[: next_heading.start()] if next_heading else rest
 
 
-def documented_tokens(doc_path: Path = DOC_PATH) -> dict[str, set[str]]:
-    """First-column backticked tokens of each reference table."""
-    doc = doc_path.read_text()
-    tokens: dict[str, set[str]] = {bucket: set() for bucket in SECTIONS.values()}
-    for heading, bucket in SECTIONS.items():
-        if heading not in doc:
-            raise SystemExit(f"{doc_path}: missing section {heading!r}")
-        for line in _section_text(doc, heading).splitlines():
-            match = _ROW_TOKEN.match(line.strip())
-            if match:
-                tokens[bucket].add(match.group(1))
-    return tokens
-
-
 def _table_tokens(doc_path: Path, heading: str) -> set[str]:
     """First-column backticked tokens of the table under ``heading``."""
     doc = doc_path.read_text()
@@ -144,35 +98,6 @@ def _table_tokens(doc_path: Path, heading: str) -> set[str]:
     return {match.group(1)
             for line in _section_text(doc, heading).splitlines()
             if (match := _ROW_TOKEN.match(line.strip()))}
-
-
-def documented_plan_fields(doc_path: Path = ROBUSTNESS_DOC_PATH) -> set[str]:
-    """First-column tokens of the FaultPlan schema table.
-
-    Nested fields are documented as ``owner.field`` (for example
-    ``disks.read_error_rate``); top-level ``FaultPlan`` fields are bare.
-    """
-    return _table_tokens(doc_path, "## FaultPlan schema reference")
-
-
-def documented_ckpt_metrics(doc_path: Path = ROBUSTNESS_DOC_PATH) -> set[str]:
-    """First-column tokens of the checkpoint metric table."""
-    return _table_tokens(doc_path, "## Checkpoint metric reference")
-
-
-def documented_snapshot_state(doc_path: Path = ROBUSTNESS_DOC_PATH) -> set[str]:
-    """First-column tokens of the snapshot state table."""
-    return _table_tokens(doc_path, "### Snapshot state reference")
-
-
-def documented_bench_profiles(doc_path: Path = PERFORMANCE_DOC_PATH) -> set[str]:
-    """First-column tokens of the bench profile table."""
-    return _table_tokens(doc_path, "## Bench profile reference")
-
-
-def documented_fast_mask_writers(doc_path: Path = PERFORMANCE_DOC_PATH) -> set[str]:
-    """First-column tokens of the fast-access predicate's method table."""
-    return _table_tokens(doc_path, "### The fast-access predicate")
 
 
 def fast_mask_writers(manager_path: Path = MANAGER_PATH) -> set[str]:
@@ -212,102 +137,12 @@ def fast_mask_writers(manager_path: Path = MANAGER_PATH) -> set[str]:
     return writers
 
 
-def documented_serve_tokens(doc_path: Path = SERVING_DOC_PATH) -> dict[str, set[str]]:
-    """First-column tokens of the serving doc's two reference tables."""
-    doc = doc_path.read_text()
-    tokens: dict[str, set[str]] = {}
-    for heading, bucket in (("## JobSpec schema reference", "jobspec_fields"),
-                            ("## Serve metric reference", "serve_metrics")):
-        if heading not in doc:
-            raise SystemExit(f"{doc_path}: missing section {heading!r}")
-        tokens[bucket] = set()
-        for line in _section_text(doc, heading).splitlines():
-            match = _ROW_TOKEN.match(line.strip())
-            if match:
-                tokens[bucket].add(match.group(1))
-    return tokens
-
-
-def documented_fuzz_tokens(doc_path: Path = ROBUSTNESS_DOC_PATH) -> dict[str, set[str]]:
-    """First-column tokens of the robustness doc's three fuzz tables.
-
-    The fuzz tables live under ``###`` headings inside the Scenario
-    fuzzing section, so the body of each runs to the next heading of
-    *either* level.
-    """
-    doc = doc_path.read_text()
-    tokens: dict[str, set[str]] = {}
-    for heading, bucket in (("### Strategy reference", "strategies"),
-                            ("### Oracle reference", "oracles"),
-                            ("### Fuzz metric reference", "fuzz_metrics")):
-        if heading not in doc:
-            raise SystemExit(f"{doc_path}: missing section {heading!r}")
-        start = doc.index(heading) + len(heading)
-        rest = doc[start:]
-        next_heading = re.search(r"^#{2,3} ", rest, flags=re.MULTILINE)
-        body = rest[: next_heading.start()] if next_heading else rest
-        tokens[bucket] = set()
-        for line in body.splitlines():
-            match = _ROW_TOKEN.match(line.strip())
-            if match:
-                tokens[bucket].add(match.group(1))
-    return tokens
-
-
-def documented_ledger_tokens(doc_path: Path = SERVING_DOC_PATH) -> dict[str, set[str]]:
-    """First-column tokens of the serving doc's two ledger tables.
-
-    The ledger tables live under ``###`` headings inside the Controller
-    failure & recovery section, so the body of each runs to the next
-    heading of *either* level.
-    """
-    doc = doc_path.read_text()
-    tokens: dict[str, set[str]] = {}
-    for heading, bucket in (("### Ledger record reference", "ledger_kinds"),
-                            ("### Recovery semantics", "recovery_kinds")):
-        if heading not in doc:
-            raise SystemExit(f"{doc_path}: missing section {heading!r}")
-        start = doc.index(heading) + len(heading)
-        rest = doc[start:]
-        next_heading = re.search(r"^#{2,3} ", rest, flags=re.MULTILINE)
-        body = rest[: next_heading.start()] if next_heading else rest
-        tokens[bucket] = set()
-        for line in body.splitlines():
-            match = _ROW_TOKEN.match(line.strip())
-            if match:
-                tokens[bucket].add(match.group(1))
-    return tokens
-
-
-def documented_telemetry_tokens(doc_path: Path = DOC_PATH) -> dict[str, set[str]]:
-    """First-column tokens of the observability doc's four farm tables.
-
-    The telemetry tables live under ``###`` headings inside the Farm
-    telemetry section, so the body of each runs to the next heading of
-    *either* level.
-    """
-    doc = doc_path.read_text()
-    tokens: dict[str, set[str]] = {}
-    for heading, bucket in (("### SLO rule schema reference", "slo_fields"),
-                            ("### SLO metric reference", "slo_metrics"),
-                            ("### Telemetry metric reference", "telemetry_metrics"),
-                            ("### Farm timeline reference", "farm_timeline")):
-        if heading not in doc:
-            raise SystemExit(f"{doc_path}: missing section {heading!r}")
-        start = doc.index(heading) + len(heading)
-        rest = doc[start:]
-        next_heading = re.search(r"^#{2,3} ", rest, flags=re.MULTILINE)
-        body = rest[: next_heading.start()] if next_heading else rest
-        tokens[bucket] = set()
-        for line in body.splitlines():
-            match = _ROW_TOKEN.match(line.strip())
-            if match:
-                tokens[bucket].add(match.group(1))
-    return tokens
-
-
 def plan_fields_in_code() -> set[str]:
-    """Every fault-plan dataclass field, named as the doc table names it."""
+    """Every fault-plan dataclass field, named as the doc table names it.
+
+    Nested fields are documented as ``owner.field`` (for example
+    ``disks.read_error_rate``); top-level ``FaultPlan`` fields are bare.
+    """
     import dataclasses
 
     from repro.faults.plan import DiskFaultSpec, FaultPlan, PressureStorm, SlowWindow
@@ -318,6 +153,102 @@ def plan_fields_in_code() -> set[str]:
                        ("storms", PressureStorm)):
         fields |= {f"{owner}.{f.name}" for f in dataclasses.fields(cls)}
     return fields
+
+
+def tables() -> list[Table]:
+    """Every reference table the lint keeps in sync with the code."""
+    import dataclasses
+
+    from repro.checkpoint.snapshot import STATE
+    from repro.fuzz.oracles import ORACLE_NAMES
+    from repro.fuzz.strategies import STRATEGY_NAMES
+    from repro.harness.bench import BENCH_PROFILES
+    from repro.obs.attrib import STALL_CAUSES
+    from repro.obs.export import (
+        FARM_COUNTER_NAMES,
+        FARM_INSTANT_NAMES,
+        FARM_SPAN_NAMES,
+    )
+    from repro.obs.metrics import (
+        CKPT_METRIC_NAMES,
+        FUZZ_METRIC_NAMES,
+        OBS_METRIC_NAMES,
+        RUN_METRIC_NAMES,
+        SERVE_METRIC_NAMES,
+        SLO_METRIC_NAMES,
+        TELEMETRY_METRIC_NAMES,
+    )
+    from repro.obs.spans import SpanState
+    from repro.obs.telemetry import SloRule
+    from repro.obs.trace import TraceKind
+    from repro.serve.jobspec import JobSpec
+    from repro.serve.ledger import LEDGER_RECORD_KINDS, RECOVERY_SEMANTICS
+
+    def fields(cls) -> set[str]:
+        return {f.name for f in dataclasses.fields(cls)}
+
+    return [
+        Table("observability", "## Event schema reference", "event kind",
+              {kind.value for kind in TraceKind}),
+        Table("observability", "## Metric reference", "metric",
+              {*RUN_METRIC_NAMES, *OBS_METRIC_NAMES}),
+        Table("observability", "## Span state reference", "span state",
+              {state.value for state in SpanState}),
+        Table("observability", "## Stall cause reference", "stall cause",
+              set(STALL_CAUSES)),
+        Table("robustness", "## FaultPlan schema reference",
+              "fault-plan field", plan_fields_in_code()),
+        Table("robustness", "## Checkpoint metric reference",
+              "checkpoint metric", set(CKPT_METRIC_NAMES)),
+        Table("robustness", "### Snapshot state reference",
+              "snapshot state attribute", set(STATE)),
+        Table("performance", "## Bench profile reference", "bench profile",
+              set(BENCH_PROFILES)),
+        Table("performance", "### The fast-access predicate",
+              "fast-mask method", fast_mask_writers()),
+        Table("serving", "## JobSpec schema reference", "job-spec field",
+              fields(JobSpec)),
+        Table("serving", "## Serve metric reference", "serve metric",
+              set(SERVE_METRIC_NAMES)),
+        Table("robustness", "### Strategy reference", "fuzz strategy",
+              set(STRATEGY_NAMES)),
+        Table("robustness", "### Oracle reference", "fuzz oracle",
+              set(ORACLE_NAMES)),
+        Table("robustness", "### Fuzz metric reference", "fuzz metric",
+              set(FUZZ_METRIC_NAMES)),
+        Table("observability", "### SLO rule schema reference",
+              "SLO rule field", fields(SloRule)),
+        Table("observability", "### SLO metric reference", "SLO metric",
+              set(SLO_METRIC_NAMES)),
+        Table("observability", "### Telemetry metric reference",
+              "telemetry metric", set(TELEMETRY_METRIC_NAMES)),
+        Table("observability", "### Farm timeline reference",
+              "farm timeline name",
+              {*FARM_SPAN_NAMES, *FARM_INSTANT_NAMES, *FARM_COUNTER_NAMES}),
+        Table("serving", "### Ledger record reference", "ledger record kind",
+              set(LEDGER_RECORD_KINDS)),
+        Table("serving", "### Recovery semantics", "recovery-semantics kind",
+              set(RECOVERY_SEMANTICS)),
+    ]
+
+
+def metric_family_problems() -> list[str]:
+    """Metric names listed twice: within one ``*_METRIC_NAMES`` family of
+    ``repro.obs.metrics``, or in two of them."""
+    from repro.obs import metrics
+
+    problems = []
+    family_of: dict[str, str] = {}
+    for family, names in vars(metrics).items():
+        if not family.endswith("_METRIC_NAMES"):
+            continue
+        for name in names:
+            if name in family_of:
+                where = (family if family_of[name] == family
+                         else f"{family_of[name]} and {family}")
+                problems.append(f"metric {name!r} is listed twice, in {where}")
+            family_of[name] = family
+    return problems
 
 
 def documented_commands(doc_path: Path) -> list[tuple[int, list[str]]]:
@@ -363,6 +294,7 @@ def command_problems(doc_paths: Iterable[Path]) -> list[str]:
     """Documented ``repro`` commands that ``build_parser()`` rejects."""
     from repro.cli import build_parser
 
+    parser = build_parser()
     problems = []
     for doc_path in doc_paths:
         for number, argv in documented_commands(doc_path):
@@ -370,7 +302,7 @@ def command_problems(doc_paths: Iterable[Path]) -> list[str]:
             try:
                 with contextlib.redirect_stderr(errors), \
                         contextlib.redirect_stdout(io.StringIO()):
-                    build_parser().parse_args(argv)
+                    parser.parse_args(argv)
             except SystemExit as exc:
                 if exc.code:
                     reason = errors.getvalue().strip().splitlines()
@@ -421,250 +353,47 @@ def inline_command_problems(doc_paths: Iterable[Path]) -> list[str]:
     return problems
 
 
-def check(
-    doc_path: Path = DOC_PATH,
-    robustness_doc_path: Path = ROBUSTNESS_DOC_PATH,
-    performance_doc_path: Path = PERFORMANCE_DOC_PATH,
-    serving_doc_path: Path = SERVING_DOC_PATH,
-) -> list[str]:
-    """Returns a list of problems; empty means docs and code agree."""
-    import dataclasses
+def check(docs: dict[str, Path] | None = None) -> list[str]:
+    """Returns a list of problems; empty means docs and code agree.
 
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.checkpoint.snapshot import STATE as SNAPSHOT_STATE
-    from repro.fuzz.oracles import ORACLE_NAMES
-    from repro.fuzz.strategies import STRATEGY_NAMES
-    from repro.harness.bench import BENCH_PROFILES
-    from repro.obs.attrib import STALL_CAUSES
-    from repro.obs.export import (
-        FARM_COUNTER_NAMES,
-        FARM_INSTANT_NAMES,
-        FARM_SPAN_NAMES,
-    )
-    from repro.obs.metrics import (
-        CKPT_METRIC_NAMES,
-        FUZZ_METRIC_NAMES,
-        OBS_METRIC_NAMES,
-        RUN_METRIC_NAMES,
-        SERVE_METRIC_NAMES,
-        SLO_METRIC_NAMES,
-        TELEMETRY_METRIC_NAMES,
-    )
-    from repro.obs.spans import SpanState
-    from repro.obs.telemetry import SloRule
-    from repro.obs.trace import TraceKind
-    from repro.serve.jobspec import JobSpec
+    ``docs`` maps :data:`DOCS` keys to files read in their place.
+    """
     from repro.serve.ledger import LEDGER_RECORD_KINDS, RECOVERY_SEMANTICS
 
-    doc = documented_tokens(doc_path)
-    in_code = {
-        "kinds": ("event kind", {kind.value for kind in TraceKind}),
-        "metrics": ("metric",
-                    set(RUN_METRIC_NAMES) | set(OBS_METRIC_NAMES)),
-        "span_states": ("span state", {state.value for state in SpanState}),
-        "stall_causes": ("stall cause", set(STALL_CAUSES)),
-    }
-
+    paths = {**DOCS, **(docs or {})}
     problems = []
-    for bucket, (label, code_tokens) in in_code.items():
-        for missing in sorted(code_tokens - doc[bucket]):
-            problems.append(f"{label} {missing!r} is in code but not documented")
-        for stale in sorted(doc[bucket] - code_tokens):
-            problems.append(f"{label} {stale!r} is documented but not in code")
-
-    code_fields = plan_fields_in_code()
-    doc_fields = documented_plan_fields(robustness_doc_path)
-    for missing in sorted(code_fields - doc_fields):
-        problems.append(f"fault-plan field {missing!r} is in code but not documented")
-    for stale in sorted(doc_fields - code_fields):
-        problems.append(f"fault-plan field {stale!r} is documented but not in code")
-
-    doc_ckpt = documented_ckpt_metrics(robustness_doc_path)
-    for missing in sorted(set(CKPT_METRIC_NAMES) - doc_ckpt):
-        problems.append(
-            f"checkpoint metric {missing!r} is in code but not documented")
-    for stale in sorted(doc_ckpt - set(CKPT_METRIC_NAMES)):
-        problems.append(
-            f"checkpoint metric {stale!r} is documented but not in code")
-
-    doc_state = documented_snapshot_state(robustness_doc_path)
-    for missing in sorted(set(SNAPSHOT_STATE) - doc_state):
-        problems.append(
-            f"snapshot state attribute {missing!r} is in code but not "
-            f"documented")
-    for stale in sorted(doc_state - set(SNAPSHOT_STATE)):
-        problems.append(
-            f"snapshot state attribute {stale!r} is documented but not in "
-            f"code")
-
-    doc_profiles = documented_bench_profiles(performance_doc_path)
-    for missing in sorted(set(BENCH_PROFILES) - doc_profiles):
-        problems.append(
-            f"bench profile {missing!r} is in code but not documented")
-    for stale in sorted(doc_profiles - set(BENCH_PROFILES)):
-        problems.append(
-            f"bench profile {stale!r} is documented but not in code")
-
-    doc_writers = documented_fast_mask_writers(performance_doc_path)
-    code_writers = fast_mask_writers()
-    for missing in sorted(code_writers - doc_writers):
-        problems.append(
-            f"fast-mask method {missing!r} is in code but not documented")
-    for stale in sorted(doc_writers - code_writers):
-        problems.append(
-            f"fast-mask method {stale!r} is documented but does not set "
-            f"or clear the mask")
-
-    serve_doc = documented_serve_tokens(serving_doc_path)
-    jobspec_fields = {f.name for f in dataclasses.fields(JobSpec)}
-    for missing in sorted(jobspec_fields - serve_doc["jobspec_fields"]):
-        problems.append(
-            f"job-spec field {missing!r} is in code but not documented")
-    for stale in sorted(serve_doc["jobspec_fields"] - jobspec_fields):
-        problems.append(
-            f"job-spec field {stale!r} is documented but not in code")
-    for missing in sorted(set(SERVE_METRIC_NAMES) - serve_doc["serve_metrics"]):
-        problems.append(
-            f"serve metric {missing!r} is in code but not documented")
-    for stale in sorted(serve_doc["serve_metrics"] - set(SERVE_METRIC_NAMES)):
-        problems.append(
-            f"serve metric {stale!r} is documented but not in code")
-
-    ledger_doc = documented_ledger_tokens(serving_doc_path)
-    for bucket, label, code_tokens in (
-        ("ledger_kinds", "ledger record kind", set(LEDGER_RECORD_KINDS)),
-        ("recovery_kinds", "recovery-semantics kind",
-         set(RECOVERY_SEMANTICS)),
-    ):
-        for missing in sorted(code_tokens - ledger_doc[bucket]):
-            problems.append(
-                f"{label} {missing!r} is in code but not documented")
-        for stale in sorted(ledger_doc[bucket] - code_tokens):
-            problems.append(
-                f"{label} {stale!r} is documented but not in code")
+    for table in tables():
+        documented = _table_tokens(paths[table.doc], table.heading)
+        problems += [f"{table.label} {name!r} is in code but not documented"
+                     for name in sorted(table.names - documented)]
+        problems += [f"{table.label} {name!r} is documented but not in code"
+                     for name in sorted(documented - table.names)]
+    problems += metric_family_problems()
     if set(RECOVERY_SEMANTICS) != set(LEDGER_RECORD_KINDS):
         problems.append(
             "RECOVERY_SEMANTICS keys do not match LEDGER_RECORD_KINDS")
-
-    fuzz_doc = documented_fuzz_tokens(robustness_doc_path)
-    for bucket, label, code_tokens in (
-        ("strategies", "fuzz strategy", set(STRATEGY_NAMES)),
-        ("oracles", "fuzz oracle", set(ORACLE_NAMES)),
-        ("fuzz_metrics", "fuzz metric", set(FUZZ_METRIC_NAMES)),
-    ):
-        for missing in sorted(code_tokens - fuzz_doc[bucket]):
-            problems.append(
-                f"{label} {missing!r} is in code but not documented")
-        for stale in sorted(fuzz_doc[bucket] - code_tokens):
-            problems.append(
-                f"{label} {stale!r} is documented but not in code")
-
-    telemetry_doc = documented_telemetry_tokens(doc_path)
-    farm_timeline_names = (set(FARM_SPAN_NAMES) | set(FARM_INSTANT_NAMES)
-                           | set(FARM_COUNTER_NAMES))
-    for bucket, label, code_tokens in (
-        ("slo_fields", "SLO rule field",
-         {f.name for f in dataclasses.fields(SloRule)}),
-        ("slo_metrics", "SLO metric", set(SLO_METRIC_NAMES)),
-        ("telemetry_metrics", "telemetry metric", set(TELEMETRY_METRIC_NAMES)),
-        ("farm_timeline", "farm timeline name", farm_timeline_names),
-    ):
-        for missing in sorted(code_tokens - telemetry_doc[bucket]):
-            problems.append(
-                f"{label} {missing!r} is in code but not documented")
-        for stale in sorted(telemetry_doc[bucket] - code_tokens):
-            problems.append(
-                f"{label} {stale!r} is documented but not in code")
-
-    if len(set(RUN_METRIC_NAMES)) != len(RUN_METRIC_NAMES):
-        problems.append("RUN_METRIC_NAMES contains duplicates")
-    if len(set(CKPT_METRIC_NAMES)) != len(CKPT_METRIC_NAMES):
-        problems.append("CKPT_METRIC_NAMES contains duplicates")
-    if len(set(SERVE_METRIC_NAMES)) != len(SERVE_METRIC_NAMES):
-        problems.append("SERVE_METRIC_NAMES contains duplicates")
-    overlap = set(RUN_METRIC_NAMES) & set(OBS_METRIC_NAMES)
-    if overlap:
-        problems.append(f"names in both RUN and OBS lists: {sorted(overlap)}")
-    overlap = set(CKPT_METRIC_NAMES) & (set(RUN_METRIC_NAMES)
-                                        | set(OBS_METRIC_NAMES))
-    if overlap:
-        problems.append(
-            f"names in both CKPT and RUN/OBS lists: {sorted(overlap)}")
-    overlap = set(SERVE_METRIC_NAMES) & (set(RUN_METRIC_NAMES)
-                                         | set(OBS_METRIC_NAMES)
-                                         | set(CKPT_METRIC_NAMES))
-    if overlap:
-        problems.append(
-            f"names in both SERVE and other lists: {sorted(overlap)}")
-    if len(set(FUZZ_METRIC_NAMES)) != len(FUZZ_METRIC_NAMES):
-        problems.append("FUZZ_METRIC_NAMES contains duplicates")
-    overlap = set(FUZZ_METRIC_NAMES) & (set(RUN_METRIC_NAMES)
-                                        | set(OBS_METRIC_NAMES)
-                                        | set(CKPT_METRIC_NAMES)
-                                        | set(SERVE_METRIC_NAMES))
-    if overlap:
-        problems.append(
-            f"names in both FUZZ and other lists: {sorted(overlap)}")
-    others = (set(RUN_METRIC_NAMES) | set(OBS_METRIC_NAMES)
-              | set(CKPT_METRIC_NAMES) | set(SERVE_METRIC_NAMES)
-              | set(FUZZ_METRIC_NAMES))
-    if len(set(TELEMETRY_METRIC_NAMES)) != len(TELEMETRY_METRIC_NAMES):
-        problems.append("TELEMETRY_METRIC_NAMES contains duplicates")
-    if len(set(SLO_METRIC_NAMES)) != len(SLO_METRIC_NAMES):
-        problems.append("SLO_METRIC_NAMES contains duplicates")
-    overlap = (set(TELEMETRY_METRIC_NAMES) | set(SLO_METRIC_NAMES)) & others
-    if overlap:
-        problems.append(
-            f"names in both TELEMETRY/SLO and other lists: {sorted(overlap)}")
-    overlap = set(TELEMETRY_METRIC_NAMES) & set(SLO_METRIC_NAMES)
-    if overlap:
-        problems.append(
-            f"names in both TELEMETRY and SLO lists: {sorted(overlap)}")
-
-    problems += command_problems([doc_path, robustness_doc_path,
-                                  performance_doc_path, serving_doc_path,
-                                  *OTHER_COMMAND_DOCS])
+    problems += command_problems([*paths.values(), *OTHER_COMMAND_DOCS])
     problems += inline_command_problems(INLINE_COMMAND_DOCS)
     return problems
 
 
 def main() -> int:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
     problems = check()
     for problem in problems:
         print(f"check_docs: {problem}", file=sys.stderr)
     if problems:
         return 1
-    tokens = documented_tokens()
-    serve_tokens = documented_serve_tokens()
-    fuzz_tokens = documented_fuzz_tokens()
-    telemetry_tokens = documented_telemetry_tokens()
-    ledger_tokens = documented_ledger_tokens()
-    commands = sum(len(documented_commands(path)) for path in (
-        DOC_PATH, ROBUSTNESS_DOC_PATH, PERFORMANCE_DOC_PATH,
-        SERVING_DOC_PATH, *OTHER_COMMAND_DOCS))
+    synced = ", ".join(
+        f"{len(table.names)} "
+        + (table.label[:-1] + "ies" if table.label.endswith("y")
+           else table.label + "s")
+        for table in tables())
+    commands = sum(len(documented_commands(path))
+                   for path in (*DOCS.values(), *OTHER_COMMAND_DOCS))
     spans = sum(len(inline_commands(path)) for path in INLINE_COMMAND_DOCS)
-    print(f"check_docs: OK ({len(tokens['kinds'])} event kinds, "
-          f"{len(tokens['metrics'])} metrics, "
-          f"{len(tokens['span_states'])} span states, "
-          f"{len(tokens['stall_causes'])} stall causes, "
-          f"{len(documented_plan_fields())} fault-plan fields, "
-          f"{len(documented_ckpt_metrics())} checkpoint metrics, "
-          f"{len(documented_snapshot_state())} snapshot state attributes, "
-          f"{len(documented_bench_profiles())} bench profiles, "
-          f"{len(documented_fast_mask_writers())} fast-mask methods, "
-          f"{len(serve_tokens['jobspec_fields'])} job-spec fields, "
-          f"{len(serve_tokens['serve_metrics'])} serve metrics, "
-          f"{len(fuzz_tokens['strategies'])} fuzz strategies, "
-          f"{len(fuzz_tokens['oracles'])} fuzz oracles, "
-          f"{len(fuzz_tokens['fuzz_metrics'])} fuzz metrics, "
-          f"{len(telemetry_tokens['slo_fields'])} SLO rule fields, "
-          f"{len(telemetry_tokens['slo_metrics'])} SLO metrics, "
-          f"{len(telemetry_tokens['telemetry_metrics'])} telemetry metrics, "
-          f"{len(telemetry_tokens['farm_timeline'])} farm timeline names, "
-          f"{len(ledger_tokens['ledger_kinds'])} ledger record kinds, "
-          f"{len(ledger_tokens['recovery_kinds'])} recovery-semantics kinds "
-          f"in sync; {commands} documented commands parse; "
-          f"{spans} inline commands name a verb)")
+    print(f"check_docs: OK ({synced} in sync; {commands} documented commands "
+          f"parse; {spans} inline commands name a verb)")
     return 0
 
 

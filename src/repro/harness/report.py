@@ -66,36 +66,3 @@ def stacked_time_bar(breakdown, normalize_to: float, width: int = 60) -> str:
         + f"  ({100 * total / normalize_to:.0f}%)"
     )
 
-
-def pct(value: float) -> str:
-    return f"{100 * value:.1f}%"
-
-
-def _fmt_metric(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return f"{value:.3f}"
-
-
-def render_metrics(registry, title: str | None = None) -> str:
-    """Render a metrics registry as a fixed-width table.
-
-    This is the registry-driven replacement for hand-picked stat
-    fields: whatever a run published (``RunStats.publish``) or an
-    observer collected live is what gets printed.  Counters and gauges
-    show their value; histograms show their tail -- count / mean and
-    the p50/p95/p99 quantiles the SLO engine reads, so the table and a
-    rule like ``p99(serve.job_latency_us) < X`` agree by construction.
-    """
-    rows = []
-    for name in registry.names():
-        instrument = registry.get(name)
-        if instrument.kind == "histogram":
-            detail = (f"n={instrument.count} mean={_fmt_metric(instrument.mean)} "
-                      f"p50={_fmt_metric(instrument.quantile(0.50))} "
-                      f"p95={_fmt_metric(instrument.quantile(0.95))} "
-                      f"p99={_fmt_metric(instrument.quantile(0.99))}")
-            rows.append([name, instrument.kind, detail])
-        else:
-            rows.append([name, instrument.kind, _fmt_metric(instrument.value)])
-    return render_table(["metric", "kind", "value"], rows, title=title)

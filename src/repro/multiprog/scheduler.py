@@ -120,8 +120,6 @@ class CoScheduler:
         #: storms, slow disks, and stale residency bits); ``crashes``
         #: entries are ignored, since process crashes are delivered at
         #: ``Executor.run``'s safe points and the co-scheduler has none.
-        #: The scheduler keeps its own end-of-run accounting instead of
-        #: ``Machine.finish``.
         self.machine = machine = Machine(
             self.platform, prefetching=True, observer=observer,
             fault_plan=fault_plan)
@@ -131,7 +129,6 @@ class CoScheduler:
         #: shared, so one observer sees every process's events interleaved
         #: in simulated-time order.
         self.obs = observer
-        self.disks = machine.disks
         self.manager = machine.manager
         self.layer = machine.runtime
         self._procs: list[_Proc] = []
@@ -259,15 +256,11 @@ class CoScheduler:
             proc.result.faults += self._fault_count() - faults_before
             proc.runnable_since = proc.blocked_until if blocked else clock.now
 
-        self.manager.flush_dirty()
-        result = ScheduleResult(
-            elapsed_us=clock.now,
+        stats = self.machine.finish()
+        return ScheduleResult(
+            elapsed_us=stats.elapsed_us,
             processes=[p.result for p in procs],
-            stats=self.stats,
-            times=TimeBreakdown.from_clock(clock),
+            stats=stats,
+            times=stats.times,
             idle_wait_us=self.idle_wait_us,
         )
-        self.stats.elapsed_us = clock.now
-        self.stats.times = result.times
-        self.stats.disk = self.disks.snapshot_stats()
-        return result

@@ -339,9 +339,10 @@ def base_name(name: str) -> str:
     return name if brace < 0 else name[:brace]
 
 
-#: Every metric name ``RunStats.publish`` registers, in publish order.
-#: ``scripts/check_docs.py`` cross-checks this list against the metric
-#: reference table in docs/observability.md.
+#: Every metric name ``RunStats.publish`` registers, grouped by family.
+#: This is not registration order: ``publish`` registers all its
+#: counters before its gauges.  ``scripts/check_docs.py`` cross-checks
+#: this list against the metric reference table in docs/observability.md.
 RUN_METRIC_NAMES: tuple[str, ...] = (
     "time.elapsed_us",
     "time.user_compute_us",

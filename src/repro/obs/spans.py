@@ -81,6 +81,10 @@ class SpanState(str, enum.Enum):
 _CLOSING = frozenset({SpanState.USED_HIT, SpanState.USED_STALL,
                       SpanState.RELEASED, SpanState.EVICTED})
 
+#: Closed spans a :class:`SpanBuilder` keeps (its outcome tallies count
+#: every span).
+KEEP_COMPLETED = 4096
+
 
 class StallRecord(NamedTuple):
     """One stall contribution, in clock-accumulation order.
@@ -147,13 +151,13 @@ class SpanBuilder:
     :class:`~repro.obs.attrib.StallAttributor` subscribes).
     """
 
-    def __init__(self, observer=None, keep_completed: int = 4096) -> None:
+    def __init__(self, observer=None) -> None:
         #: Attached observer (context + segment source); None offline.
         self.observer = observer
         #: Open span per page.
         self.open: dict[int, Span] = {}
         #: Most recent closed spans (bounded; counts are unbounded).
-        self.completed: deque[Span] = deque(maxlen=keep_completed)
+        self.completed: deque[Span] = deque(maxlen=KEEP_COMPLETED)
         #: Closed-span tally per outcome value (unbounded, exact).
         self.outcome_counts: dict[str, int] = {}
         #: Per-stall callback, or None.

@@ -75,6 +75,9 @@ JOB_LATENCY_BOUNDS_US: tuple[float, ...] = (
     1e4, 1e5, 1e6, 5e6, 1e7, 3e7, 6e7, 3e8,
 )
 
+#: Seconds each of the controller's three loops sleeps between passes.
+POLL_S = 0.02
+
 
 @dataclass(frozen=True)
 class FarmConfig:
@@ -84,7 +87,6 @@ class FarmConfig:
     queue_depth: int = 64
     hb_interval_s: float = 0.05
     hb_timeout_s: float = 5.0
-    poll_s: float = 0.02
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     checkpoint_every_us: float = DEFAULT_CHECKPOINT_EVERY_US
     preemption: bool = True
@@ -99,8 +101,6 @@ class FarmConfig:
             raise ConfigError(f"need >= 1 worker, got {self.workers}")
         if self.queue_depth < 1:
             raise ConfigError(f"queue depth must be >= 1, got {self.queue_depth}")
-        if self.poll_s <= 0:
-            raise ConfigError(f"poll_s must be > 0, got {self.poll_s}")
         if self.max_wall_s is not None and self.max_wall_s <= 0:
             raise ConfigError(f"max_wall_s must be > 0, got {self.max_wall_s}")
 
@@ -361,7 +361,7 @@ class Farm:
                 self._consume_result(handle)
             self._update_gauges()
             self.telemetry.poll(time.monotonic())
-            await asyncio.sleep(self.config.poll_s)
+            await asyncio.sleep(POLL_S)
 
     async def _supervise_loop(self) -> None:
         while True:
@@ -399,7 +399,7 @@ class Farm:
                     self._register_failure(
                         job, f"worker {handle.worker_id} {kind}: {detail}",
                         resume=True)
-            await asyncio.sleep(self.config.poll_s)
+            await asyncio.sleep(POLL_S)
 
     async def _dispatch_loop(self) -> None:
         while True:
@@ -412,7 +412,7 @@ class Farm:
                     break
                 self._dispatch(handle, record, now)
             self._update_gauges()
-            await asyncio.sleep(self.config.poll_s)
+            await asyncio.sleep(POLL_S)
 
     def _maybe_preempt(self, now: float) -> None:
         """Kill the lowest-priority running job for a higher-priority one."""

@@ -1,9 +1,11 @@
-"""The docs/observability.md lint, run as part of the suite.
+"""The docs lint, run as part of the suite.
 
-``scripts/check_docs.py`` cross-checks the doc's event-kind and metric
-reference tables against ``repro.obs``; these tests run the same check
-under pytest (so CI catches drift either way) and pin the parser's
-behaviour.
+``scripts/check_docs.py`` cross-checks the reference tables of
+docs/observability.md, robustness.md, performance.md and serving.md
+against the code, both ways, and parses the ``repro`` commands of
+README.md and docs/.  These tests run the same check under pytest (so CI
+catches drift either way), show that every table in its registry
+catches a dropped and a renamed row, and pin the parsers' behaviour.
 """
 
 import importlib.util
@@ -14,8 +16,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture(scope="module")
-def check_docs():
+def _load_check_docs():
     path = REPO_ROOT / "scripts" / "check_docs.py"
     spec = importlib.util.spec_from_file_location("check_docs", path)
     module = importlib.util.module_from_spec(spec)
@@ -23,114 +24,162 @@ def check_docs():
     return module
 
 
-def test_docs_match_code(check_docs):
+check_docs = _load_check_docs()
+
+
+def _mutated(tmp_path, doc, old, new):
+    """A copy of one :data:`DOCS` document with ``old`` replaced."""
+    text = check_docs.DOCS[doc].read_text()
+    assert old in text
+    mutated = tmp_path / check_docs.DOCS[doc].name
+    mutated.write_text(text.replace(old, new))
+    return {doc: mutated}
+
+
+def test_docs_match_code():
     assert check_docs.check() == []
 
 
-def test_parser_finds_all_tables(check_docs):
-    tokens = check_docs.documented_tokens()
-    assert "fault" in tokens["kinds"]
-    assert "disk_request" in tokens["kinds"]
-    assert "stall_frame_wait" in tokens["kinds"]
-    assert "time.elapsed_us" in tokens["metrics"]
-    assert "obs.stall_latency_us" in tokens["metrics"]
-    assert "obs.disk_idle_fraction" in tokens["metrics"]
-    assert "used_stall" in tokens["span_states"]
-    assert "issued" in tokens["span_states"]
-    assert "prefetch_too_late" in tokens["stall_causes"]
-    assert "fault_injected" in tokens["stall_causes"]
+def test_parser_finds_all_tables():
+    tokens = {table.label: check_docs._table_tokens(check_docs.DOCS[table.doc],
+                                                    table.heading)
+              for table in check_docs.tables()}
+    assert "fault" in tokens["event kind"]
+    assert "disk_request" in tokens["event kind"]
+    assert "stall_frame_wait" in tokens["event kind"]
+    assert "time.elapsed_us" in tokens["metric"]
+    assert "obs.stall_latency_us" in tokens["metric"]
+    assert "obs.disk_idle_fraction" in tokens["metric"]
+    assert "used_stall" in tokens["span state"]
+    assert "issued" in tokens["span state"]
+    assert "prefetch_too_late" in tokens["stall cause"]
+    assert "fault_injected" in tokens["stall cause"]
 
 
-def test_lint_catches_drift(check_docs, tmp_path):
+@pytest.mark.parametrize("table", check_docs.tables(),
+                         ids=lambda table: table.label.replace(" ", "-"))
+def test_every_table_is_linted_both_ways(table, tmp_path):
+    """Dropping a table's first row fails the lint as undocumented;
+    renaming it fails it both ways."""
+    text = check_docs.DOCS[table.doc].read_text()
+    row = next(line for line in
+               check_docs._section_text(text, table.heading).splitlines()
+               if check_docs._ROW_TOKEN.match(line.strip()))
+    name = check_docs._ROW_TOKEN.match(row.strip()).group(1)
+    at = text.index(row, text.index(table.heading))
+    mutated = tmp_path / check_docs.DOCS[table.doc].name
+    missing = f"{table.label} {name!r} is in code but not documented"
+
+    mutated.write_text(text[:at] + text[at + len(row) + 1:])
+    assert check_docs.check(docs={table.doc: mutated}) == [missing]
+
+    renamed = row.replace(f"`{name}`", f"`{name}_renamed`", 1)
+    mutated.write_text(text[:at] + renamed + text[at + len(row):])
+    assert check_docs.check(docs={table.doc: mutated}) == [
+        missing, f"{table.label} '{name}_renamed' is documented but not in code"]
+
+
+def test_metric_listed_twice_is_reported(monkeypatch):
+    """A metric name in two ``*_METRIC_NAMES`` families, or twice in
+    one, fails the lint."""
+    from repro.obs import metrics
+
+    monkeypatch.setattr(metrics, "OBS_METRIC_NAMES",
+                        (*metrics.OBS_METRIC_NAMES, "obs.stall_latency_us"))
+    monkeypatch.setattr(metrics, "CKPT_METRIC_NAMES",
+                        (*metrics.CKPT_METRIC_NAMES, "time.elapsed_us"))
+    twice = ["metric 'obs.stall_latency_us' is listed twice, in "
+             "OBS_METRIC_NAMES",
+             "metric 'time.elapsed_us' is listed twice, in "
+             "RUN_METRIC_NAMES and CKPT_METRIC_NAMES"]
+    assert check_docs.metric_family_problems() == twice
+    problems = check_docs.check()
+    assert all(problem in problems for problem in twice)
+
+
+def test_lint_catches_drift(tmp_path):
     """Removing a documented row or inventing one must fail the lint."""
-    doc = (REPO_ROOT / "docs" / "observability.md").read_text()
-    mutated = tmp_path / "observability.md"
-
-    mutated.write_text(doc.replace("| `fault` |", "| `fault_renamed` |"))
-    problems = check_docs.check(mutated)
+    docs = _mutated(tmp_path, "observability",
+                    "| `fault` |", "| `fault_renamed` |")
+    problems = check_docs.check(docs=docs)
     assert any("fault_renamed" in p for p in problems)
     assert any("'fault'" in p for p in problems)
 
-    mutated.write_text(
-        doc.replace("| `time.elapsed_us` |", "| `time.bogus_us` |")
-    )
-    problems = check_docs.check(mutated)
+    docs = _mutated(tmp_path, "observability",
+                    "| `time.elapsed_us` |", "| `time.bogus_us` |")
+    problems = check_docs.check(docs=docs)
     assert any("time.bogus_us" in p for p in problems)
 
-    mutated.write_text(doc.replace("| `used_stall` |", "| `used_wrong` |"))
-    problems = check_docs.check(mutated)
+    docs = _mutated(tmp_path, "observability",
+                    "| `used_stall` |", "| `used_wrong` |")
+    problems = check_docs.check(docs=docs)
     assert any("used_wrong" in p for p in problems)
     assert any("'used_stall'" in p for p in problems)
 
-    mutated.write_text(
-        doc.replace("| `prefetch_too_late` |", "| `too_late_renamed` |")
-    )
-    problems = check_docs.check(mutated)
+    docs = _mutated(tmp_path, "observability",
+                    "| `prefetch_too_late` |", "| `too_late_renamed` |")
+    problems = check_docs.check(docs=docs)
     assert any("too_late_renamed" in p for p in problems)
 
 
-def test_bench_profile_table_matches_registry(check_docs):
+def test_bench_profile_table_matches_registry():
     from repro.harness.bench import BENCH_PROFILES
 
-    assert check_docs.documented_bench_profiles() == set(BENCH_PROFILES)
+    assert check_docs._table_tokens(
+        check_docs.DOCS["performance"],
+        "## Bench profile reference") == set(BENCH_PROFILES)
 
 
-def test_lint_catches_bench_profile_drift(check_docs, tmp_path):
+def test_lint_catches_bench_profile_drift(tmp_path):
     """The performance.md bench-profile table is linted both ways."""
-    doc = (REPO_ROOT / "docs" / "performance.md").read_text()
-    mutated = tmp_path / "performance.md"
-
     # A documented profile the harness does not have.
-    mutated.write_text(doc.replace("| `smoke` |", "| `smoke_renamed` |"))
-    problems = check_docs.check(performance_doc_path=mutated)
+    docs = _mutated(tmp_path, "performance", "| `smoke` |", "| `smoke_renamed` |")
+    problems = check_docs.check(docs=docs)
     assert any("smoke_renamed" in p for p in problems)
     assert any("'smoke'" in p for p in problems)
 
     # A harness profile missing from the doc.
-    mutated.write_text(doc.replace("| `table3` |", "| not-a-row |"))
-    problems = check_docs.check(performance_doc_path=mutated)
+    docs = _mutated(tmp_path, "performance", "| `table3` |", "| not-a-row |")
+    problems = check_docs.check(docs=docs)
     assert any("'table3'" in p and "not documented" in p for p in problems)
 
 
-def test_lint_catches_fast_mask_method_drift(check_docs, tmp_path):
+def test_lint_catches_fast_mask_method_drift(tmp_path):
     """The predicate section names exactly the methods that set or
     clear ``MemoryManager.fast``, both ways."""
-    doc = (REPO_ROOT / "docs" / "performance.md").read_text()
-    mutated = tmp_path / "performance.md"
-
     # A method that clears the mask, missing from the doc.
-    mutated.write_text(doc.replace("| `_evict` |", "| not-a-row |"))
-    problems = check_docs.check(performance_doc_path=mutated)
+    docs = _mutated(tmp_path, "performance", "| `_evict` |", "| not-a-row |")
+    problems = check_docs.check(docs=docs)
     assert any("'_evict'" in p and "not documented" in p for p in problems)
 
     # A documented method that does not touch the mask.
-    mutated.write_text(doc.replace("| `_map` |", "| `_map_renamed` |"))
-    problems = check_docs.check(performance_doc_path=mutated)
+    docs = _mutated(tmp_path, "performance", "| `_map` |", "| `_map_renamed` |")
+    problems = check_docs.check(docs=docs)
     assert any("'_map_renamed'" in p for p in problems)
     assert any("'_map'" in p and "not documented" in p for p in problems)
 
 
-def test_lint_catches_snapshot_state_drift(check_docs, tmp_path):
+def test_lint_catches_snapshot_state_drift(tmp_path):
     """The robustness doc's snapshot state table names exactly the
     Machine attributes a snapshot carries, both ways."""
     from repro.checkpoint.snapshot import STATE
 
-    assert check_docs.documented_snapshot_state() == set(STATE)
-    doc = (REPO_ROOT / "docs" / "robustness.md").read_text()
-    mutated = tmp_path / "robustness.md"
+    assert check_docs._table_tokens(
+        check_docs.DOCS["robustness"],
+        "### Snapshot state reference") == set(STATE)
 
     # A state attribute missing from the doc.
-    mutated.write_text(doc.replace("| `manager` |", "| not-a-row |"))
-    problems = check_docs.check(robustness_doc_path=mutated)
+    docs = _mutated(tmp_path, "robustness", "| `manager` |", "| not-a-row |")
+    problems = check_docs.check(docs=docs)
     assert any("'manager'" in p and "not documented" in p for p in problems)
 
     # A documented attribute the snapshot does not carry.
-    mutated.write_text(doc.replace("| `clock` |", "| `clock_renamed` |"))
-    problems = check_docs.check(robustness_doc_path=mutated)
+    docs = _mutated(tmp_path, "robustness", "| `clock` |", "| `clock_renamed` |")
+    problems = check_docs.check(docs=docs)
     assert any("'clock_renamed'" in p for p in problems)
 
 
-def test_fast_mask_writers_follow_aliases_and_rebinding(check_docs, tmp_path):
+def test_fast_mask_writers_follow_aliases_and_rebinding(tmp_path):
     source = tmp_path / "manager.py"
     source.write_text(
         "class MemoryManager:\n"
@@ -151,7 +200,7 @@ def test_fast_mask_writers_follow_aliases_and_rebinding(check_docs, tmp_path):
         "aliased", "via_local", "rebuild"}
 
 
-def test_command_extraction_joins_cuts_and_skips_prose(check_docs, tmp_path):
+def test_command_extraction_joins_cuts_and_skips_prose(tmp_path):
     doc = tmp_path / "guide.md"
     doc.write_text(
         "Run it:\n"
@@ -177,19 +226,17 @@ def test_command_extraction_joins_cuts_and_skips_prose(check_docs, tmp_path):
     assert problems[1].startswith("guide.md:5:") and "--bogus-flag" in problems[1]
 
 
-def test_lint_catches_a_documented_command_the_cli_rejects(check_docs, tmp_path):
+def test_lint_catches_a_documented_command_the_cli_rejects(tmp_path):
     """The cProfile recipe once ran ``repro run --app buk -p``, which
     argparse rejects; reintroducing it must fail the lint."""
-    doc = (REPO_ROOT / "docs" / "performance.md").read_text()
-    assert "run BUK --variant p" in doc
-    mutated = tmp_path / "performance.md"
-    mutated.write_text(doc.replace("run BUK --variant p", "run --app buk -p"))
-    problems = check_docs.check(performance_doc_path=mutated)
+    docs = _mutated(tmp_path, "performance",
+                    "run BUK --variant p", "run --app buk -p")
+    problems = check_docs.check(docs=docs)
     assert any("`repro run --app buk -p` does not parse" in p
                for p in problems)
 
 
-def test_inline_commands_must_name_a_verb(check_docs, tmp_path):
+def test_inline_commands_must_name_a_verb(tmp_path):
     """Inline ``repro ...`` spans are linted for their verb only: prose
     like ``repro serve`` passes, a removed verb does not."""
     doc = tmp_path / "guide.md"

@@ -6,7 +6,7 @@ from repro.apps.registry import get_app
 from repro.config import PlatformConfig
 from repro.core.options import CompilerOptions
 from repro.harness.experiment import compare_app, default_data_pages, run_variant
-from repro.harness.report import ascii_bars, pct, render_table, stacked_time_bar
+from repro.harness.report import ascii_bars, render_table, stacked_time_bar
 from repro.sim.stats import TimeBreakdown
 
 SMALL = PlatformConfig(memory_pages=96, available_fraction=0.75)
@@ -92,6 +92,3 @@ class TestReport:
         assert bar.count("s") == 5
         assert bar.count(".") == 5
         assert "(100%)" in bar
-
-    def test_pct(self):
-        assert pct(0.5) == "50.0%"

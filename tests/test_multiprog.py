@@ -159,6 +159,22 @@ class TestMultiprogrammingEffects:
         busy = (result.times.user + result.times.system)
         assert total_cpu == pytest.approx(busy, rel=0.01)
 
+    def test_observed_run_sets_disk_idle_fraction(self):
+        """A co-scheduled run closes its accounting as a solo run does,
+        so the observer's idle gauge is set once per disk."""
+        obs = Observer(record_trace=False)
+        sched = CoScheduler(CFG, observer=obs)
+        for k in range(2):
+            sched.add_process(compiled_stream(20_000, name=f"s{k}"),
+                              name=f"proc{k}")
+        result = sched.run()
+        idle = [max(0.0, 1.0 - busy / result.elapsed_us)
+                for busy in result.stats.disk.busy_us]
+        gauge = obs.disk_idle_fraction
+        assert gauge.as_dict()["seen"]
+        assert (gauge.min, gauge.max, gauge.value) == (
+            min(idle), max(idle), idle[-1])
+
     def test_release_app_leaves_memory_free_for_arrivals(self):
         """Table 3's multiprogramming promise, co-scheduled: a releasing
         stream keeps most of memory *free* while it runs, so a newly

@@ -19,7 +19,6 @@ from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
 from repro.errors import MachineError
 from repro.harness.experiment import run_variant
-from repro.harness.report import render_metrics
 from repro.multiprog import CoScheduler
 from repro.obs import (
     OBS_METRIC_NAMES,
@@ -265,12 +264,6 @@ class TestObservedRun:
         assert payload["metrics"]["faults.prefetched_hit"]["value"] == (
             self.stats.faults.prefetched_hit
         )
-
-    def test_render_metrics_lists_everything(self):
-        text = render_metrics(self.obs.metrics)
-        for name in OBS_METRIC_NAMES:
-            assert name in text
-        assert "time.elapsed_us" in text
 
 
 class TestPublishStandalone:
