@@ -25,6 +25,7 @@ costs one ``is None`` check per already-slow path.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from repro.errors import ConfigError
@@ -148,12 +149,17 @@ class LaggedBitVector:
 
     Wraps the real :class:`~repro.vm.residency.ResidencyBitVector`:
     ``set``/``clear`` are queued for ``lag_us`` simulated microseconds
-    and applied (in order) the next time anyone reads the vector.  The
-    filter can therefore be stale in both directions -- it may filter a
-    prefetch for a page that was just evicted (the page faults later;
-    hints are non-binding, so this only costs time) and it may pass a
-    prefetch for a page that is already resident (the OS finds it and
-    counts it unnecessary).
+    and applied (in order) by the first :meth:`test` at or after their
+    visible time.  The filter can therefore be stale in both directions
+    -- it may filter a prefetch for a page that was just evicted (the
+    page faults later; hints are non-binding, so this only costs time)
+    and it may pass a prefetch for a page that is already resident (the
+    OS finds it and counts it unnecessary).
+
+    The chunk kernel classifies prefetches against :attr:`inner` as it
+    stands, without applying the queue, and hands the run-time layer
+    every prefetch whose test time reaches :meth:`due_us`; so the queue
+    is applied at exactly the tests the scalar loop makes.
     """
 
     __slots__ = ("inner", "clock", "lag_us", "_pending")
@@ -191,10 +197,9 @@ class LaggedBitVector:
         self._apply_due()
         return self.inner.test(vpage)
 
-    @property
-    def raw(self):
-        self._apply_due()
-        return self.inner.raw
+    def due_us(self) -> float:
+        """Visible time of the oldest queued update (inf when none)."""
+        return self._pending[0][0] if self._pending else math.inf
 
 
 class FaultInjector:

@@ -27,7 +27,8 @@ the machine / checkpoint / multiprog layers, and raises
     to the uninterrupted run's.
 ``vector_equivalence``
     The vectorized chunk-replay kernel and the scalar loop produce
-    bit-identical ``RunStats``.
+    bit-identical ``RunStats`` -- clean or faulted, unobserved or with
+    a metrics-only observer, whose metrics must match too.
 ``chaos_termination``
     A run under a composed fault plan (slow disks, dead disks, read
     errors, hint failures, pressure storms, stale bit vectors, crashes)
@@ -286,25 +287,32 @@ def check_checkpoint_equivalence(scenario: Scenario) -> None:
 
 def check_vector_equivalence(scenario: Scenario) -> None:
     platform = scenario.platform.build()
-    results = []
-    for scalar in (True, False):
-        compiled = insert_prefetches(
-            scenario.program.build(), CompilerOptions.from_platform(platform)
-        ).program
-        machine = Machine(platform, prefetching=True, scalar_chunks=scalar)
-        RUNS.count += 1
-        results.append(Executor(machine).run(compiled))
-    scalar_dict = dataclasses.asdict(results[0])
-    vector_dict = dataclasses.asdict(results[1])
-    if scalar_dict != vector_dict:
-        diffs = [
-            key for key in scalar_dict
-            if scalar_dict[key] != vector_dict[key]
-        ]
-        raise OracleViolation(
-            "vector_equivalence", scenario,
-            f"scalar and vectorized chunk replay diverged in {diffs}",
-        )
+    compiled = insert_prefetches(
+        scenario.program.build(), CompilerOptions.from_platform(platform)
+    ).program
+    for observed in (False, True):
+        results = []
+        for scalar in (True, False):
+            observer = Observer(record_trace=False) if observed else None
+            machine = Machine(platform, prefetching=True,
+                              scalar_chunks=scalar, observer=observer,
+                              fault_plan=scenario.fault_plan)
+            RUNS.count += 1
+            stats = Executor(machine).run(compiled)
+            results.append((dataclasses.asdict(stats),
+                            observer.metrics.as_dict() if observed else None))
+        (scalar_dict, scalar_obs), (vector_dict, vector_obs) = results
+        diffs = [key for key in scalar_dict
+                 if scalar_dict[key] != vector_dict[key]]
+        if scalar_obs != vector_obs:
+            diffs.append("observer metrics")
+        if diffs:
+            mode = "metrics-only observed" if observed else "unobserved"
+            raise OracleViolation(
+                "vector_equivalence", scenario,
+                f"scalar and vectorized chunk replay diverged ({mode}) "
+                f"in {diffs}",
+            )
 
 
 # ----------------------------------------------------------------------

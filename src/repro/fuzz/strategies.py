@@ -7,9 +7,10 @@ combinations are *meaningful*, not just valid:
 
 * ``filter_soundness`` scenarios only get exact bit vectors (lag 0,
   granularity 1) -- a stale or coarse bit is allowed to be wrong;
-* ``vector_equivalence`` scenarios run clean and unobserved, because an
-  observer or injector forces the scalar path and the comparison would
-  be vacuous;
+* ``vector_equivalence`` scenarios run clean or under a crash-free
+  fault plan, and the oracle runs each one unobserved and with a
+  metrics-only observer: all four reach the chunk kernel (faulted and
+  observed ones in the run-time layer's charge order);
 * ``checkpoint_equivalence`` scenarios put process deaths in the
   checkpoint spec (fractions of the run), not the fault plan, so the
   uninterrupted control run stays uninterrupted;
@@ -372,10 +373,12 @@ def scenarios(draw, family: str) -> Scenario:
                         fault_plan=plan,
                         checkpoint=draw(checkpoint_schedules()))
     if family == "vector_equivalence":
-        # Clean and unobserved, or the machine forces the scalar path
-        # and the differential collapses.
+        # Crash entries are inert without a checkpointer; the kernel's
+        # fault paths are the lag cut, hint fallback and slow calls.
+        plan = draw(st.one_of(
+            st.none(), fault_plans(platform.num_disks, crashes=False)))
         return Scenario(program=program, platform=platform,
-                        oracles=("vector_equivalence",))
+                        oracles=("vector_equivalence",), fault_plan=plan)
     if family == "chaos_termination":
         tenants = draw(st.sampled_from([1, 1, 2, 3]))
         plan = draw(fault_plans(platform.num_disks))

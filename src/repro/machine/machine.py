@@ -11,10 +11,20 @@ resident-page fast path and the bit-vector filter check, accumulating
 compute time and statistics locally and only falling back to the full
 memory-manager / run-time-layer paths when something slow actually happens
 (a fault, an issued prefetch, a release).
+
+The inline filter charges a prefetch's overhead at the next slow event.
+Under a fault injector or an observer the scalar loop sends every
+prefetch through ``RuntimeLayer.prefetch`` instead, which charges the
+same costs one advance at a time, so such runs may differ from clean,
+unobserved ones in the last bits.  The vector kernel reproduces either
+order bit for bit: under an injector or a metrics-only observer it folds
+the layer's charges with ``Clock.charge``, and only a recording observer
+or a sink still needs the scalar loop.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -29,6 +39,45 @@ from repro.sim.stats import RunStats, TimeBreakdown
 from repro.storage.array_ctl import DiskArray
 from repro.vm.manager import MemoryManager
 from repro.vm.page_table import AddressSpace, Segment
+
+#: Categories of the inline filter's flush: compute, then filter overhead.
+_INLINE_SLOTS = (TimeCategory.USER_COMPUTE.slot, TimeCategory.USER_OVERHEAD.slot)
+_COMPUTE_SLOT = _INLINE_SLOTS[:1]
+_NO_EVENTS = np.empty(0, dtype=np.int64)
+#: Cells the padded matrix of :func:`fold_segments` may hold per folded
+#: value; beyond that the lengths are skewed and each segment is folded
+#: on its own.
+_PAD_CELLS = 4
+
+
+def fold_segments(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``values[bounds[i]:bounds[i + 1]]`` folded left from 0.0, for each
+    ``i``, bit for bit.
+
+    That is ``pending += value`` over each segment, which
+    ``np.add.reduce`` and ``np.add.reduceat`` do not reproduce: they add
+    pairwise.  A row-wise ``np.cumsum`` over the segments laid out as
+    the rows of a zero-padded matrix does: each fold is its row's
+    running sum at the row's last value (an empty row sums to 0.0 in
+    every cell).  ``values`` are non-negative costs, so the first term
+    needs no ``0.0 +`` (it would only turn a -0.0 into 0.0).  When one
+    long segment would make the matrix mostly padding, each segment
+    gets its own ``cumsum`` instead.
+    """
+    lengths = np.diff(bounds)
+    nseg = len(lengths)
+    total = int(bounds[-1] - bounds[0])
+    if not total:
+        return np.zeros(nseg)
+    width = int(lengths.max())
+    if nseg * width > _PAD_CELLS * total:
+        folds = np.zeros(nseg)
+        for i in np.flatnonzero(lengths).tolist():
+            folds[i] = values[bounds[i]:bounds[i + 1]].cumsum()[-1]
+        return folds
+    matrix = np.zeros((nseg, width))
+    matrix[np.arange(width) < lengths[:, None]] = values[bounds[0]:bounds[-1]]
+    return matrix.cumsum(axis=1)[np.arange(nseg), lengths - 1]
 
 
 class Machine:
@@ -180,32 +229,41 @@ class Machine:
 
         * the **vectorized kernel** (default) classifies events in bulk
           against the manager's fast-page mask and the residency bit
-          vector, charging whole fast segments with one ``np.cumsum``;
+          vector, charging whole fast segments with one ``np.cumsum``.
+          Under a fault injector or a metrics-only observer it charges
+          each filtered prefetch as the run-time layer does;
         * the **scalar loop** walks events one by one.  It is kept for
-          runs the kernel cannot serve -- tracing, fault injection,
-          adaptive/unfiltered prefetch, binding mode -- for slow-dense
-          chunks where per-event work is cheaper, and as the
-          ``REPRO_SCALAR=1`` escape hatch for differential testing.
+          runs the kernel cannot serve -- a recording observer or a
+          sink, adaptive/unfiltered prefetch, binding mode, a hint gate
+          in fallback -- for slow-dense chunks where per-event work is
+          cheaper, and as the ``REPRO_SCALAR=1`` escape hatch for
+          differential testing.
+
+        The route is decided per call: ``explain`` and the fuzz oracles
+        attach their sinks after the machine is built.
         """
         if not (len(kinds) == len(pages) == len(costs)):
             raise MachineError("run_chunk requires parallel lists of equal length")
         runtime = self.runtime
         obs = self.obs
+        # Every filter event reaches a recorded trace or a sink.
+        per_event = False
         if obs is not None:
             obs.emit(self.clock.now, TraceKind.CHUNK, npages=len(kinds))
-        # The vectorized kernel only covers the plain-filter and
-        # no-runtime configurations: the adaptive state machine and an
-        # attached observer must see every request one at a time, fault
-        # injection interposes on every lookup, and binding
-        # instrumentation must observe every access.
+            per_event = obs.trace.enabled or obs.sink is not None
+        # The kernel serves the plain filter and no-runtime runs: the
+        # adaptive state machine must see every request, binding
+        # instrumentation every access, and the hint gate every request
+        # while its fallback cooldown runs.
         if (
             self.scalar_chunks
             or len(kinds) < self._SCALAR_CUTOFF
-            or obs is not None
-            or self.injector is not None
+            or per_event
             or self.manager.binding
             or (runtime is not None
-                and not (runtime.filter_enabled and not runtime.adaptive))
+                and (not runtime.filter_enabled or runtime.adaptive
+                     or (runtime.hint_faults is not None
+                         and runtime.hint_faults.in_fallback)))
         ):
             if isinstance(kinds, np.ndarray):
                 kinds = kinds.tolist()
@@ -348,6 +406,14 @@ class Machine:
         flag test at dispatch time); if a slow call dropped any fast
         flag or filter bit (``drops`` counters), the rest of the window
         is reclassified.
+
+        Where the scalar loop's inline filter is off (an observer or a
+        fault injector is attached), the segment is charged in the
+        run-time layer's order instead (:meth:`_layer_charges`), a
+        filtered prefetch whose bit test would apply a queued
+        bit-vector update goes through the layer (the lag cut), and a
+        slow call that puts the hint gate into fallback hands the rest
+        of the chunk to the scalar loop.
         """
         kinds_a = np.asarray(kinds, dtype=np.int64)
         pages_a = np.asarray(pages, dtype=np.int64)
@@ -360,9 +426,17 @@ class Machine:
         fast_mask = manager.fast
         runtime = self.runtime
         stats = self.stats
-        compute_cat = TimeCategory.USER_COMPUTE
-        overhead_cat = TimeCategory.USER_OVERHEAD
-        bitvec = runtime.bitvector if runtime is not None else None
+        bitvec = lagged = hints = None
+        layer_order = False
+        if runtime is not None:
+            bitvec = runtime.bitvector
+            hints = runtime.hint_faults
+            if isinstance(bitvec, LaggedBitVector):
+                # Classify against the bits as they stand; the queue is
+                # applied only by the layer's tests (see lag_cut).
+                lagged, bitvec = bitvec, bitvec.inner
+            # The scalar loop's ``filter_on`` is off exactly then.
+            layer_order = self.obs is not None or self.injector is not None
 
         # Reserving capacity for the chunk's maximum page number up front
         # lets every window gather directly off the raw arrays with no
@@ -472,6 +546,27 @@ class Machine:
                 version[: len(bc)] += bc
                 for v in slow_writes:
                     version[v] -= 1
+
+        def lag_cut(charges: np.ndarray, pf: np.ndarray) -> int:
+            """The first of the filtered prefetches ``pf`` whose bit test
+            reaches the oldest queued update, or -1.
+
+            The layer tests a prefetch's bit after charging its compute
+            and address generation, so with the segment's ``charges``
+            folded from ``clock.now`` the test times are every third
+            running sum.  A test at or after the update's visible time
+            would apply it first, so that prefetch must reach the layer.
+            """
+            if lagged is None or not len(pf):
+                return -1
+            due = lagged.due_us()
+            if due == math.inf:
+                return -1
+            tests = np.cumsum(np.concatenate(((clock.now,), charges)))[2::3]
+            reached = tests >= due
+            first = int(reached.argmax())
+            return first if reached[first] else -1
+
         hits = 0
         filtered = 0
         inserted = 0
@@ -491,54 +586,95 @@ class Machine:
             pg_c = pages_a[cand]
             ka_c = kinds_a[cand]
             bail = False
-            while len(cand):
-                sp = int(cand[0])
-                kind = int(ka_c[0])
-                vpage = int(pg_c[0])
+            # The last window ends with the chunk's trailing segment,
+            # closed as if by an event at ``n`` of kind -1.
+            while len(cand) or wend == n:
+                if len(cand):
+                    sp = int(cand[0])
+                    kind = int(ka_c[0])
+                    vpage = int(pg_c[0])
+                    end = sp + 1
+                else:
+                    sp = end = n
+                    kind = vpage = -1
                 # Close the fast segment [seg_start, sp): effects and
-                # counters for the prefix, then the slow event itself.
+                # counters, then the time up to the event that ends it.
+                cut = -1
+                if layer_order:
+                    charges, slots, pf = self._layer_charges(
+                        costs_a, is_pf, seg_start, sp, end)
+                    cut = lag_cut(charges, pf)
+                    if cut >= 0:
+                        sp = int(pf[cut])
+                        kind = 2
+                        vpage = int(pages_a[sp])
+                        charges = charges[:3 * cut + 1]
+                        slots = slots[:3 * cut + 1]
+                        pf = pf[:cut]
+                    elif kind > 3:
+                        # The scalar loop dies with the compute since
+                        # the last prefetch unflushed.
+                        charges = charges[:-1]
+                        slots = slots[:-1]
+                    seg_pf = len(pf)
                 apply_effects(seg_start, sp)
                 if all_access:
-                    hits += sp - seg_start
+                    seg_hits = sp - seg_start
                     seg_pf = 0
                 else:
-                    hits += int(np.count_nonzero(is_access[seg_start:sp]))
-                    seg_pf = (int(np.count_nonzero(is_pf[seg_start:sp]))
-                              if runtime is not None else 0)
+                    seg_hits = int(np.count_nonzero(is_access[seg_start:sp]))
+                    if not layer_order:
+                        seg_pf = (int(np.count_nonzero(is_pf[seg_start:sp]))
+                                  if runtime is not None else 0)
                 if kind > 3:
                     # Match the scalar loop: die with locally accumulated
                     # time unflushed and counters uncommitted, but with
-                    # every processed event's page effects applied.
+                    # every processed event's page effects applied -- and,
+                    # in layer order, every prefetch charged and counted.
                     flush_versions(sp)
+                    if layer_order:
+                        clock.charge(charges, slots)
+                        stats.prefetch.filtered += filtered + seg_pf
+                        stats.prefetch.compiler_inserted += inserted + seg_pf
                     raise MachineError(f"unknown event kind {kind}")
+                hits += seg_hits
                 filtered += seg_pf
                 inserted += seg_pf
-                pending_compute = float(costs_a[seg_start:sp + 1].cumsum()[-1])
-                if kind == 2:
-                    inserted += 1
-                    seg_pf += 1
-                pending_overhead = (self._overhead_sum(seg_pf)
-                                    if runtime is not None else 0.0)
-                if pending_compute:
-                    clock.advance(pending_compute, compute_cat)
-                if pending_overhead:
-                    clock.advance(pending_overhead, overhead_cat)
+                if layer_order:
+                    clock.charge(charges, slots)
+                else:
+                    compute = (float(costs_a[seg_start:end].cumsum()[-1])
+                               if end > seg_start else 0.0)
+                    if kind == 2:
+                        inserted += 1
+                        seg_pf += 1
+                    overhead = (self._overhead_sum(seg_pf)
+                                if runtime is not None else 0.0)
+                    clock.charge((compute, overhead), _INLINE_SLOTS)
+                if kind < 0:
+                    seg_start = n
+                    break
                 drops_before = drops_now()
                 if kind <= 1:
                     if kind == 1:
                         slow_writes.append(vpage)
                     manager.access(vpage, kind == 1)
                 elif kind == 2:
-                    # Filter bit known clear; counted and charged above.
-                    manager.prefetch_call(vpage, 1)
+                    if layer_order:
+                        runtime.prefetch(vpage, 1)
+                    else:
+                        # Filter bit known clear; counted and charged above.
+                        manager.prefetch_call(vpage, 1)
                 else:
                     runtime.release([vpage])
                 pos = sp + 1
                 seg_start = pos
                 slow_done += 1
-                if slow_done >= 256 and pos < slow_done * 16:
+                if ((slow_done >= 256 and pos < slow_done * 16)
+                        or (hints is not None and hints.in_fallback)):
                     # Slow-dense chunk: per-event Python dispatch is
-                    # cheaper than per-segment numpy setup.
+                    # cheaper than per-segment numpy setup.  In hint
+                    # fallback the gate must see every request.
                     bail = True
                     break
                 if drops_now() != drops_before:
@@ -548,6 +684,9 @@ class Machine:
                     cand = classify(pos, wend)
                     pg_c = pages_a[cand]
                     ka_c = kinds_a[cand]
+                elif cut >= 0:
+                    # The candidate that ended the segment is still ahead.
+                    cand, pg_c, ka_c = refilter(cand, pg_c, ka_c)
                 elif len(cand) > 1:
                     cand, pg_c, ka_c = refilter(cand[1:], pg_c[1:], ka_c[1:])
                 else:
@@ -565,29 +704,37 @@ class Machine:
                 return
             pos = wend
 
-        # Trailing fast segment.
-        apply_effects(seg_start, n)
         flush_versions(n)
-        if all_access:
-            hits += n - seg_start
-            seg_pf = 0
-        else:
-            hits += int(np.count_nonzero(is_access[seg_start:n]))
-            seg_pf = (int(np.count_nonzero(is_pf[seg_start:n]))
-                      if runtime is not None else 0)
-        filtered += seg_pf
-        inserted += seg_pf
-        if seg_start < n:
-            pending_compute = float(costs_a[seg_start:n].cumsum()[-1])
-            if pending_compute:
-                clock.advance(pending_compute, compute_cat)
-        pending_overhead = (self._overhead_sum(seg_pf)
-                            if runtime is not None else 0.0)
-        if pending_overhead:
-            clock.advance(pending_overhead, overhead_cat)
         stats.faults.hits += hits
         stats.prefetch.filtered += filtered
         stats.prefetch.compiler_inserted += inserted
+
+    def _layer_charges(self, costs: np.ndarray, is_pf, a: int, b: int,
+                       end: int) -> tuple:
+        """The clock charges ``RuntimeLayer.prefetch`` makes for the
+        filtered prefetches among the fast events [a, b), and the
+        compute flushed at ``end``; with their category slots and the
+        prefetches' indices.
+
+        Per filtered prefetch: the compute folded from 0.0 since the
+        last flush, its own cost included; then ``addr_gen_us``; then
+        ``filter_check_us``.  Last comes the compute of the rest of
+        ``costs[:end]``.  These are the advances the scalar loop makes
+        with its inline filter off, in its order.
+        """
+        pf = (np.flatnonzero(is_pf[a:b]) + a if is_pf is not None
+              else _NO_EVENTS)
+        if not len(pf):
+            compute = float(costs[a:end].cumsum()[-1]) if end > a else 0.0
+            return (compute,), _COMPUTE_SLOT, pf
+        bounds = np.concatenate(((a,), pf + 1, (end,)))
+        charges = np.empty(3 * len(pf) + 1)
+        charges[0::3] = fold_segments(costs, bounds)
+        charges[1::3] = self.config.cost.addr_gen_us
+        charges[2::3] = self.config.cost.filter_check_us
+        slots = np.full(len(charges), TimeCategory.USER_OVERHEAD.slot)
+        slots[0::3] = TimeCategory.USER_COMPUTE.slot
+        return charges, slots, pf
 
     # ------------------------------------------------------------------
     # Run boundary

@@ -64,10 +64,12 @@ def execute_job(spec, job_dir: Path, resume: bool,
     one).  The result payload is computed from a fresh
     ``RunStats.publish`` registry, so it is the same whether the
     observer records a trace or not, at any checkpoint cadence and
-    across resumes.  An observer does send every prefetch through the
-    run-time layer (the inline filter is off), which adds the same costs
-    in another order, so an observed result may differ in its last bits
-    from an unobserved one -- which is why ``observed`` is part of the
+    across resumes.  An observed run charges every prefetch in the
+    run-time layer's order -- on the chunk kernel for a metrics-only
+    observer, through the layer itself when a trace is recorded --
+    which adds the same costs in another order than an unobserved run,
+    so an observed result may differ in its last bits from an
+    unobserved one -- which is why ``observed`` is part of the
     checkpoint signature.
     """
     from repro.apps.registry import get_app

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 from repro.errors import MachineError
 
 
@@ -55,6 +57,14 @@ BUSY_CATEGORIES = (
     TimeCategory.SYS_RELEASE,
 )
 
+#: Longest charge sequence :meth:`Clock.charge` folds in Python.
+_PYTHON_FOLD = 4
+
+
+def _fold(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + values[1] + ...``, added left to right."""
+    return float(np.cumsum(np.concatenate(((start,), values)))[-1])
+
 
 class Clock:
     """Simulated clock with per-category time accounting."""
@@ -73,6 +83,40 @@ class Clock:
         if duration_us:
             self.now += duration_us
             self._spent[category.slot] += duration_us
+
+    def charge(self, durations, slots) -> None:
+        """Spend ``durations[i]`` (a float, or an ndarray element) in the
+        category whose slot is ``slots[i]``, for each ``i`` in order.
+
+        Bit for bit one :meth:`advance` per charge.  ``now`` and each
+        category's total are left folds of their charges, and
+        ``np.cumsum`` folds left, so one cumsum over all the charges
+        (seeded with ``now``) and one over each category's (seeded with
+        its total) give the same sums.  A zero charge is a no-op either
+        way: no total is ever -0.0.  Sequences of at most
+        :data:`_PYTHON_FOLD` charges are folded in Python, which costs
+        less than the numpy calls.
+        """
+        if len(durations) <= _PYTHON_FOLD:
+            if isinstance(durations, np.ndarray):
+                durations = durations.tolist()
+            for duration, slot in zip(durations, slots):
+                if duration:
+                    if duration < 0:
+                        raise MachineError(
+                            f"cannot advance the clock by {duration} us")
+                    self.now += duration
+                    self._spent[slot] += duration
+            return
+        durations = np.asarray(durations, dtype=np.float64)
+        slots = np.asarray(slots)
+        if durations.min() < 0:
+            raise MachineError(
+                f"cannot advance the clock by {durations.min()} us")
+        self.now = _fold(self.now, durations)
+        spent = self._spent
+        for slot in np.flatnonzero(np.bincount(slots)).tolist():
+            spent[slot] = _fold(spent[slot], durations[slots == slot])
 
     def wait_until(self, deadline_us: float, category: TimeCategory) -> float:
         """Idle until ``deadline_us`` (no-op if already past).

@@ -193,12 +193,17 @@ class TestLaggedBitVector:
         clock.advance(100.0, TimeCategory.USER_COMPUTE)
         assert not lagged.test(5)
 
-    def test_raw_applies_pending(self):
+    def test_due_us_is_the_oldest_queued_update(self):
         clock = Clock()
         lagged = LaggedBitVector(ResidencyBitVector(1), clock, 50.0)
+        assert lagged.due_us() == float("inf")
         lagged.set(3)
-        clock.advance(50.0, TimeCategory.USER_COMPUTE)
-        assert lagged.raw[3]
+        clock.advance(10.0, TimeCategory.USER_COMPUTE)
+        lagged.clear(4)
+        assert lagged.due_us() == 50.0
+        clock.advance(40.0, TimeCategory.USER_COMPUTE)
+        assert lagged.test(3)  # the test applies the due set...
+        assert lagged.due_us() == 60.0  # ...and only that one
 
 
 class TestDegradedRuns:

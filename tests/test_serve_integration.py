@@ -223,10 +223,12 @@ def test_max_wall_quarantines_outstanding_jobs(tmp_path):
 def test_twenty_job_demo_under_chaos_all_terminal(tmp_path):
     """The acceptance demo: >= 20 mixed jobs, kills + stalls, no hangs."""
     specs = demo_jobs(18, seed=1, poison=2)
+    # A strike whose job finishes first is cleared unfired, and the
+    # shortest demo jobs take about 0.1 s, so strike 20 ms in.
     chaos = FarmChaosPlan(faults=(
-        WorkerFault(on_start=2, delay_s=0.15, op="kill"),
-        WorkerFault(on_start=7, delay_s=0.15, op="kill"),
-        WorkerFault(on_start=12, delay_s=0.15, op="stall"),
+        WorkerFault(on_start=2, delay_s=0.02, op="kill"),
+        WorkerFault(on_start=7, delay_s=0.02, op="kill"),
+        WorkerFault(on_start=12, delay_s=0.02, op="stall"),
     ))
     config = FarmConfig(workers=4, hb_interval_s=0.05, hb_timeout_s=1.0,
                         retry=FAST_RETRY, max_wall_s=120.0)

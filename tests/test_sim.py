@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MachineError
 from repro.sim.clock import Clock, TimeCategory
@@ -83,6 +86,50 @@ class TestClock:
                 [sys.executable, "-c", script], env=env, check=True,
                 capture_output=True, text=True).stdout)
         assert len(outputs) == 1
+
+
+#: Charges as the chunk kernel makes them: small costs, many exact zeros.
+_CHARGES = st.lists(
+    st.tuples(st.one_of(st.just(0.0),
+                        st.floats(0.0, 1e4, allow_nan=False)),
+              st.sampled_from(list(TimeCategory))),
+    max_size=40,
+)
+
+
+class TestClockCharge:
+    """``Clock.charge`` is one ``advance`` per charge, bit for bit."""
+
+    @staticmethod
+    def _state(clock: Clock) -> list:
+        return [clock.now.hex()] + [v.hex() for v in clock.breakdown().values()]
+
+    @pytest.mark.parametrize("as_array", [False, True],
+                             ids=["tuple", "ndarray"])
+    @settings(max_examples=200, deadline=None)
+    @given(start=_CHARGES, charges=_CHARGES)
+    def test_equals_one_advance_per_charge(self, as_array, start, charges):
+        one_by_one, batched = Clock(), Clock()
+        for clock in (one_by_one, batched):
+            for duration, category in start:
+                clock.advance(duration, category)
+        for duration, category in charges:
+            one_by_one.advance(duration, category)
+        durations = tuple(d for d, _ in charges)
+        slots = tuple(c.slot for _, c in charges)
+        if as_array:
+            durations, slots = np.array(durations), np.array(slots, dtype=int)
+        batched.charge(durations, slots)
+        assert self._state(batched) == self._state(one_by_one)
+        assert type(batched.now) is float
+        assert all(type(v) is float for v in batched.breakdown().values())
+
+    @pytest.mark.parametrize("length", [2, 9])
+    def test_negative_charge_raises(self, length):
+        clock = Clock()
+        with pytest.raises(MachineError):
+            clock.charge([1.0] * (length - 1) + [-1.0],
+                         [TimeCategory.USER_COMPUTE.slot] * length)
 
 
 class TestTimeBreakdown:

@@ -8,22 +8,33 @@ enforcement: each NAS app runs O and P twice, once through the numpy
 kernel (the default) and once through the scalar loop
 (``scalar_chunks=True``, the same code path the ``REPRO_SCALAR=1``
 environment hatch selects), and everything observable must match
-exactly.
+exactly -- clean and unobserved, and under fault plans and a
+metrics-only observer, where the kernel charges each filtered prefetch
+in the run-time layer's order.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.registry import ALL_APPS, get_app
+from repro.checkpoint import CheckpointConfig
+from repro.checkpoint.runner import Checkpointer
 from repro.config import PlatformConfig
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
+from repro.errors import MachineError
+from repro.faults.inject import LaggedBitVector
+from repro.faults.plan import FaultPlan, default_plan
 from repro.interp.executor import Executor
-from repro.machine.machine import Machine
+from repro.machine.machine import Machine, fold_segments
+from repro.obs.observer import Observer
+from repro.obs.spans import SpanBuilder
 
 # The golden-trace footprint: small enough that all sixteen configs run
 # in test time, out-of-core enough (data > memory) that every machinery
@@ -33,18 +44,42 @@ DATA_PAGES = 120
 
 APP_NAMES = tuple(spec.name for spec in ALL_APPS)
 
+#: Fault plans that reach the kernel's layer-order paths: the full
+#: default taxonomy, the bit-vector lag alone (long and very short), and
+#: hint failures dense enough to enter demand-paging fallback.
+PLANS = {
+    "default": lambda: default_plan(PlatformConfig().num_disks, seed=1),
+    "lag": lambda: FaultPlan(seed=1, bitvector_lag_us=500.0),
+    "lag-0.5us": lambda: FaultPlan(seed=1, bitvector_lag_us=0.5),
+    "fallback": lambda: FaultPlan(seed=1, hint_failure_rate=0.6,
+                                  fallback_after=2, fallback_cooldown=50),
+}
 
-def _run(app_name: str, prefetching: bool, scalar: bool):
-    """One fresh O or P run; returns (stats, machine) for inspection."""
-    platform = PlatformConfig(memory_pages=MEMORY_PAGES)
+
+@functools.lru_cache(maxsize=None)
+def _program(app_name: str, prefetching: bool):
     program = get_app(app_name).make(DATA_PAGES, seed=1)
     if prefetching:
         program = insert_prefetches(
-            program, CompilerOptions.from_platform(platform)
+            program,
+            CompilerOptions.from_platform(PlatformConfig(memory_pages=MEMORY_PAGES)),
         ).program
-    machine = Machine(platform, prefetching=prefetching,
-                      scalar_chunks=scalar)
-    stats = Executor(machine).run(program)
+    return program
+
+
+def _machine(prefetching: bool, scalar: bool, plan=None,
+             observer=None) -> Machine:
+    return Machine(PlatformConfig(memory_pages=MEMORY_PAGES),
+                   prefetching=prefetching, scalar_chunks=scalar,
+                   fault_plan=plan, observer=observer)
+
+
+def _run(app_name: str, prefetching: bool, scalar: bool, plan=None,
+         observed: bool = False):
+    """One fresh O or P run; returns (stats, machine) for inspection."""
+    machine = _machine(prefetching, scalar, plan,
+                       Observer(record_trace=False) if observed else None)
+    stats = Executor(machine).run(_program(app_name, prefetching))
     return stats, machine
 
 
@@ -65,33 +100,226 @@ def _page_table(machine: Machine) -> dict:
     }
 
 
+def _flags(vector) -> tuple:
+    """A flag array's set bits and drop count (capacity is not state)."""
+    return bytes(vector.bits).rstrip(b"\0"), vector.drops
+
+
+def _assert_identical(vec, sca) -> None:
+    """Everything observable of two finished runs, ``(stats, machine)``."""
+    (vec_stats, vec_machine), (sca_stats, sca_machine) = vec, sca
+    # RunStats is a dataclass tree of plain counters/floats: == is exact.
+    assert vec_stats == sca_stats
+    # Full page-table end state, including the columnar fields the
+    # kernel scatters in bulk and the scalar loop writes one at a time.
+    assert _page_table(vec_machine) == _page_table(sca_machine)
+    # The residency indexes the kernel classifies from must agree too:
+    # the fast mask, and the filter's bits -- for a lagged vector its
+    # inner bits and the queue of updates not yet applied.
+    assert _flags(vec_machine.manager.fast) == _flags(sca_machine.manager.fast)
+    if vec_machine.runtime is not None:
+        vec_bits = vec_machine.runtime.bitvector
+        sca_bits = sca_machine.runtime.bitvector
+        if isinstance(vec_bits, LaggedBitVector):
+            assert list(vec_bits._pending) == list(sca_bits._pending)
+            vec_bits, sca_bits = vec_bits.inner, sca_bits.inner
+        assert _flags(vec_bits) == _flags(sca_bits)
+    # Published metrics (the CLI/JSON export surface) must be identical,
+    # and so must an attached observer's.
+    assert vec_stats.publish().as_dict() == sca_stats.publish().as_dict()
+    if vec_machine.obs is not None:
+        assert (vec_machine.obs.metrics.as_dict()
+                == sca_machine.obs.metrics.as_dict())
+
+
 @pytest.mark.parametrize("variant", ["O", "P"])
 @pytest.mark.parametrize("app_name", APP_NAMES)
 def test_vector_kernel_is_bit_identical(app_name, variant):
     prefetching = variant == "P"
-    vec_stats, vec_machine = _run(app_name, prefetching, scalar=False)
-    sca_stats, sca_machine = _run(app_name, prefetching, scalar=True)
+    _assert_identical(_run(app_name, prefetching, scalar=False),
+                      _run(app_name, prefetching, scalar=True))
 
-    # RunStats is a dataclass tree of plain counters/floats: == is exact.
-    assert vec_stats == sca_stats
 
-    # Full page-table end state, including the columnar fields the
-    # kernel scatters in bulk and the scalar loop writes one at a time.
-    assert _page_table(vec_machine) == _page_table(sca_machine)
+@pytest.mark.parametrize("observed", [False, True],
+                         ids=["unobserved", "metrics-only"])
+@pytest.mark.parametrize("plan", list(PLANS))
+@pytest.mark.parametrize("variant", ["O", "P"])
+@pytest.mark.parametrize("app_name", APP_NAMES)
+def test_layer_order_kernel_is_bit_identical(app_name, variant, plan,
+                                             observed):
+    """Faulted or metrics-only observed runs on the kernel charge each
+    filtered prefetch as the run-time layer does, cut a segment where a
+    lagged bit vector would apply an update, and leave hint fallback to
+    the scalar loop -- all of it bit for bit."""
+    prefetching = variant == "P"
+    vec = _run(app_name, prefetching, False, PLANS[plan](), observed)
+    sca = _run(app_name, prefetching, True, PLANS[plan](), observed)
+    _assert_identical(vec, sca)
+    if prefetching and plan == "fallback":
+        assert vec[0].robust.fallback_episodes > 0
 
-    # The residency indexes the kernel classifies from must agree too.
-    fast_vec = vec_machine.manager.fast.raw
-    fast_sca = sca_machine.manager.fast.raw
-    n = max(len(fast_vec), len(fast_sca))
-    assert np.array_equal(
-        np.pad(fast_vec, (0, n - len(fast_vec))),
-        np.pad(fast_sca, (0, n - len(fast_sca))),
-    )
 
-    # Published metrics (the CLI/JSON export surface) must be identical.
-    vec_metrics = vec_stats.publish().as_dict()
-    sca_metrics = sca_stats.publish().as_dict()
-    assert vec_metrics == sca_metrics
+def _spy_chunk_paths(monkeypatch) -> list[tuple[str, int]]:
+    """From now on, record each chunk path taken and its chunk length."""
+    taken = []
+    for name in ("_run_chunk_scalar", "_run_chunk_vector"):
+        original = getattr(Machine, name)
+
+        def spy(self, kinds, *args, _original=original, _name=name):
+            taken.append((_name, len(kinds)))
+            return _original(self, kinds, *args)
+
+        monkeypatch.setattr(Machine, name, spy)
+    return taken
+
+
+def _routes(machine: Machine, monkeypatch) -> list[str]:
+    """Replay one 200-event chunk; the chunk paths it took, in order."""
+    taken = _spy_chunk_paths(monkeypatch)
+    seg = machine.map_segment("a", 64 * machine.config.page_size)
+    base = seg.base // machine.config.page_size
+    kinds = [0, 0, 0, 2] * 50
+    pages = [base + i % 64 for i in range(200)]
+    machine.run_chunk(kinds, pages, [1.0] * 200)
+    return [name for name, _ in taken]
+
+
+@pytest.mark.parametrize("setup, route", [
+    (lambda: _machine(True, False), "_run_chunk_vector"),
+    (lambda: _machine(True, False, observer=Observer(record_trace=False)),
+     "_run_chunk_vector"),
+    (lambda: _machine(True, False, plan=PLANS["default"]()),
+     "_run_chunk_vector"),
+    (lambda: _machine(True, False, observer=Observer()), "_run_chunk_scalar"),
+], ids=["clean", "metrics-only", "faulted", "recording"])
+def test_routing(setup, route, monkeypatch):
+    assert _routes(setup(), monkeypatch) == [route]
+
+
+def test_sink_attached_after_build_routes_to_scalar(monkeypatch):
+    """``explain`` and the fuzz oracles attach sinks after the build."""
+    machine = _machine(True, False, observer=Observer(record_trace=False))
+    machine.obs.sink = SpanBuilder()
+    assert _routes(machine, monkeypatch) == ["_run_chunk_scalar"]
+
+
+def test_hint_fallback_routes_to_scalar(monkeypatch):
+    machine = _machine(True, False, plan=PLANS["fallback"]())
+    machine.runtime.hint_faults.in_fallback = True
+    assert _routes(machine, monkeypatch) == ["_run_chunk_scalar"]
+
+
+def _after_warm_chunk(machine: Machine, kinds, offsets) -> tuple:
+    """Fault in a 64-page segment's first 32 pages (a short chunk, so on
+    the scalar loop), replay ``kinds`` over ``offsets`` into the segment
+    with cost 0.5 each, and return what the replay left behind."""
+    seg = machine.map_segment("a", 64 * machine.config.page_size)
+    base = seg.base // machine.config.page_size
+    machine.run_chunk([0] * 32, list(range(base, base + 32)), [1.0] * 32)
+    try:
+        machine.run_chunk(kinds, [base + o for o in offsets],
+                          [0.5] * len(kinds))
+    except MachineError:
+        pass
+    return (machine.clock.now, machine.clock.breakdown(), machine.stats,
+            _page_table(machine))
+
+
+@pytest.mark.parametrize("plan", [None, "lag"], ids=["clean", "faulted"])
+def test_unknown_kind_leaves_the_scalar_loops_state(plan):
+    """A chunk that dies on an unknown event kind leaves the clock, the
+    counters and the page effects where the scalar loop leaves them --
+    in layer order, with every prefetch before it charged and counted."""
+    kinds = [0, 1, 0, 2] * 50 + [17]
+    offsets = [i % 32 for i in range(201)]
+    vec, sca = (_after_warm_chunk(
+        _machine(True, scalar, PLANS[plan]() if plan else None),
+        kinds, offsets) for scalar in (False, True))
+    assert vec == sca
+
+
+def test_hint_fallback_mid_chunk_hands_the_rest_to_the_scalar_loop(
+        monkeypatch):
+    """A slow prefetch whose hint call tips the layer into fallback ends
+    the kernel's part of the chunk: the gate must see every request of
+    the cooldown, filtered ones included."""
+    plan = FaultPlan(seed=1, hint_failure_rate=1.0, fallback_after=1,
+                     fallback_cooldown=50)
+    # Prefetch an absent page first, then resident ones (filtered).
+    kinds = [2] + [0, 2] * 100
+    offsets = [40] + [i % 32 for i in range(200)]
+    sca = _after_warm_chunk(_machine(True, True, plan), kinds, offsets)
+    machine = _machine(True, False, plan)
+    taken = _spy_chunk_paths(monkeypatch)
+    assert _after_warm_chunk(machine, kinds, offsets) == sca
+    assert taken == [("_run_chunk_scalar", 32), ("_run_chunk_vector", 201),
+                     ("_run_chunk_scalar", 200)]
+    assert machine.stats.robust.fallback_episodes == 1
+    assert machine.stats.robust.hints_skipped == 50
+
+
+def _snapshots(app_name: str, scalar: bool) -> list:
+    """Every snapshot a default-plan P run writes every 20 ms."""
+    machine = _machine(True, scalar, PLANS["default"]())
+    executor = Executor(machine)
+    checkpointer = Checkpointer(machine, executor,
+                                CheckpointConfig(every_us=20_000.0))
+    snaps = []
+    checkpointer.on_write = snaps.append
+    executor.checkpointer = checkpointer
+    executor.run(_program(app_name, True))
+    return [(snap.meta, snap.payload) for snap in snaps]
+
+
+@pytest.mark.parametrize("app_name", APP_NAMES)
+def test_snapshots_are_byte_identical(app_name):
+    """The kernel leaves every safe point in the scalar loop's state:
+    the same clock, counters, pages, fault streams and lag queue."""
+    vec = _snapshots(app_name, scalar=False)
+    assert vec == _snapshots(app_name, scalar=True)
+    assert len(vec) > 1
+
+
+def _fold_left(values, bounds) -> list[float]:
+    folds = []
+    for a, b in zip(bounds, bounds[1:]):
+        pending = 0.0
+        for value in values[a:b]:
+            pending += value
+        folds.append(pending)
+    return folds
+
+
+@st.composite
+def _segments(draw, skewed: bool):
+    """Values and segment bounds that take one branch of
+    :func:`fold_segments` each: uniform lengths (2-4 values, empty
+    segments at most a third) always fit the padded matrix, while eight
+    or more segments of 0-2 values beside one of 40-80 always overflow
+    it and fold one segment at a time."""
+    if skewed:
+        lengths = draw(st.lists(st.integers(0, 2), min_size=8, max_size=30))
+        lengths.insert(draw(st.integers(0, len(lengths))),
+                       draw(st.integers(40, 80)))
+    else:
+        lengths = draw(st.lists(st.integers(2, 4), min_size=1, max_size=30))
+        for _ in range(draw(st.integers(0, len(lengths) // 2))):
+            lengths.insert(draw(st.integers(0, len(lengths))), 0)
+    values = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 100.0, allow_nan=False)),
+        min_size=sum(lengths), max_size=sum(lengths)))
+    bounds = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    return np.array(values, dtype=np.float64), bounds
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["matrix", "per-segment"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fold_segments_is_a_fold_left(skewed, data):
+    values, bounds = data.draw(_segments(skewed))
+    folds = fold_segments(values, bounds)
+    assert [f.hex() for f in folds.tolist()] == [
+        f.hex() for f in _fold_left(values.tolist(), bounds.tolist())]
 
 
 def test_scalar_env_hatch_forces_scalar_loop(monkeypatch):
