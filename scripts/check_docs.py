@@ -183,6 +183,7 @@ def tables() -> list[Table]:
     from repro.obs.trace import TraceKind
     from repro.serve.jobspec import JobSpec
     from repro.serve.ledger import LEDGER_RECORD_KINDS, RECOVERY_SEMANTICS
+    from repro.vm.page import COLUMNS
 
     def fields(cls) -> set[str]:
         return {f.name for f in dataclasses.fields(cls)}
@@ -204,6 +205,8 @@ def tables() -> list[Table]:
               "snapshot state attribute", set(STATE)),
         Table("performance", "## Bench profile reference", "bench profile",
               set(BENCH_PROFILES)),
+        Table("performance", "### Page column reference", "page column",
+              set(COLUMNS)),
         Table("performance", "### The fast-access predicate",
               "fast-mask method", fast_mask_writers()),
         Table("serving", "## JobSpec schema reference", "job-spec field",

@@ -46,7 +46,7 @@ from repro.obs.observer import Observer
 
 #: Version of the pickled state layout (independent of the container
 #: format version in :mod:`repro.checkpoint.store`).
-SNAPSHOT_VERSION = 5  # v5: v4's graph, with page state pickled as columns
+SNAPSHOT_VERSION = 6  # v6: v5's columns without the write version
 
 #: The ``Machine`` attributes a snapshot carries.  Every other attribute
 #: (config, variant flags, observer, kernel caches) belongs to the

@@ -152,6 +152,19 @@ class Machine:
                     )
                     self.runtime.bitvector = lagged
                     self.manager.bitvector = lagged
+        # Whether both chunk paths filter single-page prefetches inline
+        # and charge their overhead at the next slow event.  Only the
+        # plain filter allows it: the adaptive state machine must see
+        # every request, an observer every filter event, and a fault
+        # injector's hint gate every request (a lagged bit vector applies
+        # its queue in the layer's bit test).  Otherwise each prefetch is
+        # charged in ``RuntimeLayer.prefetch``'s order: the same costs,
+        # summed in another order, so the last bits may differ.
+        self._inline_filter = (
+            self.runtime is not None and self.runtime.filter_enabled
+            and not self.runtime.adaptive and observer is None
+            and self.injector is None
+        )
         self._finished = False
 
     # ------------------------------------------------------------------
@@ -278,9 +291,9 @@ class Machine:
 
         An access is a hit when its page's byte in the manager's
         fast-access mask is set (the mask is the fast-access predicate,
-        docs/performance.md); the hit then writes the page's ref, dirty
-        and version columns directly.  Every buffer is a local, re-read
-        after each slow call: readahead or a prefetch can grow the store.
+        docs/performance.md); the hit then writes the page's ref and
+        dirty columns directly.  Every buffer is a local, re-read after
+        each slow call: readahead or a prefetch can grow the store.
         """
         if not kinds:
             return
@@ -289,22 +302,7 @@ class Machine:
         mask = manager.fast
         cols = manager.cols
         runtime = self.runtime
-        obs = self.obs
-        # The inline filter fast path is only valid for the plain filter;
-        # the adaptive state machine must see every request, so adaptive
-        # runs route single-page prefetches through the layer.  An
-        # attached observer must also see every request (the filter
-        # events are part of the trace), so tracing runs take the layer
-        # path too -- it charges the same costs, summed in another order
-        # (simulated times may differ in their last bits).
-        # Fault injection likewise disables the fast path: the fallback
-        # gate must consume every request, and a lagged bit vector makes
-        # the cached ``raw`` list stale.
-        filter_on = (
-            runtime is not None and runtime.filter_enabled
-            and not runtime.adaptive and obs is None
-            and self.injector is None
-        )
+        filter_on = self._inline_filter
         bitvec = runtime.bitvector if filter_on else None
         granularity = bitvec.granularity if filter_on else 1
         # With capacity for the chunk's largest page, no event needs a
@@ -315,7 +313,7 @@ class Machine:
             bitvec.reserve(maxp)
         fast = mask.bits
         bits = bitvec.bits if filter_on else None
-        ref, dirty, version = cols.ref, cols.dirty, cols.version
+        ref, dirty = cols.ref, cols.dirty
         addr_gen_cost = self.config.cost.addr_gen_us
         filter_cost = self.config.cost.filter_check_us + addr_gen_cost
 
@@ -343,7 +341,6 @@ class Machine:
                     ref[vpage] = 1
                     if kind == 1:
                         dirty[vpage] = 1
-                        version[vpage] += 1
                     hits += 1
                     continue
                 flush_time()
@@ -376,7 +373,7 @@ class Machine:
             fast = mask.bits
             if bits is not None:
                 bits = bitvec.bits
-            ref, dirty, version = cols.ref, cols.dirty, cols.version
+            ref, dirty = cols.ref, cols.dirty
 
         flush_time()
         self.stats.faults.hits += hits
@@ -400,12 +397,11 @@ class Machine:
         never change classification state, so between two slow events a
         whole segment can be charged at once: ``np.cumsum`` reproduces the
         scalar loop's fold-left time accumulation bitwise, page effects
-        (ref/dirty bits, write versions) are bulk scatters into the
-        columnar page store, and the hit/filter counters come from mask
-        counts.  Surviving candidates are re-checked lazily (an O(1)
-        flag test at dispatch time); if a slow call dropped any fast
-        flag or filter bit (``drops`` counters), the rest of the window
-        is reclassified.
+        (ref and dirty bits) are bulk scatters into the columnar page
+        store, and the hit/filter counters come from mask counts.
+        Surviving candidates are re-checked lazily (an O(1) flag test at
+        dispatch time); if a slow call dropped any fast flag or filter
+        bit (``drops`` counters), the rest of the window is reclassified.
 
         Where the scalar loop's inline filter is off (an observer or a
         fault injector is attached), the segment is charged in the
@@ -413,13 +409,19 @@ class Machine:
         filtered prefetch whose bit test would apply a queued
         bit-vector update goes through the layer (the lag cut), and a
         slow call that puts the hint gate into fallback hands the rest
-        of the chunk to the scalar loop.
+        of the chunk to the scalar loop.  A chunk holding an unknown
+        event kind goes to the scalar loop whole, which raises at it.
         """
         kinds_a = np.asarray(kinds, dtype=np.int64)
         pages_a = np.asarray(pages, dtype=np.int64)
         costs_a = np.asarray(costs, dtype=np.float64)
         n = len(kinds_a)
         if n == 0:
+            return
+        kmax = int(kinds_a.max())
+        if kmax > 3:
+            self._run_chunk_scalar(kinds_a.tolist(), pages_a.tolist(),
+                                   costs_a.tolist())
             return
         clock = self.clock
         manager = self.manager
@@ -435,22 +437,19 @@ class Machine:
                 # Classify against the bits as they stand; the queue is
                 # applied only by the layer's tests (see lag_cut).
                 lagged, bitvec = bitvec, bitvec.inner
-            # The scalar loop's ``filter_on`` is off exactly then.
-            layer_order = self.obs is not None or self.injector is not None
+            layer_order = not self._inline_filter
 
         # Reserving capacity for the chunk's maximum page number up front
         # lets every window gather directly off the raw arrays with no
         # bounds handling.  The raw references are re-read inside
-        # classify/refilter because growth reallocates the arrays.
+        # fast_events because growth reallocates the arrays.
         maxp = int(pages_a.max())
         fast_mask.reserve(maxp)
         granularity = 1
         if bitvec is not None:
             bitvec.reserve(maxp)
             granularity = bitvec.granularity
-        kmax = int(kinds_a.max())
         all_access = kmax <= 1
-        has_bad = kmax > 3
         if all_access:
             is_access = is_pf = None
             has_write = bool(kinds_a.any())
@@ -463,21 +462,28 @@ class Machine:
         cols = manager.cols
         cols.ensure(maxp)
 
-        def classify(a: int, b: int) -> np.ndarray:
-            """Absolute indices in [a, b) that are slow under current state."""
-            pg = pages_a[a:b]
+        def fast_events(pg: np.ndarray, acc, pf) -> np.ndarray:
+            """Which events on pages ``pg`` are fast under current state:
+            accesses (``acc``) to a fast page, and prefetches (``pf``)
+            whose filter bit is set -- or, with no run-time layer, every
+            hint.  ``acc`` and ``pf`` are None when every event is an
+            access."""
             f = fast_mask.raw[pg] != 0
-            if not all_access:
-                f &= is_access[a:b]
+            if acc is not None:
+                f &= acc
                 if runtime is None:
-                    hint = ~is_access[a:b]
-                    if has_bad:
-                        hint &= kinds_a[a:b] <= 3
-                    f |= hint
+                    f |= ~acc
                 else:
                     idx = pg if granularity == 1 else pg // granularity
-                    f |= is_pf[a:b] & (bitvec.raw[idx] != 0)
-            return (~f).nonzero()[0] + a
+                    f |= pf & (bitvec.raw[idx] != 0)
+            return f
+
+        def classify(a: int, b: int) -> np.ndarray:
+            """Absolute indices in [a, b) that are slow under current state."""
+            acc = pf = None
+            if not all_access:
+                acc, pf = is_access[a:b], is_pf[a:b]
+            return (~fast_events(pages_a[a:b], acc, pf)).nonzero()[0] + a
 
         def refilter(cand: np.ndarray, pg: np.ndarray,
                      ka: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -490,21 +496,11 @@ class Machine:
             hit), so the bulk drop is what keeps the candidate walk
             linear instead of per-stale-event.
             """
-            f = fast_mask.raw[pg] != 0
+            acc = pf = None
             if not all_access:
-                f &= ka <= 1
-                if runtime is None:
-                    hint = ka > 1
-                    if has_bad:
-                        hint &= ka <= 3
-                    f |= hint
-                else:
-                    idx = pg if granularity == 1 else pg // granularity
-                    f |= (ka == 2) & (bitvec.raw[idx] != 0)
-            keep = ~f
+                acc, pf = ka <= 1, ka == 2
+            keep = ~fast_events(pg, acc, pf)
             return cand[keep], pg[keep], ka[keep]
-
-        slow_writes: list[int] = []
 
         def apply_effects(a: int, b: int) -> None:
             """Page effects of the fast accesses in [a, b).
@@ -527,25 +523,6 @@ class Machine:
                 w = pg[is_write[a:b]]
                 if w.size:
                     cols.dirty_view[w] = 1
-
-        def flush_versions(upto: int) -> None:
-            """Write-version counters for every fast write in [0, upto).
-
-            Nothing reads versions mid-chunk (binding mode routes to the
-            scalar loop, checkpoints land between chunks), so one
-            ``np.bincount`` add per chunk replaces per-segment updates.
-            Slow-dispatched writes are excluded: the manager already
-            applied whatever version change the scalar loop would have.
-            """
-            if not has_write or upto <= 0:
-                return
-            w = pages_a[:upto][is_write[:upto]]
-            if w.size:
-                bc = np.bincount(w)
-                version = cols.version_view
-                version[: len(bc)] += bc
-                for v in slow_writes:
-                    version[v] -= 1
 
         def lag_cut(charges: np.ndarray, pf: np.ndarray) -> int:
             """The first of the filtered prefetches ``pf`` whose bit test
@@ -611,11 +588,6 @@ class Machine:
                         charges = charges[:3 * cut + 1]
                         slots = slots[:3 * cut + 1]
                         pf = pf[:cut]
-                    elif kind > 3:
-                        # The scalar loop dies with the compute since
-                        # the last prefetch unflushed.
-                        charges = charges[:-1]
-                        slots = slots[:-1]
                     seg_pf = len(pf)
                 apply_effects(seg_start, sp)
                 if all_access:
@@ -626,17 +598,6 @@ class Machine:
                     if not layer_order:
                         seg_pf = (int(np.count_nonzero(is_pf[seg_start:sp]))
                                   if runtime is not None else 0)
-                if kind > 3:
-                    # Match the scalar loop: die with locally accumulated
-                    # time unflushed and counters uncommitted, but with
-                    # every processed event's page effects applied -- and,
-                    # in layer order, every prefetch charged and counted.
-                    flush_versions(sp)
-                    if layer_order:
-                        clock.charge(charges, slots)
-                        stats.prefetch.filtered += filtered + seg_pf
-                        stats.prefetch.compiler_inserted += inserted + seg_pf
-                    raise MachineError(f"unknown event kind {kind}")
                 hits += seg_hits
                 filtered += seg_pf
                 inserted += seg_pf
@@ -656,8 +617,6 @@ class Machine:
                     break
                 drops_before = drops_now()
                 if kind <= 1:
-                    if kind == 1:
-                        slow_writes.append(vpage)
                     manager.access(vpage, kind == 1)
                 elif kind == 2:
                     if layer_order:
@@ -692,7 +651,6 @@ class Machine:
                 else:
                     cand = cand[1:]
             if bail:
-                flush_versions(pos)
                 stats.faults.hits += hits
                 stats.prefetch.filtered += filtered
                 stats.prefetch.compiler_inserted += inserted
@@ -704,7 +662,6 @@ class Machine:
                 return
             pos = wend
 
-        flush_versions(n)
         stats.faults.hits += hits
         stats.prefetch.filtered += filtered
         stats.prefetch.compiler_inserted += inserted

@@ -84,11 +84,12 @@ class MemoryManager:
         self._ra_state: dict[str, tuple[int, int]] = {}
         #: Figure-1 instrumentation: treat prefetches as *binding* (the
         #: data value is copied at prefetch time, as an asynchronous
-        #: read() into a buffer would).  Page write-versions recorded at
-        #: issue are compared at first use; a mismatch is a stale read
-        #: that non-binding prefetching can never produce.
+        #: read() into a buffer would).  Each bound page maps to whether
+        #: a store has landed since its copy was taken; a load that
+        #: consumes such a copy is a stale read that non-binding
+        #: prefetching can never produce.
         self.binding = binding
-        self._bound_versions: dict[int, int] = {}
+        self._bound_stored: dict[int, bool] = {}
         self.frames = FramePool(config.available_frames)
         #: Every per-page field, one column each, indexed by vpage; its
         #: first-touch list is the set of pages the manager has created.
@@ -320,11 +321,13 @@ class MemoryManager:
             self._tick_free()
             state = cols.state[vpage]
 
-        if self.binding and not is_write and vpage in self._bound_versions:
-            # Only a load consumes the binding buffer (a store writes
-            # memory, bypassing it); the check runs before any bump, so
-            # an intervening store since the copy is visible here.
-            self._check_binding_staleness(vpage)
+        if self.binding and vpage in self._bound_stored:
+            # A store writes memory, bypassing the binding buffer; only a
+            # load consumes it, stale if a store landed since the copy.
+            if is_write:
+                self._bound_stored[vpage] = True
+            elif self._bound_stored.pop(vpage):
+                self.stats.prefetch.binding_stale += 1
 
         if state == RESIDENT:
             return self._touch_resident(vpage, is_write)
@@ -394,7 +397,6 @@ class MemoryManager:
         cols.ref[vpage] = 1
         if is_write:
             cols.dirty[vpage] = 1
-            cols.version[vpage] += 1
         if cols.via_prefetch[vpage] and not cols.used_since_arrival[vpage]:
             cols.used_since_arrival[vpage] = 1
             cols.prefetched_pending[vpage] = 0
@@ -428,7 +430,6 @@ class MemoryManager:
         self.fast.set(vpage)
         if is_write:
             cols.dirty[vpage] = 1
-            cols.version[vpage] += 1
         self.ring.insert(vpage)
         if cols.arrival_us[vpage] <= self.clock.now:
             self._count_prefetched_hit(vpage)
@@ -498,18 +499,9 @@ class MemoryManager:
         self.fast.set(vpage)
         if is_write:
             cols.dirty[vpage] = 1
-            cols.version[vpage] += 1
         self.ring.insert(vpage)
         if self.bitvector is not None:
             self.bitvector.set(vpage)
-
-    def _check_binding_staleness(self, vpage: int) -> None:
-        """Figure-1 check: was the page written since its binding copy?"""
-        bound = self._bound_versions.pop(vpage, None)
-        if bound is None:
-            return
-        if self.cols.version[vpage] != bound:
-            self.stats.prefetch.binding_stale += 1
 
     def _sequential_readahead(self, vpage: int) -> None:
         """Fault-history readahead (the Section 5 baseline).
@@ -646,7 +638,7 @@ class MemoryManager:
             if binding:
                 # An explicit asynchronous read() copies the value of
                 # every requested page at issue time, resident or not.
-                self._bound_versions[vpage] = cols.version[vpage]
+                self._bound_stored[vpage] = False
             if state == RESIDENT:
                 pstats.unnecessary_issued += 1
                 if obs is not None:

@@ -60,9 +60,6 @@ COLUMNS = {
     "known": "B",
     #: Completion time of the in-flight read while IN_TRANSIT.
     "arrival_us": "d",
-    #: Write-version counter, used to detect the stale reads that
-    #: *binding* prefetches would produce (the paper's Figure 1).
-    "version": "q",
     #: Insertion token for lazy deletion in the clock ring.
     "ring_token": "q",
 }
@@ -79,7 +76,9 @@ class PageColumns:
     view, so a caller that holds a buffer or view across a call that can
     create pages must re-read it afterwards.  ``order`` is the
     first-touch list: every page the manager has created, in creation
-    order; ``top`` is one past the highest of them.
+    order; ``top`` is one past the highest of them.  Each column is read
+    by the store, the manager, the clock ring or a chunk path;
+    docs/performance.md lists every column with its readers.
     """
 
     __slots__ = (*COLUMNS, *(f"{name}_view" for name in COLUMNS),

@@ -4,12 +4,15 @@
 location occurs during the interval between a prefetch and a corresponding
 load, the value seen by the load will be stale." (paper, Section 2.2.1)
 
-Binding mode records each page's write-version when a prefetch copies it
-and flags first uses whose version moved -- the stale reads an
-asynchronous ``read()`` into a buffer would have served.
+Binding mode notes each page a prefetch copies, marks the copy when a
+store lands on its page, and counts the loads that consume a marked
+copy -- the stale reads an asynchronous ``read()`` into a buffer would
+have served.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.apps import synthetic
 from repro.config import PlatformConfig
@@ -59,9 +62,9 @@ class TestMechanism:
         load then sees the staleness."""
         m = machine()
         b = base(m)
-        m.prefetch(b, 1)  # binding copy at version 0
+        m.prefetch(b, 1)  # binding copy taken
         m.compute(100_000.0)
-        m.access(b, True)  # store: bumps the version, does not consume
+        m.access(b, True)  # store: marks the copy, does not consume
         assert m.stats.prefetch.binding_stale == 0
         m.access(b, False)  # the load consumes a now-stale buffer
         assert m.stats.prefetch.binding_stale == 1
@@ -83,6 +86,55 @@ class TestMechanism:
         m.access(b, True)
         assert m.stats.prefetch.binding_stale == 0
         assert not m.manager.binding
+
+
+#: A segment as large as memory: prefetches, faults and evictions all
+#: happen, and random operations often store to a page between its copy
+#: and its load (over many more pages they almost never do).
+SMALL = PlatformConfig(memory_pages=8)
+PAGES = 8
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["prefetch", "load", "store"]),
+              st.integers(0, PAGES - 1)),
+    st.tuples(st.just("compute"), st.sampled_from([10.0, 1e3, 1e5])),
+), max_size=60)
+
+
+def _stale_reads(ops) -> int:
+    """The plain event model: a prefetch copies its page clean, a store
+    to a copied page marks the copy stale, a load consumes the copy and
+    counts it if stale."""
+    copies: dict[int, bool] = {}
+    stale = 0
+    for op, arg in ops:
+        if op == "prefetch":
+            copies[arg] = False
+        elif op == "store" and arg in copies:
+            copies[arg] = True
+        elif op == "load" and copies.pop(arg, False):
+            stale += 1
+    return stale
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_OPS)
+@example(ops=[("prefetch", 0), ("store", 0), ("load", 0)])
+@example(ops=[("prefetch", 0), ("store", 0), ("prefetch", 0), ("load", 0)])
+def test_binding_stale_matches_the_event_model(ops):
+    # The filter is off, as in the Figure 1 bench: binding prefetches
+    # model explicit read() calls, which no residency filter drops.
+    m = Machine(SMALL, prefetching=True, binding_prefetch=True,
+                runtime_filter=False)
+    b = m.map_segment("x", PAGES * SMALL.page_size).base // SMALL.page_size
+    for op, arg in ops:
+        if op == "prefetch":
+            m.prefetch(b + arg, 1)
+        elif op == "compute":
+            m.compute(arg)
+        else:
+            m.access(b + arg, op == "store")
+    assert m.stats.prefetch.binding_stale == _stale_reads(ops)
 
 
 class TestInPlaceStreamHazard:

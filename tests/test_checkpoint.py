@@ -317,13 +317,13 @@ class TestRingFreeSnapshots:
         assert b"TraceBuffer" not in after.payload
 
     def test_v2_checkpoint_rejected(self, programs, tmp_path):
-        """v2, v3 and v4 payloads are all refused."""
+        """v2 through v5 payloads are all refused."""
         program = programs[("EMBAR", True)]
         machine, executor = _factory(True)()
         executor.run(program)
         snap = capture(machine, executor, label="old")
         store = CheckpointStore(tmp_path)
-        for version in (2, 3, 4):
+        for version in (2, 3, 4, 5):
             state = snap.state()
             state["version"] = version
             path, _seq = store.save(
@@ -335,7 +335,7 @@ class TestRingFreeSnapshots:
                                                  resume_from=path))
             with pytest.raises(CheckpointError,
                                match=f"version {version} is not supported"
-                                     ".*reads version 5"):
+                                     ".*reads version 6"):
                 fresh_ex.run(program)
 
     @pytest.mark.parametrize("variant", ["O", "P"])
@@ -829,7 +829,8 @@ class TestGuards:
 
 #: Machine attributes that belong to the incarnation: a restore keeps
 #: the restoring machine's own.
-KEPT = {"config", "prefetching", "scalar_chunks", "obs", "_ovh_seq"}
+KEPT = {"config", "prefetching", "scalar_chunks", "obs", "_ovh_seq",
+        "_inline_filter"}
 
 
 class TestStateGraph:

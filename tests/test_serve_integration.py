@@ -44,9 +44,10 @@ from repro.serve.worker import execute_job
 
 FAST_RETRY = RetryPolicy(base_s=0.01, cap_s=0.05, seed=1)
 
-# A job long enough (~1 s wall) that a strike 0.3 s in reliably lands
-# mid-run, with checkpoints every 10k simulated us to resume from.
-LONG_RUN = JobSpec(kind="run", app="MGRID", pages=480, memory_pages=96,
+# A job long enough (~1 s wall on a 2-vCPU host) that a strike 0.3 s
+# in reliably lands mid-run, with checkpoints every 10k simulated us to
+# resume from.
+LONG_RUN = JobSpec(kind="run", app="MGRID", pages=960, memory_pages=96,
                    job_id="long", seed=2)
 SHORT_RUN = JobSpec(kind="run", app="EMBAR", pages=120, memory_pages=96,
                     job_id="short", seed=2)
@@ -197,8 +198,10 @@ def test_preemption_resumes_the_victim_bit_identical(tmp_path):
 
 def test_deadline_timeout_costs_an_attempt(tmp_path):
     # A deadline far shorter than the job: every attempt times out, the
-    # job is quarantined, and nothing hangs.
-    doomed = JobSpec(kind="run", app="MGRID", pages=480, memory_pages=96,
+    # job is quarantined, and nothing hangs.  The job runs about 3.4 s
+    # uninterrupted on a 2-vCPU host, so two resumed 0.2 s attempts
+    # cannot finish it.
+    doomed = JobSpec(kind="run", app="MGRID", pages=1920, memory_pages=96,
                      job_id="doomed", timeout_s=0.2, max_attempts=2)
     config = FarmConfig(workers=1, retry=FAST_RETRY)
     report = run_farm([doomed], config, tmp_path)

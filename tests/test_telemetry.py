@@ -523,7 +523,9 @@ def test_killed_attempt_contributes_nothing(tmp_path):
     often the controller polled while it ran."""
     from repro.faults.farm import FarmChaosPlan, WorkerFault
 
-    spec = JobSpec(kind="run", app="MGRID", pages=480, memory_pages=96,
+    # About 3.4 s uninterrupted on a 2-vCPU host, so the 0.5 s strike
+    # lands mid-run with room to spare on a faster one.
+    spec = JobSpec(kind="run", app="MGRID", pages=1920, memory_pages=96,
                    job_id="doomed", seed=2, tenant="acme", max_attempts=1)
     chaos = FarmChaosPlan(faults=(
         WorkerFault(on_start=1, delay_s=0.5, op="kill"),))

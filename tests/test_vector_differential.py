@@ -91,7 +91,6 @@ def _page_table(machine: Machine) -> dict:
             cols.state[vpage],
             cols.dirty[vpage],
             cols.ref[vpage],
-            cols.version[vpage],
             cols.via_prefetch[vpage],
             cols.used_since_arrival[vpage],
             cols.arrival_us[vpage],
@@ -236,6 +235,20 @@ def test_unknown_kind_leaves_the_scalar_loops_state(plan):
         _machine(True, scalar, PLANS[plan]() if plan else None),
         kinds, offsets) for scalar in (False, True))
     assert vec == sca
+
+
+def test_unknown_kind_hands_the_whole_chunk_to_the_scalar_loop(monkeypatch):
+    """A kernel-sized clean chunk that ends in an unknown kind reaches
+    the scalar loop whole, which raises at that event."""
+    machine = _machine(True, False)
+    seg = machine.map_segment("a", 64 * machine.config.page_size)
+    base = seg.base // machine.config.page_size
+    kinds = [0, 1, 0, 2] * 50 + [7]
+    taken = _spy_chunk_paths(monkeypatch)
+    with pytest.raises(MachineError, match="unknown event kind 7"):
+        machine.run_chunk(kinds, [base + i % 64 for i in range(201)],
+                          [1.0] * 201)
+    assert taken == [("_run_chunk_vector", 201), ("_run_chunk_scalar", 201)]
 
 
 def test_hint_fallback_mid_chunk_hands_the_rest_to_the_scalar_loop(

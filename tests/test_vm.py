@@ -175,22 +175,22 @@ class TestColumnarStore:
     def test_views_survive_growth_and_pickling(self):
         cols = PageColumns(capacity=4)
         cols.create(2)
-        cols.version[2] = 7
+        cols.ring_token[2] = 7
         cols.arrival_us[2] = 1.5
         self._assert_views_share(cols)
         cols.ensure(100)
         assert cols.capacity > 100
-        assert cols.version[2] == 7 and cols.arrival_us[2] == 1.5
+        assert cols.ring_token[2] == 7 and cols.arrival_us[2] == 1.5
         self._assert_views_share(cols)
         cols.create(50)
         restored = pickle.loads(pickle.dumps(cols))
         self._assert_views_share(restored)
         assert list(restored.order) == [2, 50] and restored.top == 51
-        assert restored.version[2] == 7 and restored.arrival_us[2] == 1.5
+        assert restored.ring_token[2] == 7 and restored.arrival_us[2] == 1.5
         # A scatter through a view is visible through the item accessor.
-        restored.version_view[[2, 50]] += 1
+        restored.ring_token_view[[2, 50]] += 1
         restored.ref_view[[2, 50]] = 1
-        assert (restored.version[2], restored.version[50]) == (8, 1)
+        assert (restored.ring_token[2], restored.ring_token[50]) == (8, 1)
         assert restored.ref[2] == restored.ref[50] == 1
 
     def test_pickle_stops_at_the_highest_created_page(self):
