@@ -297,6 +297,8 @@ class Machine:
         """
         if not kinds:
             return
+        if min(kinds) < 0:
+            raise MachineError(f"unknown event kind {min(kinds)}")
         clock = self.clock
         manager = self.manager
         mask = manager.fast
@@ -409,8 +411,8 @@ class Machine:
         filtered prefetch whose bit test would apply a queued
         bit-vector update goes through the layer (the lag cut), and a
         slow call that puts the hint gate into fallback hands the rest
-        of the chunk to the scalar loop.  A chunk holding an unknown
-        event kind goes to the scalar loop whole, which raises at it.
+        of the chunk to the scalar loop.  A chunk holding a kind outside
+        0..3 goes to the scalar loop whole, which raises.
         """
         kinds_a = np.asarray(kinds, dtype=np.int64)
         pages_a = np.asarray(pages, dtype=np.int64)
@@ -418,7 +420,7 @@ class Machine:
         n = len(kinds_a)
         if n == 0:
             return
-        kmax = int(kinds_a.max())
+        kmax = int(kinds_a.view(np.uint64).max())  # negative kinds wrap high
         if kmax > 3:
             self._run_chunk_scalar(kinds_a.tolist(), pages_a.tolist(),
                                    costs_a.tolist())
@@ -564,7 +566,7 @@ class Machine:
             ka_c = kinds_a[cand]
             bail = False
             # The last window ends with the chunk's trailing segment,
-            # closed as if by an event at ``n`` of kind -1.
+            # closed at ``n`` with no event.
             while len(cand) or wend == n:
                 if len(cand):
                     sp = int(cand[0])
@@ -573,7 +575,7 @@ class Machine:
                     end = sp + 1
                 else:
                     sp = end = n
-                    kind = vpage = -1
+                    kind = None
                 # Close the fast segment [seg_start, sp): effects and
                 # counters, then the time up to the event that ends it.
                 cut = -1
@@ -612,8 +614,7 @@ class Machine:
                     overhead = (self._overhead_sum(seg_pf)
                                 if runtime is not None else 0.0)
                     clock.charge((compute, overhead), _INLINE_SLOTS)
-                if kind < 0:
-                    seg_start = n
+                if sp == n:
                     break
                 drops_before = drops_now()
                 if kind <= 1:

@@ -288,9 +288,18 @@ class MetricsRegistry:
         Merging is associative and equals sequential recording: a
         registry merged from N worker deltas carries exactly the
         counts/buckets the workers would have produced recording into
-        one shared registry.  Same-name instruments of different kinds
-        are an error, as they are for local registration.
+        one shared registry.  A same-name instrument of another kind or
+        other histogram bounds is an error, found before anything is
+        merged: a merge that raises leaves this registry unchanged.
         """
+        for name, theirs in other._instruments.items():
+            mine = self._instruments.get(name)
+            if mine is not None and mine.kind != theirs.kind:
+                raise MachineError(
+                    f"metric {name!r} already registered as {mine.kind}")
+            if isinstance(mine, Histogram) and mine.bounds != theirs.bounds:
+                raise MachineError(f"histogram {name} bounds mismatch on merge:"
+                                   f" {mine.bounds} vs {theirs.bounds}")
         for name in other.names():
             instrument = other._instruments[name]
             if isinstance(instrument, Counter):

@@ -128,46 +128,39 @@ class TelemetryAggregator:
     """Folds per-job registry deltas into one farm-level rollup.
 
     One contribution per job: the delta its ``done`` attempt carried on
-    the result payload.  A later delta for a job already folded is
-    ignored, and an attempt that never finishes reports nothing, so no
-    attempt is ever folded twice or folded half-done.  The rollup is
-    recomputed from the contributions, which is what makes "controller
-    totals == sum of worker deltas" hold by construction.
+    the result payload, merged into the rollup once, when it is
+    ingested.  A later delta for a job already folded is ignored, an
+    attempt that never finishes reports nothing, and a delta that does
+    not merge is refused whole, so no attempt is ever folded twice or
+    folded half-done.
     """
 
     def __init__(self) -> None:
-        self._contributions: dict[str, tuple[str, MetricsRegistry]] = {}
+        self._rollup = MetricsRegistry()
+        self._tenants: dict[str, str] = {}
 
     def ingest(self, job_id: str, tenant: str, metrics: dict) -> bool:
-        """Fold one job's delta in; returns False when ignored."""
-        if job_id in self._contributions:
+        """Fold one job's delta in, plain and per tenant; returns False
+        when ignored and raises, folding nothing, when it cannot."""
+        if job_id in self._tenants:
             return False
-        self._contributions[job_id] = (
-            tenant, MetricsRegistry.from_snapshot(metrics))
+        delta = MetricsRegistry.from_snapshot(metrics)
+        delta.merge(MetricsRegistry.from_snapshot(
+            {labeled_name(name, tenant=tenant): payload
+             for name, payload in metrics.items()}))
+        self._rollup.merge(delta)
+        self._tenants[job_id] = tenant
         return True
 
     def jobs_folded(self) -> int:
-        return len(self._contributions)
+        return len(self._tenants)
 
     def tenants(self) -> list[str]:
-        return sorted({tenant for tenant, _ in self._contributions.values()})
+        return sorted(set(self._tenants.values()))
 
     def rollup(self) -> MetricsRegistry:
-        """One registry carrying every contribution, twice over: the
-        unlabeled family plus per-tenant labeled children."""
-        rollup = MetricsRegistry()
-        for tenant, source in self._contributions.values():
-            rollup.merge(source)
-            for name in source.names():
-                instrument = source.get(name)
-                child = labeled_name(name, tenant=tenant)
-                if instrument.kind == "counter":
-                    rollup.counter(child).merge(instrument)
-                elif instrument.kind == "gauge":
-                    rollup.gauge(child).merge(instrument)
-                else:
-                    rollup.histogram(child, instrument.bounds).merge(instrument)
-        return rollup
+        """The live rollup: unlabeled family plus per-tenant children."""
+        return self._rollup
 
 
 # ----------------------------------------------------------------------
@@ -463,10 +456,10 @@ class FarmTelemetry:
     """Everything the farm controller drives, behind enabled checks.
 
     The controller calls the ``on_*`` hooks at its state transitions
-    and :meth:`poll` from the collect loop; every hook is a no-op when
-    telemetry is disabled, so the farm's control flow never branches on
-    telemetry state.  ``state_fn`` supplies the live farm summary
-    (queue depth, busy workers, job counts) for snapshots.
+    and :meth:`poll` at the end of every tick; every hook is a no-op
+    when telemetry is disabled, so the farm's control flow never
+    branches on telemetry state.  ``state_fn`` supplies the live farm
+    summary (queue depth, busy workers, job counts) for snapshots.
     """
 
     def __init__(self, config: TelemetryConfig, workdir: str | Path,
@@ -684,7 +677,7 @@ class FarmTelemetry:
 
     def poll(self, now_s: float) -> None:
         """Flush-cadence work: sample counters, write the snapshot,
-        evaluate SLOs.  Called from the collect loop."""
+        evaluate SLOs.  Called at the end of every controller tick."""
         if not self.enabled:
             return
         if now_s - self._last_flush < self.config.flush_every_s:

@@ -1,4 +1,4 @@
-"""The asyncio farm controller: admission, dispatch, and failure policy.
+"""The farm controller: admission, dispatch, and failure policy.
 
 One :class:`Farm` owns the whole supervised-job-farm story:
 
@@ -17,19 +17,20 @@ One :class:`Farm` owns the whole supervised-job-farm story:
 * **degradation accounting**: the ``serve.*`` metrics registry
   (documented in docs/serving.md, linted by ``scripts/check_docs.py``).
 
-The controller runs as three cooperating asyncio tasks -- collector,
-supervisor, dispatcher -- over a :class:`~repro.serve.supervisor.WorkerPool`
-of real processes.  All controller state is mutated only from the event
-loop thread, so the tasks need no locks; all worker state arrives as
-atomically written files, so worker death at any instant cannot corrupt
-the controller's view.  Termination is guaranteed: every job's attempts
-are bounded, every attempt's wall time is bounded by its deadline, and
-an optional farm-wide ``max_wall_s`` quarantines whatever is left.
+The controller is one polling loop over a
+:class:`~repro.serve.supervisor.WorkerPool` of real processes: each
+:meth:`Farm._tick` collects results, supervises workers, dispatches,
+then flushes telemetry.  All controller state lives in one thread, so
+nothing needs a lock; all worker state arrives as atomically written
+files, so worker death at any instant cannot corrupt the controller's
+view.  An exception in a tick stops the farm with the pool shut down.
+Termination is guaranteed: every job's attempts are bounded, every
+attempt's wall time is bounded by its deadline, and an optional
+farm-wide ``max_wall_s`` quarantines whatever is left.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import signal
@@ -75,7 +76,7 @@ JOB_LATENCY_BOUNDS_US: tuple[float, ...] = (
     1e4, 1e5, 1e6, 5e6, 1e7, 3e7, 6e7, 3e8,
 )
 
-#: Seconds each of the controller's three loops sleeps between passes.
+#: Seconds the controller sleeps between ticks.
 POLL_S = 0.02
 
 
@@ -173,7 +174,6 @@ class Farm:
         self.records: list[JobRecord] = []
         self._seq = 0
         self._starts = 0
-        self._drained = asyncio.Event()
         # Write-ahead ledger: every transition is journaled before it is
         # applied in memory, so a controller SIGKILLed at any instant
         # leaves a replayable record (docs/serving.md).
@@ -276,8 +276,6 @@ class Farm:
             self.metrics.histogram(
                 name, bounds=JOB_LATENCY_BOUNDS_US).observe(latency_us)
         self.telemetry.on_terminal(record, state, record.finished_at)
-        if all(r.terminal for r in self.records):
-            self._drained.set()
 
     def _register_failure(self, record: JobRecord, reason: str,
                           resume: bool) -> None:
@@ -352,67 +350,57 @@ class Farm:
                 record, payload.get("error", "job failed"), resume=False)
 
     # ------------------------------------------------------------------
-    # The three loops
+    # The tick
     # ------------------------------------------------------------------
 
-    async def _collect_loop(self) -> None:
-        while True:
-            for handle in self.pool.busy_workers():
-                self._consume_result(handle)
-            self._update_gauges()
-            self.telemetry.poll(time.monotonic())
-            await asyncio.sleep(POLL_S)
-
-    async def _supervise_loop(self) -> None:
-        while True:
-            now = time.monotonic()
-            # A due controller strike is an *unannounced* death -- no
-            # journal record, no telemetry -- exactly like a real crash.
-            if self._controller_strikes and min(self._controller_strikes) <= now:
-                os.kill(os.getpid(), signal.SIGKILL)
-            # Fire due chaos strikes (armed at dispatch time).
-            for handle in self.pool.busy_workers():
-                due = [s for s in handle.strikes if s[0] <= now]
-                if not due:
-                    continue
-                handle.strikes = [s for s in handle.strikes if s[0] > now]
-                for _, op in due:
-                    self.pool.strike(handle, op)
-                    self.metrics.counter(
-                        "serve.worker_kills" if op == "kill"
-                        else "serve.worker_stalls").inc()
-                    self.telemetry.on_strike(handle.worker_id, op, now)
-            # Convert every detected worker failure into respawn + retry.
-            for handle, kind, detail in self.pool.failed_workers(now):
-                if kind == "stalled":
-                    self.metrics.counter("serve.heartbeat_timeouts").inc()
-                elif kind == "deadline":
-                    self.metrics.counter("serve.deadline_timeouts").inc()
-                self.telemetry.on_worker_failed(
-                    handle.worker_id, kind, detail, now)
-                # The worker may have finished the job and died after
-                # writing its result; believe the file over the corpse.
-                self._consume_result(handle)
-                job = self.pool.reap(handle)
-                self.metrics.counter("serve.worker_restarts").inc()
-                if job is not None:
-                    self._register_failure(
-                        job, f"worker {handle.worker_id} {kind}: {detail}",
-                        resume=True)
-            await asyncio.sleep(POLL_S)
-
-    async def _dispatch_loop(self) -> None:
-        while True:
-            now = time.monotonic()
-            if self.config.preemption and not self.pool.idle_workers():
-                self._maybe_preempt(now)
-            for handle in self.pool.idle_workers():
-                record = self.queue.pop_ready(now)
-                if record is None:
-                    break
-                self._dispatch(handle, record, now)
-            self._update_gauges()
-            await asyncio.sleep(POLL_S)
+    def _tick(self) -> None:
+        """One controller pass: collect, supervise, dispatch, flush."""
+        for handle in self.pool.busy_workers():
+            self._consume_result(handle)
+        now = time.monotonic()
+        # A due controller strike is an *unannounced* death -- no
+        # journal record, no telemetry -- exactly like a real crash.
+        if self._controller_strikes and min(self._controller_strikes) <= now:
+            os.kill(os.getpid(), signal.SIGKILL)
+        # Fire due chaos strikes (armed at dispatch time).
+        for handle in self.pool.busy_workers():
+            due = [s for s in handle.strikes if s[0] <= now]
+            if not due:
+                continue
+            handle.strikes = [s for s in handle.strikes if s[0] > now]
+            for _, op in due:
+                self.pool.strike(handle, op)
+                self.metrics.counter("serve.worker_kills" if op == "kill"
+                                     else "serve.worker_stalls").inc()
+                self.telemetry.on_strike(handle.worker_id, op, now)
+        # Convert every detected worker failure into respawn + retry.
+        for handle, kind, detail in self.pool.failed_workers(now):
+            if kind == "stalled":
+                self.metrics.counter("serve.heartbeat_timeouts").inc()
+            elif kind == "deadline":
+                self.metrics.counter("serve.deadline_timeouts").inc()
+            self.telemetry.on_worker_failed(handle.worker_id, kind, detail, now)
+            # The worker may have finished the job and died after
+            # writing its result; believe the file over the corpse.
+            self._consume_result(handle)
+            job = self.pool.reap(handle)
+            self.metrics.counter("serve.worker_restarts").inc()
+            if job is not None:
+                self._register_failure(
+                    job, f"worker {handle.worker_id} {kind}: {detail}",
+                    resume=True)
+        # A reap can block for seconds, so dispatch reads the clock anew.
+        now = time.monotonic()
+        if self.config.preemption and not self.pool.idle_workers():
+            self._maybe_preempt(now)
+        for handle in self.pool.idle_workers():
+            record = self.queue.pop_ready(now)
+            if record is None:
+                break
+            self._dispatch(handle, record, now)
+        # Flush last, so a snapshot shows this tick's dispatches.
+        self._update_gauges()
+        self.telemetry.poll(time.monotonic())
 
     def _maybe_preempt(self, now: float) -> None:
         """Kill the lowest-priority running job for a higher-priority one."""
@@ -426,7 +414,7 @@ class Farm:
         if victim.job.spec.priority >= top:
             return
         if self._consume_result(victim):
-            return  # finished in the nick of time; dispatcher reuses it
+            return  # finished in the nick of time; dispatch reuses it
         self._journal("preempted", job=victim.job.spec.job_id)
         job = self.pool.reap(victim)
         self.metrics.counter("serve.worker_restarts").inc()
@@ -459,8 +447,8 @@ class Farm:
             fault = self.chaos.for_start(self._starts)
             if fault is not None:
                 if fault.op == "controller_crash":
-                    # Aimed at us, not the worker: the supervisor loop
-                    # SIGKILLs this very process when the timer fires.
+                    # Aimed at us, not the worker: the tick SIGKILLs
+                    # this very process when the timer fires.
                     self._controller_strikes.append(now + fault.delay_s)
                 else:
                     handle.strikes.append((now + fault.delay_s, fault.op))
@@ -727,33 +715,24 @@ class Farm:
     # Entry point
     # ------------------------------------------------------------------
 
-    async def run(self) -> FarmReport:
+    def run(self) -> FarmReport:
         """Drive every admitted job to a terminal state."""
         started = time.monotonic()
         write_liveness(self.workdir)
-        if all(r.terminal for r in self.records):
-            self._drained.set()
         self.pool.start()
-        tasks = [
-            asyncio.create_task(self._collect_loop(), name="collector"),
-            asyncio.create_task(self._supervise_loop(), name="supervisor"),
-            asyncio.create_task(self._dispatch_loop(), name="dispatcher"),
-        ]
+        deadline = time.monotonic() + (self.config.max_wall_s or float("inf"))
         try:
-            if self.config.max_wall_s is not None:
-                try:
-                    await asyncio.wait_for(self._drained.wait(),
-                                           timeout=self.config.max_wall_s)
-                except asyncio.TimeoutError:
+            while not all(r.terminal for r in self.records):
+                if time.monotonic() >= deadline:
                     self._quarantine_outstanding(
                         f"farm drain deadline ({self.config.max_wall_s:g}s) "
                         f"expired")
-            else:
-                await self._drained.wait()
+                    break
+                self._tick()
+                if all(r.terminal for r in self.records):
+                    break
+                time.sleep(POLL_S)
         finally:
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
             self.pool.shutdown()
         telemetry = self.telemetry.finalize(time.monotonic())
         clear_liveness(self.workdir)
@@ -776,7 +755,7 @@ def run_farm(specs: Sequence[JobSpec], config: FarmConfig,
              workdir: str | Path,
              chaos: FarmChaosPlan | None = None,
              recover: bool = False) -> FarmReport:
-    """Synchronous front door: submit a batch, run it to terminal states.
+    """Front door: submit a batch, run it to terminal states.
 
     With ``recover=True`` the dead predecessor's ledger is replayed
     first (:meth:`Farm.recover`); ``specs`` may then add new work on
@@ -787,7 +766,7 @@ def run_farm(specs: Sequence[JobSpec], config: FarmConfig,
         farm.recover()
     if specs:
         farm.submit(specs)
-    return asyncio.run(farm.run())
+    return farm.run()
 
 
 def recover_farm(config: FarmConfig, workdir: str | Path,

@@ -125,10 +125,11 @@ class TestRunChunk:
         with pytest.raises(MachineError):
             m.run_chunk([READ], [1, 2], [0.0])
 
-    def test_chunk_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("kind", [17, -1])
+    def test_chunk_unknown_kind_rejected(self, kind):
         m = small_machine()
         with pytest.raises(MachineError):
-            m.run_chunk([17], [vp(m)], [0.0])
+            m.run_chunk([kind], [vp(m)], [0.0])
 
     def test_chunk_compute_time_preserved(self):
         m = small_machine()

@@ -17,7 +17,6 @@ pages ~ 0.5 s; MGRID 480 pages ~ 1 s) so each farm run stays in the
 seconds range; strike delays land mid-job on any plausible host.
 """
 
-import asyncio
 import os
 import time
 
@@ -26,6 +25,7 @@ import pytest
 from repro.errors import ExitCode
 from repro.faults.farm import FarmChaosPlan, WorkerFault
 from repro.obs.metrics import SERVE_METRIC_NAMES
+from repro.obs.telemetry import FarmTelemetry
 from repro.serve import (
     Farm,
     FarmConfig,
@@ -177,16 +177,18 @@ def test_preemption_resumes_the_victim_bit_identical(tmp_path):
     high = JobSpec(kind="run", app="EMBAR", pages=120, memory_pages=96,
                    job_id="vip", priority=5)
 
-    async def drive():
-        farm = Farm(FarmConfig(workers=1, retry=FAST_RETRY),
-                    tmp_path / "farm")
-        farm.submit([LONG_RUN])
-        task = asyncio.create_task(farm.run())
-        await asyncio.sleep(0.4)  # let the long job run and checkpoint
-        farm.submit([high])
-        return await task
+    farm = Farm(FarmConfig(workers=1, retry=FAST_RETRY), tmp_path / "farm")
+    farm.submit([LONG_RUN])
+    real_tick = farm._tick
+    submit_at = time.monotonic() + 0.4  # let the long job run and checkpoint
 
-    report = asyncio.run(drive())
+    def tick():
+        if len(farm.records) == 1 and time.monotonic() >= submit_at:
+            farm.submit([high])
+        real_tick()
+
+    farm._tick = tick
+    report = farm.run()
     by_id = {r.spec.job_id: r for r in report.records}
     assert by_id["vip"].state == JobState.DONE
     victim = by_id["long"]
@@ -194,6 +196,29 @@ def test_preemption_resumes_the_victim_bit_identical(tmp_path):
     assert victim.preemptions == 1
     assert victim.result == baseline  # preemption is invisible in results
     assert report.metrics.value("serve.preemptions") == 1
+
+
+def test_an_exception_in_a_tick_stops_the_farm(tmp_path, monkeypatch):
+    """A tick that raises ends the run with the pool shut down, and the
+    error reaches the caller before any job's deadline could end it."""
+    poll = FarmTelemetry.poll
+    calls = []
+
+    def failing_poll(self, now_s):
+        calls.append(now_s)
+        if len(calls) >= 4:
+            raise RuntimeError("telemetry flush failed")
+        poll(self, now_s)
+
+    monkeypatch.setattr(FarmTelemetry, "poll", failing_poll)
+    specs = [JobSpec(kind="run", app="EMBAR", pages=120, memory_pages=96,
+                     job_id=f"e{i}", timeout_s=5) for i in range(2)]
+    config = FarmConfig(workers=2, retry=FAST_RETRY, max_wall_s=60)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="telemetry flush failed"):
+        run_farm(specs, config, tmp_path)
+    assert time.monotonic() - started < 5.0
+    assert scan_worker_state(tmp_path / "workers") == []
 
 
 def test_deadline_timeout_costs_an_attempt(tmp_path):

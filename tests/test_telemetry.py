@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
-from repro.errors import ConfigError, ExitCode
+from repro.errors import ConfigError, ExitCode, MachineError
 from repro.obs import Observer
 from repro.obs.export import merge_chrome_traces, validate_chrome_trace
 from repro.obs.metrics import (
@@ -47,6 +47,7 @@ from repro.obs.telemetry import (
 )
 from repro.serve import (
     FarmConfig,
+    JobRecord,
     JobSpec,
     JobState,
     RetryPolicy,
@@ -179,6 +180,12 @@ def test_histogram_merge_rejects_mismatched_bounds():
     b.histogram("h", (1.0, 3.0)).observe(1.5)
     with pytest.raises(Exception):
         a.merge(b)
+    # All or nothing: "g" sorts before "h" and is not merged either.
+    b.counter("g").inc(2)
+    before = a.as_dict()
+    with pytest.raises(MachineError):
+        a.merge(b)
+    assert a.as_dict() == before
 
 
 def test_labeled_name_roundtrip():
@@ -384,6 +391,31 @@ def test_disabled_telemetry_is_inert(tmp_path):
     assert telemetry.finalize(0.0) == {"enabled": False}
     assert not (tmp_path / "telemetry.json").exists()
     assert not (tmp_path / "slo_verdict.json").exists()
+
+
+def test_an_alien_delta_is_refused_whole(tmp_path):
+    """A delta that disagrees with the rollup on a kind or on histogram
+    bounds folds nothing, and the flushes after it still run."""
+    telemetry = FarmTelemetry(TelemetryConfig(), tmp_path, workers=1,
+                              serve_metrics=MetricsRegistry())
+
+    def on_result(job_id: str, metrics: dict) -> None:
+        record = JobRecord(spec=_run_spec(job_id, "acme"))
+        telemetry.on_result(record, {"state": "done",
+                                     "telemetry": {"metrics": metrics}})
+
+    on_result("j1", _delta(3))
+    rollup = telemetry.aggregator.rollup().as_dict()
+    alien = MetricsRegistry()
+    alien.counter("jobs.a").inc(1)  # new and compatible; sorts first
+    alien.gauge("jobs.c").set(1.0)  # a counter in the rollup
+    alien.histogram("jobs.h", (1.0, 2.0, 3.0)).observe(2.0)
+    on_result("j2", alien.as_dict())
+    assert telemetry.aggregator.jobs_folded() == 1
+    assert telemetry.registry.value("telemetry.deltas_folded") == 1
+    assert telemetry.aggregator.rollup().as_dict() == rollup
+    telemetry.poll(0.0)
+    assert telemetry.finalize(1.0)["jobs_folded"] == 1
 
 
 def test_facade_registers_all_documented_metrics(tmp_path):

@@ -211,30 +211,36 @@ def test_hint_fallback_routes_to_scalar(monkeypatch):
 def _after_warm_chunk(machine: Machine, kinds, offsets) -> tuple:
     """Fault in a 64-page segment's first 32 pages (a short chunk, so on
     the scalar loop), replay ``kinds`` over ``offsets`` into the segment
-    with cost 0.5 each, and return what the replay left behind."""
+    with cost 0.5 each, and return the error the replay raised, if any,
+    and what it left behind."""
     seg = machine.map_segment("a", 64 * machine.config.page_size)
     base = seg.base // machine.config.page_size
     machine.run_chunk([0] * 32, list(range(base, base + 32)), [1.0] * 32)
+    error = None
     try:
         machine.run_chunk(kinds, [base + o for o in offsets],
                           [0.5] * len(kinds))
-    except MachineError:
-        pass
-    return (machine.clock.now, machine.clock.breakdown(), machine.stats,
-            _page_table(machine))
+    except MachineError as exc:
+        error = str(exc)
+    return (error, machine.clock.now, machine.clock.breakdown(),
+            machine.stats, _page_table(machine))
 
 
+@pytest.mark.parametrize("bad", [17, -1], ids=lambda kind: f"kind{kind}")
 @pytest.mark.parametrize("plan", [None, "lag"], ids=["clean", "faulted"])
-def test_unknown_kind_leaves_the_scalar_loops_state(plan):
-    """A chunk that dies on an unknown event kind leaves the clock, the
-    counters and the page effects where the scalar loop leaves them --
-    in layer order, with every prefetch before it charged and counted."""
-    kinds = [0, 1, 0, 2] * 50 + [17]
-    offsets = [i % 32 for i in range(201)]
+def test_unknown_kind_leaves_the_scalar_loops_state(plan, bad):
+    """A chunk holding an event kind outside 0..3 raises on both paths
+    and leaves the clock, the counters and the page effects where the
+    scalar loop leaves them -- in layer order, with every prefetch
+    before a kind above 3 charged and counted."""
+    # The bad event is slow: its page is one the warm-up left on disk.
+    kinds = [0, 1, 0, 2] * 50 + [bad, 0, 1, 2]
+    offsets = [i % 32 for i in range(200)] + [40, 1, 2, 3]
     vec, sca = (_after_warm_chunk(
         _machine(True, scalar, PLANS[plan]() if plan else None),
         kinds, offsets) for scalar in (False, True))
     assert vec == sca
+    assert vec[0] == f"unknown event kind {bad}"
 
 
 def test_unknown_kind_hands_the_whole_chunk_to_the_scalar_loop(monkeypatch):
