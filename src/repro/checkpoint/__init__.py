@@ -4,9 +4,10 @@ The subsystem has three layers:
 
 * :mod:`repro.checkpoint.snapshot` -- a snapshot is the machine's
   state objects (clock, ``RunStats``, address space, disks, VM,
-  run-time layer, fault injector) pickled as one graph, plus the
-  interpreter cursor and an attached observer's metrics; the observer
-  itself, its trace included, stays with each incarnation;
+  run-time layer, with the fault state they hold) pickled as one
+  graph, plus the interpreter cursor and an attached observer's
+  metrics; the observer itself, its trace included, stays with each
+  incarnation;
 * :mod:`repro.checkpoint.store` -- the versioned on-disk format: one
   file per label of K + 1 checksummed slots, the last K checkpoints
   retained, each save one durable write, with corruption fallback;

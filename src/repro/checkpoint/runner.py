@@ -5,11 +5,12 @@ A :class:`Checkpointer` is installed on the interpreter
 -- the interpreter's *safe points*.  At each safe point it does two
 things, in a deliberate order:
 
-1. **crash faults first** -- if the fault plan (or the config's own
-   ``crash_at_us`` list) schedules a process death at or before the
-   current cycle, raise :class:`~repro.errors.ProcessCrash`.  Because
-   the crash check precedes the checkpoint check, the newest retained
-   checkpoint always *strictly precedes* the crash it must recover.
+1. **crash faults first** -- if the next undelivered entry of its one
+   crash schedule (the fault plan's ``crashes`` merged with the
+   config's own ``crash_at_us``) is at or before the current cycle,
+   raise :class:`~repro.errors.ProcessCrash`.  Because the crash check
+   precedes the checkpoint check, the newest retained checkpoint always
+   *strictly precedes* the crash it must recover.
 2. **checkpoint cadence** -- when ``every_us`` simulated microseconds
    have passed since the last due point, capture a snapshot and write
    it (to the :class:`~repro.checkpoint.store.CheckpointStore`, or just
@@ -23,7 +24,6 @@ on.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -51,12 +51,13 @@ class CheckpointConfig:
     #: Resume source: a checkpoint file, or a directory (then the newest
     #: good checkpoint for ``label`` is used, skipping corrupt ones).
     resume_from: str | Path | None = None
-    #: Harness-level process kills at these simulated cycles, delivered
-    #: exactly like plan crashes but without needing a fault plan (so a
-    #: *clean* run can be crashed too).  Used by tests and recovery loops.
+    #: Harness-level process kills at these simulated cycles, in one
+    #: schedule with the plan's crashes, but without needing a fault
+    #: plan (so a *clean* run can be crashed too).
     crash_at_us: tuple[float, ...] = ()
-    #: Mark every plan crash already delivered (``--ignore-crash-faults``)
-    #: -- the uninterrupted control run of a crash experiment.
+    #: Leave the plan's crashes out of the schedule
+    #: (``--ignore-crash-faults``) -- the uninterrupted control run of a
+    #: crash experiment.
     suppress_plan_crashes: bool = False
 
     def __post_init__(self) -> None:
@@ -83,24 +84,30 @@ class Checkpointer:
     """The safe-point hook: crash delivery plus checkpoint cadence."""
 
     def __init__(self, machine, executor, config: CheckpointConfig,
-                 store: CheckpointStore | None = None) -> None:
+                 store: CheckpointStore | None = None,
+                 delivered: int = 0) -> None:
         self.machine = machine
         self.executor = executor
-        self.config = config
         self.store = store
         self.label = config.label
         self.every_us = config.every_us
         #: The incarnation's machine signature, stamped on every snapshot.
         self.signature = machine_signature(machine, executor)
         self._next_due = config.every_us if config.every_us is not None else None
-        self._pending_crashes = list(config.crash_at_us)
+        plan = machine.fault_plan
+        plan_crashes = (() if plan is None or config.suppress_plan_crashes
+                        else plan.crashes)
+        #: The run's one crash schedule: plan and harness crash cycles.
+        self.crashes = tuple(sorted(plan_crashes + config.crash_at_us))
+        #: Index of the next crash: how many of them earlier
+        #: incarnations of the run already died at.
+        self.delivered = delivered
         #: Newest snapshot written by *this* incarnation (recovery loops
         #: resume from it without touching disk).
         self.latest: Snapshot | None = None
         self.latest_path: Path | None = None
         self.writes = 0
         self.restores = 0
-        self.crashes_delivered = 0
         #: Test hook: called with each freshly written Snapshot.
         self.on_write: Callable[[Snapshot], None] | None = None
 
@@ -112,23 +119,19 @@ class Checkpointer:
         now = self.machine.clock.now
         # Crash faults strictly before the checkpoint check: the newest
         # checkpoint must predate the crash it will be resumed from.
-        injector = self.machine.injector
-        if injector is not None:
-            due = injector.next_crash_us()
-            if due is not None and now >= due:
-                injector.crash_cursor += 1
-                if self.store is not None:
-                    self.store.record_crash(self.label)
-                self._deliver_crash(due, now, executor)
-        if self._pending_crashes and now >= self._pending_crashes[0]:
-            self._deliver_crash(self._pending_crashes.pop(0), now, executor)
+        if (self.delivered < len(self.crashes)
+                and now >= self.crashes[self.delivered]):
+            self._deliver_crash(now, executor)
         if self._next_due is not None and now >= self._next_due:
             self.write_checkpoint()
             while self._next_due <= now:
                 self._next_due += self.every_us
 
-    def _deliver_crash(self, scheduled_us: float, now: float, executor) -> None:
-        self.crashes_delivered += 1
+    def _deliver_crash(self, now: float, executor) -> None:
+        scheduled_us = self.crashes[self.delivered]
+        self.delivered += 1
+        if self.store is not None:
+            self.store.record_crash(self.label)
         obs = self.machine.obs
         if obs is not None:
             obs.metrics.counter("ckpt.crashes_delivered").inc()
@@ -228,22 +231,15 @@ def setup_checkpointing(machine, executor,
     """Wire a Checkpointer into a freshly built machine + executor.
 
     Handles the three cross-process concerns: creating the store,
-    resolving the resume source, and replaying the crash ledger into the
-    injector's crash cursor so a resumed run does not re-die at the
-    crash it just recovered from.
+    resolving the resume source, and starting the crash schedule at the
+    store's crash ledger so a resumed run does not re-die at a crash it
+    already recovered from.
     """
     store = (CheckpointStore(config.directory, keep=config.keep)
              if config.directory is not None else None)
-    ckpt = Checkpointer(machine, executor, config, store=store)
-    injector = machine.injector
-    if injector is not None and injector.plan.crashes:
-        if config.suppress_plan_crashes:
-            injector.suppress_crashes()
-        elif store is not None:
-            injector.crash_cursor = min(
-                store.crashes_delivered(config.label),
-                len(injector.plan.crashes),
-            )
+    delivered = store.crashes_delivered(config.label) if store is not None else 0
+    ckpt = Checkpointer(machine, executor, config, store=store,
+                        delivered=delivered)
     if config.resume_from is not None:
         loaded = _load_resume_snapshot(config)
         if loaded is not None:
@@ -270,34 +266,28 @@ class RecoveryResult:
 
 def run_with_recovery(make_machine_executor, program,
                       config: CheckpointConfig) -> RecoveryResult:
-    """Run to completion through every planned crash, resuming each time.
+    """Run to completion through every scheduled crash, resuming each time.
 
     ``make_machine_executor`` builds a fresh ``(machine, executor)`` pair
     per incarnation (a dead process cannot reuse its old objects).  Each
     crash kills the incarnation; the next one resumes from the newest
-    snapshot -- in memory by default, through the configured store when
-    ``config.directory`` is set.  Terminates because every iteration
-    either finishes the run or permanently consumes one planned crash.
+    snapshot so far, held in memory (with ``config.directory`` set, each
+    checkpoint and crash is also written to the store).  Terminates
+    because every iteration either finishes the run or permanently
+    consumes one scheduled crash: the dying incarnation's delivered
+    count is handed to the next one.
     """
-    delivered_config = 0
-    delivered_plan = 0
+    delivered = 0
     latest: Snapshot | None = None
     crashes = 0
     resumes = 0
     checkpoints = 0
     while True:
         machine, executor = make_machine_executor()
-        incarnation_cfg = dataclasses.replace(
-            config, resume_from=None,
-            crash_at_us=config.crash_at_us[delivered_config:],
-        )
         store = (CheckpointStore(config.directory, keep=config.keep)
                  if config.directory is not None else None)
-        ckpt = Checkpointer(machine, executor, incarnation_cfg, store=store)
-        if machine.injector is not None:
-            machine.injector.crash_cursor = min(
-                delivered_plan, len(machine.injector.plan.crashes)
-            )
+        ckpt = Checkpointer(machine, executor, config, store=store,
+                            delivered=delivered)
         if latest is not None:
             ckpt.arm_resume(latest)
             resumes += 1
@@ -306,9 +296,7 @@ def run_with_recovery(make_machine_executor, program,
             stats = executor.run(program)
         except ProcessCrash:
             crashes += 1
-            delivered_config = len(config.crash_at_us) - len(ckpt._pending_crashes)
-            if machine.injector is not None:
-                delivered_plan = machine.injector.crash_cursor
+            delivered = ckpt.delivered
             checkpoints += ckpt.writes
             if ckpt.latest is not None:
                 latest = ckpt.latest

@@ -10,16 +10,16 @@ object the layers share is still one object after a restore: the clock
 and the ``RunStats`` every layer holds, the bit vector of the memory
 manager and the run-time layer, the manager's
 :class:`~repro.vm.page.PageColumns` (read by the clock ring too), each
-disk's fault state (held by the disk and by the injector).  A field
-added to any component is captured, restored and compared
-(:func:`describe_state`) without being listed anywhere.
+disk's fault state (held by the disk and by the array's storage
+faults).  A field added to any component is captured, restored and
+compared (:func:`describe_state`) without being listed anywhere.
 
 Per-incarnation state never enters the payload.  The observer is
 pickled as a reference that the loader binds to the restoring machine's
 observer, so its trace, sink, context stack and segment map stay its
 own; only its metrics are overwritten, in place, from the snapshot.
-The injector leaves its crash cursor out of its pickled state, and the
-restoring machine's cursor is kept.
+The fault plan is incarnation config too, and crash delivery belongs to
+the checkpointer, so no crash schedule is captured.
 
 Restore checks the signature -- the whole platform, the variant flags,
 the fault plan, observer presence and the executor's mode -- and then
@@ -46,13 +46,13 @@ from repro.obs.observer import Observer
 
 #: Version of the pickled state layout (independent of the container
 #: format version in :mod:`repro.checkpoint.store`).
-SNAPSHOT_VERSION = 6  # v6: v5's columns without the write version
+SNAPSHOT_VERSION = 7  # v7: fault state only in the layers that use it
 
 #: The ``Machine`` attributes a snapshot carries.  Every other attribute
-#: (config, variant flags, observer, kernel caches) belongs to the
-#: incarnation and stays with the restoring machine.
+#: (config, fault plan, variant flags, observer, kernel caches) belongs
+#: to the incarnation and stays with the restoring machine.
 STATE = ("clock", "stats", "address_space", "disks", "manager", "runtime",
-         "injector", "_finished")
+         "_finished")
 
 
 def _fingerprint(fields: dict) -> str:
@@ -67,7 +67,7 @@ def machine_signature(machine, executor) -> dict[str, Any]:
     once and hands it to every :func:`capture`.
     """
     runtime = machine.runtime
-    injector = machine.injector
+    plan = machine.fault_plan
     return {
         "config": _fingerprint(dataclasses.asdict(machine.config)),
         "memory_pages": machine.config.memory_pages,
@@ -79,8 +79,8 @@ def machine_signature(machine, executor) -> dict[str, Any]:
         "readahead": machine.manager.readahead,
         "binding": machine.manager.binding,
         "observed": machine.obs is not None,
-        "plan_fingerprint": (_fingerprint(injector.plan.to_dict())
-                             if injector is not None else None),
+        "plan_fingerprint": (_fingerprint(plan.to_dict())
+                             if plan is not None else None),
         "vectorize": executor.vectorize,
         "warm": executor.warm_start,
     }
@@ -164,8 +164,6 @@ class Snapshot:
         _check_signature(self.meta, machine_signature(machine, executor))
         state = self.state(machine.obs)
         graph = state["machine"]
-        if machine.injector is not None:
-            graph["injector"].crash_cursor = machine.injector.crash_cursor
         for name in STATE:
             setattr(machine, name, graph[name])
         executor._skip_until, executor.out_of_range_hints = state["executor"]

@@ -36,8 +36,9 @@ newest good records, only when it is missing, when its slot count is
 not ``keep + 1``, when a record outgrows its slot (the slot size becomes
 the next power of two), or when :meth:`CheckpointStore.record_crash`
 bumps the crash count.  That count is the *crash ledger*: how many
-planned ``process_crash`` faults were already delivered, so a resumed
-process does not re-die at the crash it is recovering from.
+scheduled crashes (a plan's ``process_crash`` faults and a
+``CheckpointConfig.crash_at_us`` kill alike) were already delivered, so
+a resumed process does not re-die at the crash it is recovering from.
 
 Loading verifies every slot, and the newest valid ``seq`` wins.  A
 flipped byte in the magic or version fails their equality checks, a
@@ -353,7 +354,7 @@ class CheckpointStore:
     # ------------------------------------------------------------------
 
     def crashes_delivered(self, label: str) -> int:
-        """Planned crashes already delivered to this label's run."""
+        """Scheduled crashes already delivered to this label's run."""
         return self._layout(label).crashes
 
     def record_crash(self, label: str) -> int:

@@ -2,9 +2,10 @@
 
 The subsystem has three parts: :mod:`repro.faults.plan` (the declarative,
 seeded :class:`FaultPlan` and its JSON round trip), :mod:`repro.faults.
-inject` (the per-run state the machine threads through the disk, VM, and
-run-time layers), and :mod:`repro.faults.chaos` (the intensity-sweep
-harness behind ``python -m repro chaos``).  See docs/robustness.md.
+inject` (the per-layer state the machine builds from its plan for the
+disk, VM, and run-time layers), and :mod:`repro.faults.chaos` (the
+intensity-sweep harness behind ``python -m repro chaos``).  See
+docs/robustness.md.
 """
 
 from repro.faults.farm import (
@@ -15,7 +16,6 @@ from repro.faults.farm import (
 )
 from repro.faults.inject import (
     DiskFaultState,
-    FaultInjector,
     HintFaultState,
     LaggedBitVector,
     StorageFaults,
@@ -41,7 +41,6 @@ __all__ = [
     "DiskFaultSpec",
     "DiskFaultState",
     "FarmChaosPlan",
-    "FaultInjector",
     "FaultPlan",
     "HintFaultState",
     "LaggedBitVector",

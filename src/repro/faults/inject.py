@@ -1,7 +1,7 @@
 """Runtime state of an active fault plan, threaded through the layers.
 
-One :class:`FaultInjector` is built per faulted :class:`~repro.machine.
-machine.Machine` and hands each layer its slice of the plan:
+A faulted :class:`~repro.machine.machine.Machine` builds each layer's
+slice of its ``fault_plan`` straight from the plan:
 
 * the :class:`~repro.storage.array_ctl.DiskArray` gets a
   :class:`StorageFaults` policy (dead-disk checks, retry/backoff and
@@ -19,8 +19,10 @@ Determinism: every random stream is a :class:`repro.seeding.KeyedRng`
 derived from ``plan.seed`` plus a fixed per-layer salt, and all draws
 happen at well-defined points of the (single-threaded) simulation, so a
 plan is exactly reproducible; a snapshot carries each stream as its key
-and draw count.  No injector exists when no plan is given -- the opt-out
-costs one ``is None`` check per already-slow path.
+and draw count.  None of these objects exists when no plan is given --
+the opt-out costs one ``is None`` check per already-slow path.  Planned
+process crashes are not machine state: the checkpointer
+(:mod:`repro.checkpoint.runner`) delivers them.
 """
 
 from __future__ import annotations
@@ -201,42 +203,3 @@ class LaggedBitVector:
         """Visible time of the oldest queued update (inf when none)."""
         return self._pending[0][0] if self._pending else math.inf
 
-
-class FaultInjector:
-    """Per-machine bundle of the plan's layer states."""
-
-    __slots__ = ("plan", "storage", "hints", "crash_cursor")
-
-    def __init__(self, plan: FaultPlan, num_disks: int) -> None:
-        self.plan = plan
-        self.storage = StorageFaults(plan, num_disks) if plan.disks else None
-        self.hints = HintFaultState(plan) if plan.hint_failure_rate > 0 else None
-        #: Index of the next undelivered ``plan.crashes`` entry.  This is
-        #: per-process-incarnation state and deliberately *excluded* from
-        #: snapshots: a resumed run must not re-die at the crash it is
-        #: recovering from.  Across processes the checkpoint store's crash
-        #: ledger carries the delivered count instead.
-        self.crash_cursor = 0
-
-    def __getstate__(self) -> tuple:
-        # A snapshot pickles the injector without its crash cursor; the
-        # restore keeps the restoring incarnation's.
-        return None, {"plan": self.plan, "storage": self.storage,
-                      "hints": self.hints}
-
-    def next_crash_us(self) -> float | None:
-        """The next undelivered crash cycle, or None when exhausted."""
-        if self.crash_cursor < len(self.plan.crashes):
-            return self.plan.crashes[self.crash_cursor]
-        return None
-
-    def suppress_crashes(self) -> None:
-        """Mark every planned crash delivered (``--ignore-crash-faults``)."""
-        self.crash_cursor = len(self.plan.crashes)
-
-    def storm_bursts(self) -> list[tuple[float, int, float | None]]:
-        """Every storm burst of the plan as ``(at_us, frames, hold_us)``."""
-        bursts: list[tuple[float, int, float | None]] = []
-        for storm in self.plan.storms:
-            bursts.extend(storm.schedule())
-        return bursts

@@ -15,8 +15,8 @@ committed next to their results.  ``docs/robustness.md`` documents every
 field; ``scripts/check_docs.py`` fails the build when that schema table
 and these dataclasses drift apart.
 
-Fault injection is strictly opt-in: no ``FaultPlan`` means no injector
-object exists anywhere in the machine, and every simulated result stays
+Fault injection is strictly opt-in: no ``FaultPlan`` means no fault
+state exists anywhere in the machine, and every simulated result stays
 bit-identical to an unfaulted build (pinned by the golden EMBAR trace).
 """
 

@@ -247,7 +247,7 @@ def fault_plans(draw, num_disks: int = 8,
     disk_specs = [draw(_disk_faults(disk)) for disk in sorted(disk_ids)]
     if disk_specs and all(s.dead_at_us is not None for s in disk_specs) \
             and len(disk_specs) == num_disks:
-        # The injector (rightly) rejects plans that kill every disk;
+        # A machine (rightly) rejects plans that kill every disk;
         # keep the last one alive so the plan stays constructible.
         disk_specs[-1] = replace(disk_specs[-1], dead_at_us=None)
     # Storms always give their frames back (hold_us set): a *permanent*

@@ -127,7 +127,6 @@ def run_variant(
     if (checkpoint is not None and checkpoint.active()) or plan_crashes:
         setup_checkpointing(machine, executor, checkpoint or CheckpointConfig())
     stats = executor.run(program)
-    assert stats is not None
     if observer is not None:
         stats.publish(observer.metrics)
     return stats
@@ -189,8 +188,9 @@ def compare_app(
     variant is the one whose schedule the trace exists to debug; the
     other variants run unobserved so their timings stay comparable.
     A ``fault_plan`` applies to *every* variant so the comparison is a
-    faulted-vs-faulted one (each variant gets its own injector, so the
-    seeded fault streams are identical across variants).
+    faulted-vs-faulted one (each variant's machine builds its own fault
+    state from the plan, so the seeded fault streams are identical
+    across variants).
     A ``checkpoint`` config applies to every variant too, re-labelled
     ``<app>-<variant>`` so one checkpoint directory serves the whole
     comparison; variants a crashed invocation never reached have no

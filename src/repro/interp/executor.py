@@ -141,8 +141,8 @@ class Executor:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self, program: Program, finish: bool = True) -> RunStats | None:
-        """Execute ``program``; returns its stats when ``finish`` is set."""
+    def run(self, program: Program) -> RunStats:
+        """Execute ``program`` and finish the machine; returns its stats."""
         self.bind(program)
         if self._resume_hook is not None:
             # Restore the snapshot over the (deterministic) bound setup,
@@ -183,9 +183,7 @@ class Executor:
             # A crash raised at a safe point unwinds the suspended walk
             # here, popping its loop contexts before the crash propagates.
             steps.close()
-        if finish:
-            return machine.finish()
-        return None
+        return machine.finish()
 
     def steps(self, program: Program, obs=None) -> Iterator[tuple]:
         """Walk a bound ``program``, yielding one step per live unit.
@@ -430,7 +428,4 @@ def run_program(
     """Convenience: execute ``program`` on a fresh (or given) machine."""
     if machine is None:
         machine = Machine()
-    executor = Executor(machine, warm_start=warm_start)
-    stats = executor.run(program)
-    assert stats is not None
-    return stats
+    return Executor(machine, warm_start=warm_start).run(program)

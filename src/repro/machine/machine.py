@@ -13,13 +13,13 @@ memory-manager / run-time-layer paths when something slow actually happens
 (a fault, an issued prefetch, a release).
 
 The inline filter charges a prefetch's overhead at the next slow event.
-Under a fault injector or an observer the scalar loop sends every
-prefetch through ``RuntimeLayer.prefetch`` instead, which charges the
-same costs one advance at a time, so such runs may differ from clean,
-unobserved ones in the last bits.  The vector kernel reproduces either
-order bit for bit: under an injector or a metrics-only observer it folds
-the layer's charges with ``Clock.charge``, and only a recording observer
-or a sink still needs the scalar loop.
+Under a fault plan or an observer the scalar loop sends every prefetch
+through ``RuntimeLayer.prefetch`` instead, which charges the same costs
+one advance at a time, so such runs may differ from clean, unobserved
+ones in the last bits.  The vector kernel reproduces either order bit
+for bit: under a fault plan or a metrics-only observer it folds the
+layer's charges with ``Clock.charge``, and only a recording observer or
+a sink still needs the scalar loop.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.config import PlatformConfig
 from repro.errors import MachineError
-from repro.faults.inject import FaultInjector, LaggedBitVector
+from repro.faults.inject import HintFaultState, LaggedBitVector, StorageFaults
 from repro.obs.trace import TraceKind
 from repro.runtime.layer import RuntimeLayer
 from repro.sim.clock import Clock, TimeCategory
@@ -112,17 +112,16 @@ class Machine:
         #: Attached :class:`repro.obs.Observer`, or None.  Every layer
         #: below shares this one reference; tracing is off when unset.
         self.obs = observer
-        #: Active :class:`repro.faults.FaultInjector`, or None.  Fault
-        #: injection is strictly opt-in: without a plan, no injector
-        #: exists and every layer runs its unfaulted code path.
-        self.injector = (
-            FaultInjector(fault_plan, self.config.num_disks)
-            if fault_plan is not None else None
-        )
+        #: The run's :class:`repro.faults.FaultPlan`, or None.  Like
+        #: ``config`` it belongs to the incarnation: each layer's fault
+        #: state is built from it below, and a layer without faults runs
+        #: its unfaulted code path.
+        self.fault_plan = fault_plan
         self.address_space = AddressSpace(self.config.page_size)
         self.disks = DiskArray(
             self.config, observer=observer,
-            faults=self.injector.storage if self.injector is not None else None,
+            faults=(StorageFaults(fault_plan, self.config.num_disks)
+                    if fault_plan is not None and fault_plan.disks else None),
         )
         self.manager = MemoryManager(
             self.config, self.clock, self.disks, self.stats,
@@ -130,10 +129,11 @@ class Machine:
             binding=binding_prefetch,
             observer=observer,
         )
-        if self.injector is not None:
-            for at_us, frames, hold_us in self.injector.storm_bursts():
-                self.manager.schedule_pressure(at_us, frames, hold_us)
-                self.stats.robust.storm_bursts += 1
+        if fault_plan is not None:
+            for storm in fault_plan.storms:
+                for at_us, frames, hold_us in storm.schedule():
+                    self.manager.schedule_pressure(at_us, frames, hold_us)
+                    self.stats.robust.storm_bursts += 1
         self.prefetching = prefetching
         self.runtime: RuntimeLayer | None = None
         if prefetching:
@@ -143,27 +143,27 @@ class Machine:
                 adaptive=adaptive_prefetch,
                 observer=observer,
             )
-            if self.injector is not None:
-                self.runtime.hint_faults = self.injector.hints
-                if self.injector.plan.bitvector_lag_us > 0:
-                    lagged = LaggedBitVector(
-                        self.runtime.bitvector, self.clock,
-                        self.injector.plan.bitvector_lag_us,
-                    )
-                    self.runtime.bitvector = lagged
-                    self.manager.bitvector = lagged
+            if fault_plan is not None and fault_plan.hint_failure_rate > 0:
+                self.runtime.hint_faults = HintFaultState(fault_plan)
+            if fault_plan is not None and fault_plan.bitvector_lag_us > 0:
+                lagged = LaggedBitVector(
+                    self.runtime.bitvector, self.clock,
+                    fault_plan.bitvector_lag_us,
+                )
+                self.runtime.bitvector = lagged
+                self.manager.bitvector = lagged
         # Whether both chunk paths filter single-page prefetches inline
         # and charge their overhead at the next slow event.  Only the
         # plain filter allows it: the adaptive state machine must see
         # every request, an observer every filter event, and a fault
-        # injector's hint gate every request (a lagged bit vector applies
-        # its queue in the layer's bit test).  Otherwise each prefetch is
+        # plan's hint gate every request (a lagged bit vector applies its
+        # queue in the layer's bit test).  Otherwise each prefetch is
         # charged in ``RuntimeLayer.prefetch``'s order: the same costs,
         # summed in another order, so the last bits may differ.
         self._inline_filter = (
             self.runtime is not None and self.runtime.filter_enabled
             and not self.runtime.adaptive and observer is None
-            and self.injector is None
+            and fault_plan is None
         )
         self._finished = False
 
@@ -243,7 +243,7 @@ class Machine:
         * the **vectorized kernel** (default) classifies events in bulk
           against the manager's fast-page mask and the residency bit
           vector, charging whole fast segments with one ``np.cumsum``.
-          Under a fault injector or a metrics-only observer it charges
+          Under a fault plan or a metrics-only observer it charges
           each filtered prefetch as the run-time layer does;
         * the **scalar loop** walks events one by one.  It is kept for
           runs the kernel cannot serve -- a recording observer or a
@@ -406,7 +406,7 @@ class Machine:
         bit (``drops`` counters), the rest of the window is reclassified.
 
         Where the scalar loop's inline filter is off (an observer or a
-        fault injector is attached), the segment is charged in the
+        fault plan is attached), the segment is charged in the
         run-time layer's order instead (:meth:`_layer_charges`), a
         filtered prefetch whose bit test would apply a queued
         bit-vector update goes through the layer (the lag cut), and a

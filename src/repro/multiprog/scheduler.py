@@ -116,10 +116,10 @@ class CoScheduler:
         self.quantum_us = quantum_us
         #: The shared hardware: one prefetching :class:`Machine`'s clock,
         #: memory manager, run-time layer, and disk array.  Its fault
-        #: injector applies the plan to every tenant alike (the same
-        #: storms, slow disks, and stale residency bits); ``crashes``
-        #: entries are ignored, since process crashes are delivered at
-        #: ``Executor.run``'s safe points and the co-scheduler has none.
+        #: plan applies to every tenant alike (the same storms, slow
+        #: disks, and stale residency bits); ``crashes`` entries are
+        #: ignored, since process crashes are delivered by a checkpointer
+        #: at ``Executor.run``'s safe points and the co-scheduler has none.
         self.machine = machine = Machine(
             self.platform, prefetching=True, observer=observer,
             fault_plan=fault_plan)

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from repro.errors import ConfigError, ensure_finite
+from repro.errors import ConfigError, MachineError, ensure_finite
 from repro.ioutil import atomic_write_json
 from repro.obs.export import merge_chrome_traces
 from repro.obs.metrics import (
@@ -68,6 +68,11 @@ SLO_AGGS: tuple[str, ...] = (
 
 #: Comparison operators an SLO rule may use.
 SLO_OPS: tuple[str, ...] = ("<", "<=", ">", ">=", "==", "!=")
+
+#: Metric families the farm registers itself.  Worker observers never
+#: emit them, so a job delta that names one is alien: folded, it would
+#: clash with the farm's own instruments in every farm view.
+FARM_FAMILIES: tuple[str, ...] = ("serve", "telemetry", "slo")
 
 #: Hard cap on buffered farm-timeline events (a long farm run must not
 #: grow without bound; drops are counted and reported, never silent).
@@ -131,8 +136,9 @@ class TelemetryAggregator:
     the result payload, merged into the rollup once, when it is
     ingested.  A later delta for a job already folded is ignored, an
     attempt that never finishes reports nothing, and a delta that does
-    not merge is refused whole, so no attempt is ever folded twice or
-    folded half-done.
+    not merge, or that names an instrument of a :data:`FARM_FAMILIES`
+    family, is refused whole, so no attempt is ever folded twice or
+    folded half-done, and the farm's own instruments keep their kinds.
     """
 
     def __init__(self) -> None:
@@ -144,6 +150,11 @@ class TelemetryAggregator:
         when ignored and raises, folding nothing, when it cannot."""
         if job_id in self._tenants:
             return False
+        owned = sorted(name for name in metrics
+                       if name.partition(".")[0] in FARM_FAMILIES)
+        if owned:
+            raise MachineError(
+                f"job {job_id!r} delta names farm metrics: {', '.join(owned)}")
         delta = MetricsRegistry.from_snapshot(metrics)
         delta.merge(MetricsRegistry.from_snapshot(
             {labeled_name(name, tenant=tenant): payload

@@ -68,7 +68,7 @@ from repro.serve.supervisor import (
     scan_worker_state,
     worker_state_paths,
 )
-from repro.serve.worker import DEFAULT_CHECKPOINT_EVERY_US, result_path
+from repro.serve.worker import result_path
 
 #: Bucket bounds for the job-latency histogram (microseconds of wall
 #: time from admission to terminal state: 10 ms ... 5 min).
@@ -89,7 +89,6 @@ class FarmConfig:
     hb_interval_s: float = 0.05
     hb_timeout_s: float = 5.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    checkpoint_every_us: float = DEFAULT_CHECKPOINT_EVERY_US
     preemption: bool = True
     #: Farm-wide drain deadline (None = unbounded).  On expiry every
     #: outstanding job is quarantined -- the "never hung" backstop.
@@ -200,7 +199,6 @@ class Farm:
             config.workers, self.results_dir, self.ckpt_root, self.state_dir,
             hb_interval_s=config.hb_interval_s,
             hb_timeout_s=config.hb_timeout_s,
-            checkpoint_every_us=config.checkpoint_every_us,
             telemetry=self.telemetry.worker_args(),
         )
 

@@ -172,7 +172,6 @@ class WorkerPool:
     def __init__(self, size: int, results_dir: str, ckpt_root: str,
                  state_dir: str | Path,
                  hb_interval_s: float = 0.05, hb_timeout_s: float = 5.0,
-                 checkpoint_every_us: float | None = None,
                  telemetry: dict | None = None) -> None:
         if size < 1:
             raise ConfigError(f"worker pool needs >= 1 worker, got {size}")
@@ -181,15 +180,11 @@ class WorkerPool:
                 f"heartbeat timeout ({hb_timeout_s}s) must exceed the "
                 f"interval ({hb_interval_s}s)"
             )
-        from repro.serve.worker import DEFAULT_CHECKPOINT_EVERY_US
-
         self.ctx = _mp_context()
         self.results_dir = str(results_dir)
         self.ckpt_root = str(ckpt_root)
         self.hb_interval_s = hb_interval_s
         self.hb_timeout_s = hb_timeout_s
-        self.checkpoint_every_us = (checkpoint_every_us
-                                    or DEFAULT_CHECKPOINT_EVERY_US)
         #: Plain-dict telemetry wiring shipped to every worker spawn
         #: (:meth:`repro.obs.telemetry.TelemetryConfig.worker_args`).
         self.telemetry = telemetry
@@ -214,7 +209,7 @@ class WorkerPool:
             target=worker_main,
             args=(handle.worker_id, handle.inbox, str(hb_path),
                   self.results_dir, self.ckpt_root, self.hb_interval_s,
-                  self.checkpoint_every_us, self.telemetry),
+                  self.telemetry),
             name=f"repro-worker-{handle.worker_id}",
             daemon=True,
         )

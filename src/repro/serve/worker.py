@@ -163,7 +163,6 @@ def _heartbeat_loop(hb_path: str, interval_s: float) -> None:
 
 def worker_main(worker_id: int, inbox, hb_path: str, results_dir: str,
                 ckpt_root: str, hb_interval_s: float,
-                checkpoint_every_us: float = DEFAULT_CHECKPOINT_EVERY_US,
                 telemetry: dict | None = None) -> None:
     """Worker process entry point (the multiprocessing target).
 
@@ -206,7 +205,6 @@ def worker_main(worker_id: int, inbox, hb_path: str, results_dir: str,
         start = time.perf_counter()
         try:
             result = execute_job(spec, job_dir, resume=message["resume"],
-                                 checkpoint_every_us=checkpoint_every_us,
                                  observer=observer)
             payload.update(state="done", result=result)
         except ProcessCrash as crash:

@@ -50,7 +50,7 @@ from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
 from repro.errors import CheckpointError, ConfigError, ProcessCrash
 from repro.faults import FaultPlan, default_plan, load_plan, save_plan
-from repro.harness.experiment import run_variant
+from repro.harness.experiment import build_variant, run_variant
 from repro.interp import executor as executor_module
 from repro.interp.executor import Executor
 from repro.interp.lower import lower_leaf
@@ -317,13 +317,13 @@ class TestRingFreeSnapshots:
         assert b"TraceBuffer" not in after.payload
 
     def test_v2_checkpoint_rejected(self, programs, tmp_path):
-        """v2 through v5 payloads are all refused."""
+        """v2 through v6 payloads are all refused."""
         program = programs[("EMBAR", True)]
         machine, executor = _factory(True)()
         executor.run(program)
         snap = capture(machine, executor, label="old")
         store = CheckpointStore(tmp_path)
-        for version in (2, 3, 4, 5):
+        for version in (2, 3, 4, 5, 6):
             state = snap.state()
             state["version"] = version
             path, _seq = store.save(
@@ -335,7 +335,7 @@ class TestRingFreeSnapshots:
                                                  resume_from=path))
             with pytest.raises(CheckpointError,
                                match=f"version {version} is not supported"
-                                     ".*reads version 6"):
+                                     ".*reads version 7"):
                 fresh_ex.run(program)
 
     @pytest.mark.parametrize("variant", ["O", "P"])
@@ -738,6 +738,58 @@ class TestPlanCrashes:
         assert dataclasses.asdict(full.stats) == dataclasses.asdict(report.clean)
 
 
+#: The CLI smoke footprint: EMBAR P at 96 memory pages, 120 data pages.
+CFG96 = PlatformConfig(memory_pages=96)
+
+
+@pytest.fixture(scope="module")
+def embar96():
+    return build_variant(get_app("EMBAR"), CFG96, "p", 120)
+
+
+def _make96(plan):
+    def make():
+        machine = Machine(CFG96, prefetching=True, fault_plan=plan)
+        return machine, Executor(machine)
+    return make
+
+
+class TestOneCrashSchedule:
+    """Plan crashes and harness crashes (``crash_at_us``) are one
+    schedule, and the crash ledger counts every delivered crash."""
+
+    def test_plan_and_harness_crashes_recover_in_process(self, embar96,
+                                                          tmp_path):
+        plan = dataclasses.replace(default_plan(CFG96.num_disks, seed=1),
+                                   crashes=(500_000.0,))
+        control = run_variant(
+            embar96, CFG96, prefetching=True, fault_plan=plan,
+            checkpoint=CheckpointConfig(suppress_plan_crashes=True))
+        rec = run_with_recovery(_make96(plan), embar96, CheckpointConfig(
+            every_us=50_000.0, directory=tmp_path, label="x",
+            crash_at_us=(250_000.0,)))
+        assert (rec.crashes, rec.resumes) == (2, 2)
+        assert control.elapsed_us > 500_000.0
+        assert dataclasses.asdict(rec.stats) == dataclasses.asdict(control)
+        assert CheckpointStore(tmp_path).crashes_delivered("x") == 2
+
+    def test_harness_crash_is_not_redelivered_after_resume(self, embar96,
+                                                           tmp_path):
+        """A resumed process starts the schedule at the ledger's count,
+        so it runs past the harness crash its predecessor died at."""
+        clean = run_variant(embar96, CFG96, prefetching=True)
+        config = CheckpointConfig(every_us=100_000.0, directory=tmp_path,
+                                  label="x", crash_at_us=(300_000.0,))
+        with pytest.raises(ProcessCrash) as exc:
+            run_variant(embar96, CFG96, prefetching=True, checkpoint=config)
+        assert exc.value.scheduled_us == 300_000.0
+        resumed = run_variant(
+            embar96, CFG96, prefetching=True,
+            checkpoint=dataclasses.replace(config, resume_from=tmp_path))
+        assert dataclasses.asdict(resumed) == dataclasses.asdict(clean)
+        assert CheckpointStore(tmp_path).crashes_delivered("x") == 1
+
+
 # ----------------------------------------------------------------------
 # FaultPlan: crashes field, version field
 # ----------------------------------------------------------------------
@@ -829,8 +881,8 @@ class TestGuards:
 
 #: Machine attributes that belong to the incarnation: a restore keeps
 #: the restoring machine's own.
-KEPT = {"config", "prefetching", "scalar_chunks", "obs", "_ovh_seq",
-        "_inline_filter"}
+KEPT = {"config", "fault_plan", "prefetching", "scalar_chunks", "obs",
+        "_ovh_seq", "_inline_filter"}
 
 
 class TestStateGraph:
@@ -878,27 +930,24 @@ class TestStateGraph:
         obs = Observer()
         machine, executor = _factory(True, plan, observer=obs)()
         executor.bind(program)
-        machine.injector.crash_cursor = 1  # this incarnation's own
         snap.restore_into(machine, executor)
 
         manager, runtime = machine.manager, machine.runtime
-        injector = machine.injector
+        storage = machine.disks.faults
         assert manager.clock is machine.clock
         assert runtime.clock is machine.clock
         assert runtime.bitvector is manager.bitvector
         assert manager.bitvector.clock is machine.clock  # lagged
         assert manager.stats is machine.stats and runtime.stats is machine.stats
         assert runtime.manager is manager and manager.disks is machine.disks
-        assert runtime.hint_faults is injector.hints
-        assert machine.disks.faults is injector.storage
-        assert injector.storage.states
-        for index, state in injector.storage.states.items():
+        assert runtime.hint_faults.plan is storage.plan
+        assert storage.states
+        for index, state in storage.states.items():
             assert machine.disks.disks[index].faults is state
         assert machine.obs is obs
         for component in (manager, runtime, machine.disks):
             assert component.obs is obs
         assert obs.stall_latency is obs.metrics.get("obs.stall_latency_us")
-        assert injector.crash_cursor == 1
         assert manager.ring.cols is manager.cols
         assert all(manager.cols.known[v] for v, _token in manager.ring._ring)
 

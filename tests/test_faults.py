@@ -1,11 +1,11 @@
 """Tests for the fault-injection subsystem (repro.faults).
 
 Covers the plan dataclasses (validation, JSON round trip, intensity
-scaling), the injector state machines, the degraded execution paths
-(fail-slow, retries, reconstruction, hint fallback, storms, bit-vector
-lag), seeded determinism, and the Hypothesis safety properties: a
-faulted run terminates, never loses a write, and is never faster than
-the clean run.
+scaling), the per-layer fault state machines, the degraded execution
+paths (fail-slow, retries, reconstruction, hint fallback, storms,
+bit-vector lag), seeded determinism, and the Hypothesis safety
+properties: a faulted run terminates, never loses a write, and is never
+faster than the clean run.
 """
 
 import json
@@ -21,7 +21,6 @@ from repro.core.prefetch_pass import insert_prefetches
 from repro.errors import ConfigError
 from repro.faults import (
     DiskFaultSpec,
-    FaultInjector,
     FaultPlan,
     LaggedBitVector,
     PressureStorm,
@@ -165,18 +164,20 @@ class TestInjector:
             DiskFaultSpec(disk=i, dead_at_us=0.0) for i in range(4)
         ))
         with pytest.raises(ConfigError):
-            FaultInjector(plan, num_disks=4)
+            Machine(PlatformConfig(num_disks=4), fault_plan=plan)
 
     def test_disk_index_out_of_range_rejected(self):
         plan = FaultPlan(disks=(DiskFaultSpec(disk=7),))
         with pytest.raises(ConfigError):
-            FaultInjector(plan, num_disks=4)
+            Machine(PlatformConfig(num_disks=4), fault_plan=plan)
 
     def test_storm_bursts_expand(self):
         plan = FaultPlan(storms=(
             PressureStorm(start_us=10.0, frames=4, bursts=3, period_us=100.0),
         ))
-        bursts = FaultInjector(plan, num_disks=4).storm_bursts()
+        machine = Machine(PlatformConfig(num_disks=4), fault_plan=plan)
+        assert machine.stats.robust.storm_bursts == 3
+        bursts = sorted(machine.manager._pressure_events)
         assert [b[0] for b in bursts] == [10.0, 110.0, 210.0]
 
 

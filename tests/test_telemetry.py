@@ -418,6 +418,38 @@ def test_an_alien_delta_is_refused_whole(tmp_path):
     assert telemetry.finalize(1.0)["jobs_folded"] == 1
 
 
+def test_a_delta_naming_farm_metrics_is_refused_whole(tmp_path):
+    """Worker observers never emit ``serve.*``, ``telemetry.*`` or
+    ``slo.*``: a delta that names one would clash with the farm's own
+    instrument in every farm view, so it folds nothing."""
+    serve = MetricsRegistry()
+    serve.counter("serve.jobs_done").inc()
+    serve.histogram(labeled_name("serve.job_latency_us", tenant="acme"),
+                    BOUNDS).observe(50.0)
+    telemetry = FarmTelemetry(TelemetryConfig(), tmp_path, workers=1,
+                              serve_metrics=serve)
+
+    def on_result(job_id: str, metrics: dict) -> None:
+        record = JobRecord(spec=_run_spec(job_id, "acme"))
+        telemetry.on_result(record, {"state": "done",
+                                     "telemetry": {"metrics": metrics}})
+
+    on_result("j1", _delta(3))
+    rollup = telemetry.aggregator.rollup().as_dict()
+    gauge = MetricsRegistry()
+    gauge.gauge("serve.jobs_done").set(1.0)  # a counter on the farm
+    counter = MetricsRegistry()
+    # Its tenant child clashes with the farm's histogram child.
+    counter.counter("serve.job_latency_us").inc()
+    on_result("j2", gauge.as_dict())
+    on_result("j3", counter.as_dict())
+    assert telemetry.aggregator.jobs_folded() == 1
+    assert telemetry.registry.value("telemetry.deltas_folded") == 1
+    assert telemetry.aggregator.rollup().as_dict() == rollup
+    telemetry.poll(0.0)
+    assert telemetry.finalize(1.0)["jobs_folded"] == 1
+
+
 def test_facade_registers_all_documented_metrics(tmp_path):
     telemetry = FarmTelemetry(TelemetryConfig(), tmp_path, workers=1,
                               serve_metrics=MetricsRegistry())

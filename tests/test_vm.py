@@ -439,3 +439,27 @@ class TestManagerAccounting:
         mgr.flush_dirty()
         assert mgr.disks.writes == 1
         assert clock.spent(TimeCategory.STALL_FLUSH) > 0
+
+    def test_issued_pages_partition_into_their_outcomes(self):
+        """Every issued prefetch page has exactly one outcome: already
+        resident, read already in flight, reclaimed, dropped, or a disk
+        read started -- for every app and prefetching variant, clean and
+        faulted."""
+        from repro.apps.registry import ALL_APPS
+        from repro.config import VARIANTS
+        from repro.faults import default_plan
+        from repro.harness.experiment import build_variant, run_variant
+
+        platform = PlatformConfig(memory_pages=128)
+        plan = default_plan(platform.num_disks, seed=1)
+        for spec in ALL_APPS:
+            program = build_variant(spec, platform, "p", 192)
+            for variant in ("p", "nofilter", "adaptive"):
+                for fault_plan in (None, plan):
+                    p = run_variant(program, platform, fault_plan=fault_plan,
+                                    **VARIANTS[variant]).prefetch
+                    where = (spec.name, variant, fault_plan is not None)
+                    assert p.issued_pages > 0, where
+                    assert p.issued_pages == (
+                        p.unnecessary_issued + p.in_transit + p.reclaimed
+                        + p.dropped + p.disk_reads), where
