@@ -24,6 +24,7 @@ on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -115,6 +116,17 @@ class Checkpointer:
     # The safe-point protocol
     # ------------------------------------------------------------------
 
+    def next_stop_us(self) -> float:
+        """The earliest clock at which :meth:`at_safe_point` acts: the next
+        crash or the next due checkpoint (inf when neither is left).  A
+        tape replay stops at the first step edge that reaches it."""
+        stop = math.inf
+        if self.delivered < len(self.crashes):
+            stop = self.crashes[self.delivered]
+        if self._next_due is not None and self._next_due < stop:
+            stop = self._next_due
+        return stop
+
     def at_safe_point(self, executor) -> None:
         now = self.machine.clock.now
         # Crash faults strictly before the checkpoint check: the newest
@@ -205,7 +217,9 @@ class Checkpointer:
         self.executor._resume_hook = hook
 
 
-def _load_resume_snapshot(config: CheckpointConfig) -> tuple[Snapshot, int] | None:
+def _load_resume_snapshot(config: CheckpointConfig,
+                          store: CheckpointStore | None
+                          ) -> tuple[Snapshot, int] | None:
     """Resolve ``--resume-from`` (file or directory) into a Snapshot.
 
     A directory with *no* checkpoints for this label (no slot file, or
@@ -213,14 +227,18 @@ def _load_resume_snapshot(config: CheckpointConfig) -> tuple[Snapshot, int] | No
     what lets a multi-variant ``compare``/``bench`` resume: variants the
     crashed invocation never reached simply run from the beginning.  A
     directory whose retained checkpoints are all corrupt, or an
-    unreadable/corrupt file, still raises.
+    unreadable/corrupt file, still raises.  When the source is the
+    checkpoint ``store``'s own directory, its one scan of the label's
+    slot file also serves the crash ledger.
     """
     source = Path(config.resume_from)
     if source.is_dir():
-        store = CheckpointStore(source, keep=config.keep)
-        if not store.slots_in_use(config.label):
+        if store is None or store.root.resolve() != source.resolve():
+            store = CheckpointStore(source, keep=config.keep)
+        loaded = store.load_resumable(config.label)
+        if loaded is None:
             return None
-        meta, payload, _path, skipped = store.load_latest_good(config.label)
+        meta, payload, skipped = loaded
         return Snapshot(meta, payload), skipped
     meta, payload = read_checkpoint_file(source)
     return Snapshot(meta, payload), 0
@@ -233,18 +251,20 @@ def setup_checkpointing(machine, executor,
     Handles the three cross-process concerns: creating the store,
     resolving the resume source, and starting the crash schedule at the
     store's crash ledger so a resumed run does not re-die at a crash it
-    already recovered from.
+    already recovered from.  The resume source is read first: a resume
+    from the checkpoint directory then reads the ledger from the same
+    scan of the label's slot file.
     """
     store = (CheckpointStore(config.directory, keep=config.keep)
              if config.directory is not None else None)
+    loaded = (_load_resume_snapshot(config, store)
+              if config.resume_from is not None else None)
     delivered = store.crashes_delivered(config.label) if store is not None else 0
     ckpt = Checkpointer(machine, executor, config, store=store,
                         delivered=delivered)
-    if config.resume_from is not None:
-        loaded = _load_resume_snapshot(config)
-        if loaded is not None:
-            snapshot, skipped = loaded
-            ckpt.arm_resume(snapshot, skipped_corrupt=skipped)
+    if loaded is not None:
+        snapshot, skipped = loaded
+        ckpt.arm_resume(snapshot, skipped_corrupt=skipped)
     executor.checkpointer = ckpt
     return ckpt
 

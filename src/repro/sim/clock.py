@@ -57,8 +57,9 @@ BUSY_CATEGORIES = (
     TimeCategory.SYS_RELEASE,
 )
 
-#: Longest charge sequence :meth:`Clock.charge` folds in Python.
-_PYTHON_FOLD = 4
+#: Longest charge sequence :meth:`Clock.charge` folds in Python: below
+#: about a hundred charges the loop costs less than the numpy calls.
+_PYTHON_FOLD = 96
 
 
 def _fold(start: float, values: np.ndarray) -> float:
@@ -100,6 +101,8 @@ class Clock:
         if len(durations) <= _PYTHON_FOLD:
             if isinstance(durations, np.ndarray):
                 durations = durations.tolist()
+            if isinstance(slots, np.ndarray):
+                slots = slots.tolist()
             for duration, slot in zip(durations, slots):
                 if duration:
                     if duration < 0:

@@ -15,6 +15,7 @@ into a fresh machine.
 import dataclasses
 import io
 import json
+import math
 import os
 import pickle
 import re
@@ -37,6 +38,7 @@ from repro.checkpoint import (
     read_checkpoint_file,
     run_with_recovery,
 )
+from repro.checkpoint import store as store_module
 from repro.checkpoint.runner import setup_checkpointing
 from repro.checkpoint.snapshot import STATE
 from repro.checkpoint.store import (
@@ -105,6 +107,10 @@ class _SafePointProbe:
     def __init__(self, machine):
         self.machine = machine
         self.cycles = []
+
+    def next_stop_us(self):
+        # Every step edge is a stop, so every safe point is seen.
+        return -math.inf
 
     def at_safe_point(self, executor):
         self.cycles.append(self.machine.clock.now)
@@ -184,7 +190,7 @@ class TestCrashResumeInvariant:
         program = programs[("MGRID", True)]
         base, cycles = _probe_run(program, True)
         executors = []
-        chunks = []   # the unit of each run_chunk call
+        chunks = []   # the unit of each chunk step the walk yields
         lowered = []  # (unit, executions served) of each lower_leaf call
 
         def spy(*args):
@@ -193,14 +199,23 @@ class TestCrashResumeInvariant:
                             1 if sizes is None else len(sizes)))
             return lower_leaf(*args)
 
-        run_chunk = Machine.run_chunk
+        steps = Executor.steps
 
-        def chunk_spy(machine, *args):
-            chunks.append(executors[-1].units)
-            return run_chunk(machine, *args)
+        def steps_spy(executor, *args):
+            # A tape pulls steps ahead of ``units``: the first live step
+            # is unit ``units`` (the walk skipped to it), each next one
+            # the unit after.
+            unit = None
+            for step in steps(executor, *args):
+                if unit is None:
+                    unit = executor.units
+                if step[0] == "chunk":
+                    chunks.append(unit)
+                unit += 1
+                yield step
 
         monkeypatch.setattr(executor_module, "lower_leaf", spy)
-        monkeypatch.setattr(Machine, "run_chunk", chunk_spy)
+        monkeypatch.setattr(Executor, "steps", steps_spy)
         machine, executor = _factory(True)()
         executors.append(executor)
         ckpt = Checkpointer(machine, executor, CheckpointConfig(
@@ -485,6 +500,18 @@ class TestStore:
         assert executor.checkpointer.restores == 1
         return stats
 
+    def test_directory_resume_scans_the_slot_file_once(self, programs,
+                                                       tmp_path):
+        """A resume from the checkpoint directory reads and verifies the
+        label's slot file once: the crash ledger, the slots in use and
+        the newest good record all come from that one scan."""
+        program = programs[("EMBAR", True)]
+        self._completed_run_with_store(program, tmp_path)
+        with mock.patch.object(store_module, "_scan",
+                               wraps=store_module._scan) as scan:
+            self._resume(program, tmp_path)
+        assert scan.call_count == 1
+
     def test_retention_ring_keeps_newest(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=2)
         for k in range(1, 5):
@@ -662,11 +689,11 @@ class TestStore:
         assert store.crashes_delivered("x") == 2
         assert store.crashes_delivered("other") == 0
         # A slot file holding only the ledger is no checkpoint to resume.
-        assert store.slots_in_use("x") == 0
+        assert store.load_resumable("x") is None
         # The ledger lives in the slot file's header: saves keep it, and
         # bumping it keeps the records.
         store.save("x", {"cycle_us": 0.0}, b"p")
-        assert store.slots_in_use("x") == 1
+        assert store.load_resumable("x")[0]["seq"] == 1
         assert store.record_crash("x") == 3
         fresh = CheckpointStore(tmp_path)
         assert fresh.crashes_delivered("x") == 3

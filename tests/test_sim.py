@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MachineError
+from repro.sim import clock as clock_module
 from repro.sim.clock import Clock, TimeCategory
 from repro.sim.stats import (
     DiskStats,
@@ -109,6 +111,18 @@ class TestClockCharge:
     @settings(max_examples=200, deadline=None)
     @given(start=_CHARGES, charges=_CHARGES)
     def test_equals_one_advance_per_charge(self, as_array, start, charges):
+        self._check_fold(as_array, True, start, charges)
+
+    @pytest.mark.parametrize("as_array", [False, True],
+                             ids=["tuple", "ndarray"])
+    @settings(max_examples=200, deadline=None)
+    @given(start=_CHARGES, charges=_CHARGES)
+    def test_numpy_fold_equals_one_advance_per_charge(self, as_array, start,
+                                                      charges):
+        """Sequences longer than ``_PYTHON_FOLD`` take the numpy fold."""
+        self._check_fold(as_array, False, start, charges)
+
+    def _check_fold(self, as_array, python_fold, start, charges):
         one_by_one, batched = Clock(), Clock()
         for clock in (one_by_one, batched):
             for duration, category in start:
@@ -119,12 +133,15 @@ class TestClockCharge:
         slots = tuple(c.slot for _, c in charges)
         if as_array:
             durations, slots = np.array(durations), np.array(slots, dtype=int)
-        batched.charge(durations, slots)
+        # Every sequence takes the fold the parameter names.
+        with mock.patch.object(clock_module, "_PYTHON_FOLD",
+                               len(durations) if python_fold else 0):
+            batched.charge(durations, slots)
         assert self._state(batched) == self._state(one_by_one)
         assert type(batched.now) is float
         assert all(type(v) is float for v in batched.breakdown().values())
 
-    @pytest.mark.parametrize("length", [2, 9])
+    @pytest.mark.parametrize("length", [2, 9, clock_module._PYTHON_FOLD + 1])
     def test_negative_charge_raises(self, length):
         clock = Clock()
         with pytest.raises(MachineError):

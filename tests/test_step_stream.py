@@ -23,7 +23,9 @@ from repro.core.ir.builder import ProgramBuilder, loop, read, work, write
 from repro.core.ir.expr import Var
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
-from repro.errors import AddressError
+from repro.checkpoint import CheckpointConfig
+from repro.checkpoint.runner import Checkpointer
+from repro.errors import AddressError, ProcessCrash
 from repro.fuzz.strategies import programs
 from repro.harness.experiment import build_variant
 from repro.interp.executor import BATCH_EVENTS, Executor
@@ -160,11 +162,8 @@ def test_no_lowering_call_passes_the_budget(app, monkeypatch):
                for events, executions in calls if executions > 1)
 
 
-def test_address_error_surfaces_at_its_execution():
-    """The leaf reads ``x[i][j]`` for i up to 11, but ``x`` has 10 rows.
-    A batch lowered ahead sees row 10 early; the error must still come
-    when the walk reaches i = 10 (unit 21), with that execution's own
-    addresses in the message."""
+def _late_oob():
+    """The leaf reads ``x[i][j]`` for i up to 11, but ``x`` has 10 rows."""
     b = ProgramBuilder("late_oob")
     x = b.array("x", (10, 600), elem_size=8)
     y = b.array("y", (12, 600), elem_size=8)
@@ -173,12 +172,39 @@ def test_address_error_surfaces_at_its_execution():
         work([write(y, i, 0)], 3.0),
         loop("j", 0, 600, [work([read(x, i, j), write(y, i, j)], 1.0)]),
     ]))
-    machine = Machine(PlatformConfig(memory_pages=64), prefetching=False)
+    return b.build()
+
+
+def test_address_error_surfaces_at_its_execution():
+    """A batch lowered ahead sees row 10 early, and a tape pulls the
+    steps before it ahead of their replay; the error must still come
+    when the walk reaches i = 10 (unit 21), with that execution's own
+    addresses in the message, on the tape and on the per-step path."""
+    for scalar in (False, True):
+        machine = Machine(PlatformConfig(memory_pages=64), prefetching=False,
+                          scalar_chunks=scalar)
+        executor = Executor(machine)
+        with pytest.raises(AddressError) as err:
+            executor.run(_late_oob())
+        assert executor.units == 21
+        assert machine.clock.now == 236_033.0
+        assert str(err.value) == (
+            "reference to 'x' runs outside its segment "
+            "(addresses [52096, 56888], segment [4096, 52096))")
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["tape", "per-step"])
+def test_a_crash_before_a_walk_error_lands_first(scalar):
+    """The tape holding unit 20 was filled up to unit 21's address error,
+    but a crash due at unit 20's safe point (236,030 us) is delivered
+    there, on both paths: no later walk error overtakes an earlier safe
+    point."""
+    machine = Machine(PlatformConfig(memory_pages=64), prefetching=False,
+                      scalar_chunks=scalar)
     executor = Executor(machine)
-    with pytest.raises(AddressError) as err:
-        executor.run(b.build())
-    assert executor.units == 21
-    assert machine.clock.now == 236_033.0
-    assert str(err.value) == (
-        "reference to 'x' runs outside its segment "
-        "(addresses [52096, 56888], segment [4096, 52096))")
+    executor.checkpointer = Checkpointer(
+        machine, executor, CheckpointConfig(crash_at_us=(230_000.0,)))
+    with pytest.raises(ProcessCrash) as crash:
+        executor.run(_late_oob())
+    assert (crash.value.cursor, crash.value.at_us) == (20, 236_030.0)
+    assert executor.units == 20
