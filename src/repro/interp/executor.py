@@ -38,8 +38,9 @@ the kernel does not serve (:meth:`Machine.serves_tapes`: a recording
 observer or a sink, binding, adaptive or unfiltered prefetch, a hint
 gate in fallback, ``scalar_chunks``) replay one step at a time through
 ``_replay``, the executable specification; so does the rest of a tape
-after a slow-dense step.  A walk error met while filling a tape is raised after
-the steps before it replay.
+after a slow-dense step.  ``_replay`` never reaches the kernel: it
+replays a chunk on its own, on the scalar loop.  A walk error met while
+filling a tape is raised after the steps before it replay.
 
 **Safe points and the unit cursor.**  Execution is counted in *units*:
 one work statement, one hint, one vectorized leaf chunk, or one
@@ -213,8 +214,9 @@ class Executor:
         return machine.finish()
 
     def _replay(self, step: tuple) -> None:
-        """Replay one step through the machine's per-step calls: the
-        executable specification of what a tape replays."""
+        """Replay one step through the machine's per-step calls, a chunk
+        on the scalar loop: the executable specification of what a tape
+        replays."""
         machine = self.machine
         kind = step[0]
         if kind == "chunk":

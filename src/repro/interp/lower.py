@@ -19,7 +19,8 @@ Numpy's per-call setup, not the events, dominates short leaves, so
 pass (the executor batches a loop's leaf children this way).  A run
 boundary is forced at each execution's first event and no remainder
 carries across it, so every execution's slice of the result is bitwise
-what lowering it alone returns.
+what lowering it alone returns: one execution with a merge is lowered
+as a batch of one.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ def analyze_leaf(loop: Loop) -> LeafRecipe | None:
     return LeafRecipe(templates=templates, iter_cost=iter_cost)
 
 
-#: A chunk with at most this many merged-away events and no run longer
-#: than this takes the near-singleton path of :func:`lower_leaf`.
+#: An execution with at most this many merged-away events and no run
+#: longer than this sums its runs as :func:`_near_singleton_sums` does.
 _NEAR_SINGLETON = 64
 
 
@@ -202,18 +203,18 @@ def lower_leaf(
     With ``sizes`` None, ``values`` is one execution's iteration range
     and the result is parallel ``(kinds, pages, costs)`` numpy arrays
     plus the tail compute time left over after the final event; the
-    arrays feed ``Machine.run_chunk``'s vectorized kernel without
-    conversion.
+    arrays join a tape's columns without conversion.
 
     Otherwise ``values`` concatenates several executions' ranges,
     ``sizes`` holds each one's (positive) iteration count, and ``env``
     may bind enclosing loop variables to arrays parallel to ``values``.
     The result is ``(kinds, pages, costs, tails, ends)``: execution
     ``i``'s chunk is ``[ends[i - 1], ends[i])`` of the three arrays and
-    its tail is ``tails[i]``, each bitwise what lowering that execution
-    alone returns.  Every execution's first event starts a run, no
-    remainder carries into it, and each run sums as lowering its
-    execution alone sums it (see :func:`_near_singleton_sums`).
+    its tail is ``tails[i]``.  Every execution's first event starts a
+    run and no remainder carries into it, so each execution's slice is
+    bitwise what lowering it alone returns: one execution with a merge
+    is lowered as a batch of one, and its runs sum as a batch's do
+    (see :func:`_near_singleton_sums`).
     """
     n = len(values)
     ncols = len(recipe.templates)
@@ -223,23 +224,26 @@ def lower_leaf(
 
     flat_pages = _page_columns(recipe, loop_var, values, env, page_size,
                                segments, strides_map)
-    if sizes is None:
+    alone = sizes is None
+    if alone:
         # The page-independent columns are identical for every strip of
         # the same length, so they are computed once per (recipe, n) and
-        # reused across the loop's whole execution.
+        # reused across the loop's whole execution.  A batch of one
+        # leaves them as they are: its first event starts no merge.
         cached = recipe.cache.get(n)
         if cached is None:
             cached = _columns(recipe, n)
             if len(recipe.cache) >= 4:  # strips come in at most a couple lengths
                 recipe.cache.clear()
             recipe.cache[n] = cached
+        sizes = (n,)
     else:
         cached = _columns(recipe, n)
     flat_kinds, flat_costs, acc_and_prev, is_write, write_csum = cached
-    if sizes is not None:
+    counts = np.asarray(sizes, dtype=np.int64)
+    first_events = (np.cumsum(counts) - counts) * ncols
+    if not alone:
         # Each execution's first event starts a run: no run crosses two.
-        counts = np.asarray(sizes, dtype=np.int64)
-        first_events = (np.cumsum(counts) - counts) * ncols
         acc_and_prev[first_events] = False
 
     # Collapse consecutive same-page access runs.  Hints never collapse
@@ -253,43 +257,12 @@ def lower_leaf(
     total = n * ncols
     ngroups = len(starts)
 
-    if sizes is None and ngroups == total:
+    if alone and ngroups == total:
         # No merges at all: the flat columns *are* the chunk.  The cached
         # kinds/costs arrays are returned directly -- every consumer
         # treats them as read-only -- and every run's remainder is zero,
         # so there is no tail.
         return flat_kinds, flat_pages, flat_costs, 0.0
-
-    nmerged = total - ngroups
-    if sizes is None and nmerged <= _NEAR_SINGLETON:
-        # Near-singleton chunk (e.g. a data-dependent access stream that
-        # rarely repeats a page): gather the groups as if every run were
-        # a singleton, then patch the handful of multi-event runs in
-        # Python.  A run of three or more events sums with
-        # ``np.add.reduce`` here, which can differ in the last bits from
-        # the ``np.add.reduceat`` of the vector path below; a batched
-        # call reproduces this per execution.
-        run_sizes = np.empty(ngroups, dtype=np.int64)
-        np.subtract(starts[1:], starts[:-1], out=run_sizes[:-1])
-        run_sizes[-1] = total - starts[-1]
-        multi = (run_sizes > 1).nonzero()[0]
-        if int(run_sizes.max()) <= _NEAR_SINGLETON:
-            group_pages = flat_pages[starts]
-            group_kinds = flat_kinds[starts]
-            costs = flat_costs[starts]
-            tail_cost = 0.0
-            for gi in multi.tolist():
-                s = int(starts[gi])
-                e = s + int(run_sizes[gi])
-                if flat_kinds[s:e].max() == WRITE:
-                    group_kinds[gi] = WRITE
-                run = flat_costs[s:e]
-                rem = float(np.add.reduce(run) - run[0])
-                if gi + 1 < ngroups:
-                    costs[gi + 1] += rem
-                else:
-                    tail_cost = rem
-            return group_kinds, group_pages, costs, tail_cost
 
     group_pages = flat_pages[starts]
     # A merged run's kind: WRITE if the run contains any write, else the
@@ -306,23 +279,19 @@ def lower_leaf(
     # rest of the run's compute happens after it (before the next event),
     # and the final run's tail is charged after the chunk.
     group_sums = np.add.reduceat(flat_costs, starts)
-    if sizes is not None:
-        firsts = np.searchsorted(starts, first_events)  # first run of each
-        ends = np.append(firsts[1:], ngroups)
-        _near_singleton_sums(group_sums, flat_costs, starts, firsts, ends,
-                             counts * ncols, total)
+    firsts = np.searchsorted(starts, first_events)  # first run of each
+    ends = np.append(firsts[1:], ngroups)
+    _near_singleton_sums(group_sums, flat_costs, starts, firsts, ends,
+                         counts * ncols, total)
     costs = flat_costs[starts]
     remainders = group_sums - costs
-    if sizes is None:
-        if len(costs) > 1:
-            costs[1:] += remainders[:-1]
-        return group_kinds, group_pages, costs, float(remainders[-1])
-
-    # Several executions: each one's tail is its last run's remainder,
-    # and its first run carries nothing in from the execution before.
+    # Each execution's tail is its last run's remainder, and its first
+    # run carries nothing in from the execution before.
     tails = remainders[ends - 1].tolist()
     remainders[ends[:-1] - 1] = 0.0
     costs[1:] += remainders[:-1]
+    if alone:
+        return group_kinds, group_pages, costs, tails[0]
     return group_kinds, group_pages, costs, tails, ends.tolist()
 
 
@@ -330,12 +299,20 @@ def _near_singleton_sums(group_sums: np.ndarray, flat_costs: np.ndarray,
                          starts: np.ndarray, firsts: np.ndarray,
                          ends: np.ndarray, events: np.ndarray,
                          total: int) -> None:
-    """Re-sum, in place, the runs of every execution that lowering alone
-    would send down the near-singleton path, the way that path sums
-    them: ``np.add.reduce`` over each run, here one 2-D reduce per run
-    length (row by row, the same reduction).  Execution ``i`` holds runs
-    ``[firsts[i], ends[i])`` and ``events[i]`` raw events.  Runs of two
-    sum identically either way (one addition) and are skipped."""
+    """Re-sum, in place, the runs of every *near-singleton* execution
+    with ``np.add.reduce``, where ``group_sums`` holds each run's
+    ``np.add.reduceat`` sum.
+
+    An execution is near-singleton (say a data-dependent access stream
+    that rarely repeats a page) when at most :data:`_NEAR_SINGLETON` of
+    its events merge away and no run is longer than that.  Its runs of
+    three or more events are summed here, one 2-D reduce per run length
+    (row by row, the same reduction as ``np.add.reduce`` over each
+    run's slice); the two sums can differ in the last bits, so this
+    choice is part of every lowered chunk's result.  Runs of two sum
+    identically either way (one addition) and are skipped.  Execution
+    ``i`` holds runs ``[firsts[i], ends[i])`` and ``events[i]`` raw
+    events."""
     groups = ends - firsts
     merged = events - groups
     near = (merged > 0) & (merged <= _NEAR_SINGLETON)

@@ -4,8 +4,9 @@ A :class:`Machine` owns one application run: the simulated clock, the
 address space, the memory manager, the run-time layer (if prefetching), and
 the disk array.  The interpreter drives it through a small API --
 ``compute``, ``access``, ``prefetch``/``release`` hints, and the bulk
-``run_chunk`` path that replays vectorized event chunks and tapes of
-interpreter steps.
+``run_chunk`` path, which replays a tape of interpreter steps on the
+vector kernel and a lowered event chunk replayed on its own on the
+scalar loop, the kernel's executable specification.
 
 ``run_chunk`` is the hot loop of the whole simulator, so it inlines the
 resident-page fast path and the bit-vector filter check, accumulating
@@ -51,7 +52,7 @@ _NO_EVENTS = np.empty(0, dtype=np.int64)
 #: Cells the padded matrix of :func:`fold_segments` may hold per folded
 #: value; longer segments are folded on their own.
 _PAD_CELLS = 4
-#: Slow calls after which a chunk whose slow events are denser than one
+#: Slow calls after which a tape whose slow events are denser than one
 #: in :data:`_DENSE_EVENTS` hands the rest of its step to the scalar loop.
 _DENSE_AFTER = 256
 _DENSE_EVENTS = 16
@@ -70,9 +71,11 @@ def fold_segments(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """``values[bounds[i]:bounds[i + 1]]`` folded left from 0.0, for each
     ``i``, bit for bit.
 
-    That is ``pending += value`` over each segment, which
-    ``np.add.reduce`` and ``np.add.reduceat`` do not reproduce: they add
-    pairwise.  A row-wise ``np.cumsum`` over the segments laid out as
+    That is ``pending += value`` over each segment, which neither
+    ``np.add.reduce`` nor ``np.add.reduceat`` reproduces in general: on
+    numpy 2.4.6, ``np.add.reduce`` is a left fold below 8 values (and
+    adds pairwise from there), and ``reduceat`` stops being one from 3
+    values.  A row-wise ``np.cumsum`` over the segments laid out as
     the rows of a zero-padded matrix does: each fold is its row's
     running sum at the row's last value (an empty row sums to 0.0 in
     every cell).  ``values`` are non-negative costs, so the first term
@@ -297,11 +300,6 @@ class Machine:
     #: event invalidating the classification never wastes more than one
     #: window of numpy work.
     _WINDOW = 2048
-    #: Below this many events the scalar loop beats the kernel's fixed
-    #: numpy setup cost, so a short chunk replayed on its own (the rest
-    #: of a slow-dense tape, one step at a time) stays on the reference
-    #: path; a tape concatenates short chunks instead.
-    _SCALAR_CUTOFF = 128
 
     def serves_tapes(self) -> bool:
         """Whether the vector kernel replays this run's events now.
@@ -332,38 +330,38 @@ class Machine:
                   stop_us: float = math.inf) -> int:
         """Replay one lowered event chunk, or a tape of interpreter steps.
 
-        ``kinds``/``pages``/``costs`` are parallel sequences (lists or
-        numpy arrays); ``costs[i]`` is the user compute time to charge
-        *before* event ``i``.  READ/WRITE events with a resident page and
-        PREFETCH events dropped by the filter are handled inline;
-        everything else flushes the locally accumulated time and goes
-        through the full path.
+        ``kinds``/``pages``/``costs`` are parallel sequences; ``costs[i]``
+        is the user compute time to charge *before* event ``i``.
+        READ/WRITE events with a resident page and PREFETCH events
+        dropped by the filter are handled inline; everything else
+        flushes the locally accumulated time and goes through the full
+        path.  Two implementations replay events, bit-identically (see
+        docs/performance.md for the equivalence argument), and the
+        ``tape`` argument alone picks one:
 
-        Two implementations replay a chunk, bit-identically (see
-        docs/performance.md for the equivalence argument), chosen per
-        call by :meth:`serves_tapes`:
+        * without a tape, the **scalar loop** walks the chunk's events
+          (lists or numpy arrays) one by one, after the chunk's trace
+          event.  It is the executable specification, and every chunk
+          replayed on its own takes it: the per-step replay of a run the
+          kernel does not serve (a recording observer or a sink,
+          adaptive/unfiltered prefetch, binding mode, a hint gate in
+          fallback, ``REPRO_SCALAR=1``) and the rest of a slow-dense tape;
+        * with ``tape``, the **vectorized kernel** replays a run of
+          interpreter steps whose events are int64/int64/float64 arrays,
+          classifying them in bulk against the manager's fast-page mask
+          and the residency bit vector and charging whole fast segments
+          at once.  Under a fault plan or a metrics-only observer it
+          charges each filtered prefetch as the run-time layer does.
+          Only a run :meth:`serves_tapes` accepts has tapes; any other
+          raises.  The kernel starts at step ``tape.done``: at each step
+          edge it flushes the pending time as the end of a chunk does,
+          then charges the step's edge compute.  It stops after the
+          first edge whose clock reaches ``stop_us`` (a checkpointer's
+          next crash or checkpoint) and before the next step in
+          ``tape.calls``, a hint the caller replays.
 
-        * the **vectorized kernel** classifies events in bulk against the
-          manager's fast-page mask and the residency bit vector, charging
-          whole fast segments with one ``np.cumsum``.  Under a fault plan
-          or a metrics-only observer it charges each filtered prefetch
-          as the run-time layer does;
-        * the **scalar loop** walks events one by one.  It is kept for
-          runs the kernel cannot serve -- a recording observer or a
-          sink, adaptive/unfiltered prefetch, binding mode, a hint gate
-          in fallback -- for chunks shorter than 128 events replayed on
-          their own, where per-event work is cheaper, and as the
-          ``REPRO_SCALAR=1`` escape hatch for differential testing.
-
-        With ``tape`` the events are a run of interpreter steps, which
-        only the kernel replays (callers check :meth:`serves_tapes`
-        first), from step ``tape.done`` on: at each step edge it flushes
-        the pending time as the end of a chunk does, then charges the
-        step's edge compute.  It stops after the first edge whose clock
-        reaches ``stop_us`` (a checkpointer's next crash or checkpoint)
-        and before the next step in ``tape.calls``, a hint the caller
-        replays.  Returns how many steps were replayed (1 for a chunk)
-        and advances ``tape.done`` past them.
+        Returns how many steps were replayed (1 for a chunk), advancing
+        ``tape.done`` past them.
         """
         if not (len(kinds) == len(pages) == len(costs)):
             raise MachineError("run_chunk requires parallel lists of equal length")
@@ -373,14 +371,11 @@ class Machine:
             return self._run_chunk_vector(kinds, pages, costs, tape, stop_us)
         if self.obs is not None:
             self.obs.emit(self.clock.now, TraceKind.CHUNK, npages=len(kinds))
-        if len(kinds) >= self._SCALAR_CUTOFF and self.serves_tapes():
-            self._run_chunk_vector(kinds, pages, costs)
-        else:
-            if isinstance(kinds, np.ndarray):
-                kinds = kinds.tolist()
-                pages = pages.tolist()
-                costs = costs.tolist()
-            self._run_chunk_scalar(kinds, pages, costs)
+        if isinstance(kinds, np.ndarray):
+            kinds = kinds.tolist()
+            pages = pages.tolist()
+            costs = costs.tolist()
+        self._run_chunk_scalar(kinds, pages, costs)
         return 1
 
     def _run_chunk_scalar(self, kinds: list, pages: list, costs: list) -> None:
@@ -488,9 +483,11 @@ class Machine:
                 seq.append(seq[-1] + step)
         return seq[k]
 
-    def _run_chunk_vector(self, kinds, pages, costs, tape: Tape | None = None,
+    def _run_chunk_vector(self, kinds: np.ndarray, pages: np.ndarray,
+                          costs: np.ndarray, tape: Tape,
                           stop_us: float = math.inf) -> int:
-        """The numpy kernel, over one chunk or a tape of steps.
+        """The numpy kernel, over a tape of steps whose events are the
+        int64/int64/float64 columns ``Executor._fill`` builds.
 
         Classifies events in windows against the manager's fast-page mask
         (accesses) and the residency bit vector (prefetches).  Fast events
@@ -512,26 +509,13 @@ class Machine:
         the scalar loop's inline filter is off (an observer or a fault plan
         is attached), every filtered prefetch is charged in the run-time
         layer's order, as a tape's single-page prefetch hint
-        (``PREFETCH_HINT``) always is; a filtered prefetch whose bit test
-        would apply a queued bit-vector update goes through the layer
-        (the lag cut); and a slow event that puts the hint gate into
-        fallback hands the rest of its step to the scalar loop and ends
-        the call, as a slow-dense chunk does.  A chunk holding a kind
-        outside 0..3 goes to the scalar loop whole, which raises.
+        (``PREFETCH_HINT``) always is; and a filtered prefetch whose bit
+        test would apply a queued bit-vector update goes through the
+        layer (the lag cut).  A slow-dense tape (:data:`_DENSE_AFTER`
+        slow calls, fewer than :data:`_DENSE_EVENTS` events each) and a
+        slow event that puts the hint gate into fallback hand the rest
+        of their step to the scalar loop and end the call.
         """
-        kinds_a = np.asarray(kinds, dtype=np.int64)
-        pages_a = np.asarray(pages, dtype=np.int64)
-        costs_a = np.asarray(costs, dtype=np.float64)
-        n = len(kinds_a)
-        if tape is None:
-            if not n:
-                return 1
-            # Negative kinds wrap high.
-            if int(kinds_a.view(np.uint64).max()) > RELEASE:
-                self._run_chunk_scalar(kinds_a.tolist(), pages_a.tolist(),
-                                       costs_a.tolist())
-                return 1
-            tape = Tape(np.array((n,), dtype=np.int64), np.zeros(1))
         ends, edge_us, calls = tape.ends, tape.edge_us, tape.calls
         nsteps = len(ends)
         clock = self.clock
@@ -559,10 +543,10 @@ class Machine:
             granularity = bitvec.granularity
         cols = manager.cols
         if tape.masks is None:
-            tape.masks = self._event_masks(kinds_a, pages_a, layer_order)
+            tape.masks = self._event_masks(kinds, pages, layer_order)
         (maxp, all_access, has_write, is_access, is_write, is_pf, inline_pf,
          layer_pf) = tape.masks
-        if n:
+        if len(kinds):
             fast_mask.reserve(maxp)
             if bitvec is not None:
                 bitvec.reserve(maxp)
@@ -591,7 +575,7 @@ class Machine:
             acc = pf = None
             if not all_access:
                 acc, pf = is_access[a:b], is_pf[a:b]
-            return (~fast_events(pages_a[a:b], acc, pf)).nonzero()[0] + a
+            return (~fast_events(pages[a:b], acc, pf)).nonzero()[0] + a
 
         def refilter(cand: np.ndarray, pg: np.ndarray,
                      ka: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -623,7 +607,7 @@ class Machine:
             """
             if a >= b:
                 return
-            pg = pages_a[a:b]
+            pg = pages[a:b]
             if all_access:
                 cols.ref_view[pg] = 1
             else:
@@ -634,14 +618,14 @@ class Machine:
                     cols.dirty_view[w] = 1
 
         if tape.layout is None:
-            tape.layout = self._static_flushes(costs_a, ends, edge_us,
+            tape.layout = self._static_flushes(costs, ends, edge_us,
                                                layer_pf, inline_pf)
         at, edge_flush, is_pf_flush, static, static_slots = tape.layout
         nflush = len(at)
 
         def fold(a: int, b: int) -> float:
             """The compute of events [a, b), folded from 0.0."""
-            return float(costs_a[a:b].cumsum()[-1]) if b > a else 0.0
+            return float(costs[a:b].cumsum()[-1]) if b > a else 0.0
 
         def overhead(a: int, b: int) -> float:
             """The inline filter's overhead for the prefetches in [a, b)."""
@@ -722,7 +706,7 @@ class Machine:
                 else:
                     charges = static[3 * first:3 * last].copy()
                     charges[0::3] = fold_segments(
-                        costs_a, np.concatenate(((a,), at[first:last])))
+                        costs, np.concatenate(((a,), at[first:last])))
                     slots = static_slots[3 * first:3 * last]
                     if lo != a and (is_pf_flush is None
                                     or not is_pf_flush[first]):
@@ -818,8 +802,8 @@ class Machine:
             wend = min(end, pos + window)
             # The window's slow candidates.
             cand = classify(pos, wend)
-            pg_c = pages_a[cand]
-            ka_c = kinds_a[cand]
+            pg_c = pages[cand]
+            ka_c = kinds[cand]
             while True:
                 if len(cand):
                     limit = int(cand[0])
@@ -840,7 +824,7 @@ class Machine:
                 if cut >= 0:
                     # The lag cut: this prefetch's bit test goes through
                     # the layer, which applies the due update first.
-                    runtime.prefetch(int(pages_a[cut]), 1)
+                    runtime.prefetch(int(pages[cut]), 1)
                     seg_start = pos = cut + 1
                 else:
                     kind = int(ka_c[0])
@@ -864,9 +848,9 @@ class Machine:
                     last = int(ends[step])
                     if pos < last:
                         self._run_chunk_scalar(
-                            kinds_a[pos:last].tolist(),
-                            pages_a[pos:last].tolist(),
-                            costs_a[pos:last].tolist())
+                            kinds[pos:last].tolist(),
+                            pages[pos:last].tolist(),
+                            costs[pos:last].tolist())
                     edge = float(edge_us[step])
                     if edge:
                         clock.advance(edge, TimeCategory.USER_COMPUTE)
@@ -876,8 +860,8 @@ class Machine:
                     # in the rest of the window may now be slow, so the
                     # cached classification is unsound -- redo it.
                     cand = classify(pos, wend)
-                    pg_c = pages_a[cand]
-                    ka_c = kinds_a[cand]
+                    pg_c = pages[cand]
+                    ka_c = kinds[cand]
                 elif not len(cand):
                     pass
                 elif ahead:

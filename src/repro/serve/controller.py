@@ -65,6 +65,7 @@ from repro.serve.supervisor import (
     WorkerPool,
     cleanup_worker_state,
     heartbeat_age,
+    pid_alive,
     scan_worker_state,
     worker_state_paths,
 )
@@ -539,7 +540,7 @@ class Farm:
             if payload is None:
                 row = orphans.get(entry.worker)
                 if row is not None and row["alive"]:
-                    payload = self._await_orphan_result(entry)
+                    payload = self._await_orphan_result(entry, row)
             if payload is not None:
                 payloads[entry.job_id] = payload
                 row = orphans.get(entry.worker)
@@ -666,37 +667,28 @@ class Farm:
         except (OSError, json.JSONDecodeError):
             return None
 
-    def _await_orphan_result(self, entry) -> dict | None:
-        """Wait for a live orphan worker to deliver its result file.
+    def _await_orphan_result(self, entry, row: dict) -> dict | None:
+        """Wait for a live orphan worker, ``row`` its worker-state row
+        (:func:`scan_worker_state`), to deliver its result file.
 
         Bounded by the job's own deadline (measured from its journaled
         dispatch time) plus the heartbeat timeout; gives up early when
-        the orphan dies or its heartbeat file goes stale, with one last
-        read because death-right-after-writing still counts.
+        the orphan dies (:func:`pid_alive`, the rule the scan applied)
+        or its heartbeat file goes stale, with one last read because
+        death-right-after-writing still counts.
         """
         spec_timeout = float(entry.spec.get("timeout_s", 120.0))
         budget = entry.dispatched_t + spec_timeout + self.config.hb_timeout_s
         _, hb_path = worker_state_paths(self.state_dir, entry.worker)
-        pid_row = {row["worker_id"]: row
-                   for row in scan_worker_state(self.state_dir)}.get(
-                       entry.worker)
-        pid = pid_row["pid"] if pid_row else None
         while True:
             payload = self._read_result_file(entry.job_id, entry.attempts)
             if payload is not None:
                 return payload
             if time.time() > budget:
                 return None
-            alive = False
-            if pid is not None:
-                try:
-                    os.kill(pid, 0)
-                    alive = True
-                except OSError:
-                    alive = False
             hb_age = heartbeat_age(hb_path)
-            if not alive or (hb_age is not None
-                             and hb_age > self.config.hb_timeout_s):
+            if not pid_alive(row["pid"]) or (
+                    hb_age is not None and hb_age > self.config.hb_timeout_s):
                 return self._read_result_file(entry.job_id, entry.attempts)
             time.sleep(0.05)
 

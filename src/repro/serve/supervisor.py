@@ -73,7 +73,9 @@ def heartbeat_age(hb_path: str | Path) -> float | None:
         return None
 
 
-def _pid_alive(pid: int) -> bool:
+def pid_alive(pid: int) -> bool:
+    """Whether process ``pid`` exists: a pid we may not signal (EPERM)
+    is someone's live process, so it counts as alive."""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
@@ -109,7 +111,7 @@ def scan_worker_state(state_dir: str | Path) -> list[dict]:
             continue
         _, hb_path = worker_state_paths(base, worker_id)
         rows.append({"worker_id": worker_id, "pid": pid,
-                     "alive": _pid_alive(pid),
+                     "alive": pid_alive(pid),
                      "hb_age_s": heartbeat_age(hb_path)})
     return rows
 

@@ -189,3 +189,49 @@ def test_batched_lowering_splits_into_single_executions(body, step, executions):
         assert float(tail).hex() == float(one[3]).hex()
         first = end
     assert first == len(kinds)
+
+
+# ----------------------------------------------------------------------
+# Near-singleton executions: each run summed with np.add.reduce
+# ----------------------------------------------------------------------
+
+_TAB = ArrayDecl("tab", (64 * 512,), elem_size=8)  # 64 pages
+#: Execution o = 0 reads keys 0..11: the first two on page 0, then one
+#: page each; execution o = 1 reads keys 12..15.
+_KEY = ArrayDecl("key", (16,), elem_size=8, data=np.array(
+    [5, 100] + [512 * p + 7 for p in range(1, 11)]
+    + [512 * p + 9 for p in range(20, 24)]))
+
+
+def test_near_singleton_runs_sum_with_add_reduce():
+    """Three accesses per iteration to ``tab[key[j + 12 o]]`` costing
+    0.1, 0.7 and 1.3 us: 25 events merge away, into a run of six and
+    ten runs of three.  Alone and as the first execution of a batch,
+    each run's first event carries its own cost and the next event
+    (or the tail) the rest, ``np.add.reduce(run) - run[0]``; for the
+    run of six, ``np.add.reduceat`` gives another last bit."""
+    slot = ElemOf(_KEY, Var("j") + Var("o") * 12)
+    leaf = loop("j", 0, 12, [work([read(_TAB, slot)], 0.1),
+                             work([read(_TAB, slot)], 0.7),
+                             work([write(_TAB, slot)], 1.3)])
+    segments, strides = {"tab": (PAGE, 64 * 512 * 8)}, {"tab": (1,)}
+    flat = np.tile([0.1, 0.7, 1.3], 12)
+    starts = [0] + list(range(6, 36, 3))
+    runs = [flat[a:b] for a, b in zip(starts, starts[1:] + [36])]
+    assert np.add.reduceat(runs[0], [0])[0] != np.add.reduce(runs[0])
+    rests = [np.add.reduce(run) - run[0] for run in runs]
+    expected = [runs[0][0]] + [run[0] + rest
+                               for run, rest in zip(runs[1:], rests)]
+
+    recipe = analyze_leaf(leaf)
+    alone = lower_leaf(recipe, "j", np.arange(12), {"o": 0}, PAGE,
+                       segments, strides)
+    values = np.concatenate((np.arange(12), np.arange(4)))
+    kinds, pages, costs, tails, ends = lower_leaf(
+        recipe, "j", values, {"o": np.repeat([0, 1], [12, 4])}, PAGE,
+        segments, strides, [12, 4])
+    for got, tail in ((alone[2], alone[3]), (costs[:ends[0]], tails[0])):
+        assert [c.hex() for c in got.tolist()] == [c.hex() for c in expected]
+        assert float(tail).hex() == float(rests[-1]).hex()
+    assert alone[0].tolist() == kinds[:ends[0]].tolist() == [WRITE] * 11
+    assert alone[1].tolist() == pages[:ends[0]].tolist() == list(range(1, 12))

@@ -15,6 +15,7 @@ in the run-time layer's order.
 
 from __future__ import annotations
 
+import collections
 import functools
 
 import numpy as np
@@ -26,13 +27,18 @@ from repro.apps.registry import ALL_APPS, get_app
 from repro.checkpoint import CheckpointConfig
 from repro.checkpoint.runner import Checkpointer
 from repro.config import PlatformConfig
+from repro.core.ir.builder import ProgramBuilder, loop, read, work, write
+from repro.core.ir.expr import ElemOf, Var
+from repro.core.ir.nodes import AddrOf, Hint, HintKind
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
 from repro.errors import MachineError, ProcessCrash
 from repro.faults.inject import LaggedBitVector
 from repro.faults.plan import FaultPlan, default_plan
+from repro.harness.experiment import build_variant, default_data_pages
 from repro.interp.executor import Executor
-from repro.machine.machine import Machine, fold_segments
+from repro.machine.events import PREFETCH, RELEASE
+from repro.machine.machine import Machine, Tape, fold_segments
 from repro.obs.observer import Observer
 from repro.obs.spans import SpanBuilder
 
@@ -203,24 +209,24 @@ def _calls_and_chunk_steps(machine: Machine, monkeypatch) -> tuple[int, int]:
     return len(calls), chunk_steps
 
 
-@pytest.mark.parametrize("setup, route", [
-    (lambda: _machine(True, False), "_run_chunk_vector"),
+@pytest.mark.parametrize("setup, tapes", [
+    (lambda: _machine(True, False), True),
     (lambda: _machine(True, False, observer=Observer(record_trace=False)),
-     "_run_chunk_vector"),
-    (lambda: _machine(True, False, plan=PLANS["default"]()),
-     "_run_chunk_vector"),
-    (lambda: _machine(True, False, observer=Observer()), "_run_chunk_scalar"),
+     True),
+    (lambda: _machine(True, False, plan=PLANS["default"]()), True),
+    (lambda: _machine(True, False, observer=Observer()), False),
 ], ids=["clean", "metrics-only", "faulted", "recording"])
-def test_routing(setup, route, monkeypatch):
-    """A chunk takes the route; a run the kernel serves replays its steps
-    as tapes, several chunk steps per ``run_chunk`` call, and any other
-    run calls it once per chunk step."""
+def test_routing(setup, tapes, monkeypatch):
+    """A run the kernel serves replays its steps as tapes, several chunk
+    steps per ``run_chunk`` call, and any other run calls it once per
+    chunk step; a chunk replayed alone takes the scalar loop on every
+    machine."""
     calls, chunk_steps = _calls_and_chunk_steps(setup(), monkeypatch)
-    if route == "_run_chunk_vector":
+    if tapes:
         assert calls * 4 < chunk_steps
     else:
         assert calls == chunk_steps
-    assert _routes(setup(), monkeypatch) == [route]
+    assert _routes(setup(), monkeypatch) == ["_run_chunk_scalar"]
 
 
 def test_tape_hints_replay_between_kernel_calls(monkeypatch):
@@ -266,21 +272,31 @@ def test_sink_attached_after_build_routes_to_scalar(monkeypatch):
 def test_hint_fallback_routes_to_scalar(monkeypatch):
     machine = _machine(True, False, plan=PLANS["fallback"]())
     machine.runtime.hint_faults.in_fallback = True
+    assert not machine.serves_tapes()
     assert _routes(machine, monkeypatch) == ["_run_chunk_scalar"]
 
 
-def _after_warm_chunk(machine: Machine, kinds, offsets) -> tuple:
-    """Fault in a 64-page segment's first 32 pages (a short chunk, so on
-    the scalar loop), replay ``kinds`` over ``offsets`` into the segment
-    with cost 0.5 each, and return the error the replay raised, if any,
-    and what it left behind."""
+def _after_warm_chunk(machine: Machine, kinds, offsets,
+                     tape: bool = False) -> tuple:
+    """Fault in a 64-page segment's first 32 pages (a chunk replayed
+    alone, so on the scalar loop), replay ``kinds`` over ``offsets``
+    into the segment with cost 0.5 each -- with ``tape``, as a one-step
+    tape on the kernel -- and return the error the replay raised, if
+    any, and what it left behind."""
     seg = machine.map_segment("a", 64 * machine.config.page_size)
     base = seg.base // machine.config.page_size
     machine.run_chunk([0] * 32, list(range(base, base + 32)), [1.0] * 32)
+    pages = [base + o for o in offsets]
+    costs = [0.5] * len(kinds)
     error = None
     try:
-        machine.run_chunk(kinds, [base + o for o in offsets],
-                          [0.5] * len(kinds))
+        if tape:
+            machine.run_chunk(
+                np.array(kinds, dtype=np.int64),
+                np.array(pages, dtype=np.int64),
+                np.array(costs), Tape(np.array((len(kinds),)), np.zeros(1)))
+        else:
+            machine.run_chunk(kinds, pages, costs)
     except MachineError as exc:
         error = str(exc)
     return (error, machine.clock.now, machine.clock.breakdown(),
@@ -290,23 +306,31 @@ def _after_warm_chunk(machine: Machine, kinds, offsets) -> tuple:
 @pytest.mark.parametrize("bad", [17, -1], ids=lambda kind: f"kind{kind}")
 @pytest.mark.parametrize("plan", [None, "lag"], ids=["clean", "faulted"])
 def test_unknown_kind_leaves_the_scalar_loops_state(plan, bad):
-    """A chunk holding an event kind outside 0..3 raises on both paths
-    and leaves the clock, the counters and the page effects where the
-    scalar loop leaves them -- in layer order, with every prefetch
-    before a kind above 3 charged and counted."""
+    """A chunk holding an event kind outside 0..3 raises on the scalar
+    loop: a kind above 3 at its event, with the page effects of the
+    events before it made, and a negative kind before any event, so the
+    chunk leaves the clock, the counters and the page table as the
+    warm-up left them."""
     # The bad event is slow: its page is one the warm-up left on disk.
     kinds = [0, 1, 0, 2] * 50 + [bad, 0, 1, 2]
     offsets = [i % 32 for i in range(200)] + [40, 1, 2, 3]
-    vec, sca = (_after_warm_chunk(
-        _machine(True, scalar, PLANS[plan]() if plan else None),
-        kinds, offsets) for scalar in (False, True))
-    assert vec == sca
-    assert vec[0] == f"unknown event kind {bad}"
+    ran = 200 if bad > 0 else 0
+
+    def machine():
+        return _machine(True, False, PLANS[plan]() if plan else None)
+
+    error, *after = _after_warm_chunk(machine(), kinds, offsets)
+    _, *prefix = _after_warm_chunk(machine(), kinds[:ran], offsets[:ran])
+    assert error == f"unknown event kind {bad}"
+    assert after[-1] == prefix[-1]
+    if bad < 0:
+        assert after == prefix
 
 
 def test_unknown_kind_hands_the_whole_chunk_to_the_scalar_loop(monkeypatch):
-    """A kernel-sized clean chunk that ends in an unknown kind reaches
-    the scalar loop whole, which raises at that event."""
+    """A long clean chunk replayed alone that ends in an unknown kind
+    raises on the scalar loop, at that event, without entering the
+    kernel."""
     machine = _machine(True, False)
     seg = machine.map_segment("a", 64 * machine.config.page_size)
     base = seg.base // machine.config.page_size
@@ -315,14 +339,14 @@ def test_unknown_kind_hands_the_whole_chunk_to_the_scalar_loop(monkeypatch):
     with pytest.raises(MachineError, match="unknown event kind 7"):
         machine.run_chunk(kinds, [base + i % 64 for i in range(201)],
                           [1.0] * 201)
-    assert taken == [("_run_chunk_vector", 201), ("_run_chunk_scalar", 201)]
+    assert taken == [("_run_chunk_scalar", 201)]
 
 
 def test_hint_fallback_mid_chunk_hands_the_rest_to_the_scalar_loop(
         monkeypatch):
     """A slow prefetch whose hint call tips the layer into fallback ends
-    the kernel's part of the chunk: the gate must see every request of
-    the cooldown, filtered ones included."""
+    the kernel's part of a one-step tape: the gate must see every
+    request of the cooldown, filtered ones included."""
     plan = FaultPlan(seed=1, hint_failure_rate=1.0, fallback_after=1,
                      fallback_cooldown=50)
     # Prefetch an absent page first, then resident ones (filtered).
@@ -331,11 +355,134 @@ def test_hint_fallback_mid_chunk_hands_the_rest_to_the_scalar_loop(
     sca = _after_warm_chunk(_machine(True, True, plan), kinds, offsets)
     machine = _machine(True, False, plan)
     taken = _spy_chunk_paths(monkeypatch)
-    assert _after_warm_chunk(machine, kinds, offsets) == sca
+    assert _after_warm_chunk(machine, kinds, offsets, tape=True) == sca
     assert taken == [("_run_chunk_scalar", 32), ("_run_chunk_vector", 201),
                      ("_run_chunk_scalar", 200)]
     assert machine.stats.robust.fallback_episodes == 1
     assert machine.stats.robust.hints_skipped == 50
+
+
+@pytest.mark.parametrize("setup", [
+    lambda: _machine(True, True),
+    lambda: _machine(True, False, observer=Observer()),
+    lambda: _machine(True, False, plan=PLANS["fallback"]()),
+], ids=["scalar", "recording", "fallback"])
+def test_a_tape_on_a_run_the_kernel_does_not_serve_raises(setup):
+    """Such a run replays its steps one at a time: a tape raises before
+    it replays any event."""
+    machine, warm = setup(), setup()
+    for each in (machine, warm):
+        if each.runtime.hint_faults is not None:
+            each.runtime.hint_faults.in_fallback = True
+    assert not machine.serves_tapes()
+    error, *after = _after_warm_chunk(machine, [0, 2], [1, 40], tape=True)
+    assert error == "this run replays its steps one at a time"
+    _, *untouched = _after_warm_chunk(warm, [], [])
+    assert after == untouched
+
+
+def test_per_step_replay_never_reaches_the_kernel(monkeypatch):
+    """EMBAR O at the table3 footprint is served, and its tape turns
+    slow-dense, so the rest of the tape replays one step at a time
+    through ``Executor._replay``: every chunk it replays, long ones
+    included, takes the scalar loop, bit-identical to the per-step
+    run."""
+    platform = PlatformConfig()
+    program = build_variant(get_app("EMBAR"), platform, "o",
+                            default_data_pages(platform))
+    taken = _spy_chunk_paths(monkeypatch)
+    replayed = []  # the chunk paths taken inside Executor._replay
+    replay = Executor._replay
+
+    def spy_replay(self, step):
+        first = len(taken)
+        try:
+            return replay(self, step)
+        finally:
+            replayed.extend(taken[first:])
+
+    monkeypatch.setattr(Executor, "_replay", spy_replay)
+    machine = Machine(platform, prefetching=False)
+    served = (Executor(machine).run(program), machine)
+    assert ("_run_chunk_vector" in {name for name, _ in taken}
+            and max(size for _, size in replayed) >= 128)
+    assert {name for name, _ in replayed} == {"_run_chunk_scalar"}
+    machine = Machine(platform, prefetching=False, scalar_chunks=True)
+    _assert_identical(served, (Executor(machine).run(program), machine))
+
+
+def _hinted_walk(release: bool):
+    """A 256 x 16 loop over ``tab[key[16j + i]]`` whose every access
+    follows a one-page prefetch of its page (and with ``release`` a
+    one-page release of it), and one work step per outer iteration: the
+    leaf's hints are PREFETCH and RELEASE events of long tapes."""
+    b = ProgramBuilder("hinted_walk")
+    tab = b.array("tab", (128 * 512,), elem_size=8)  # 128 pages
+    key = b.array("key", (4096,), elem_size=8,
+                  data=np.random.default_rng(3).integers(0, 128 * 512, 4096))
+    out = b.array("out", (256,), elem_size=8)
+    j, i = Var("j"), Var("i")
+    page = AddrOf(tab, (ElemOf(key, j * 16 + i),))
+    body = [Hint(HintKind.PREFETCH, page, npages=1)]
+    if release:
+        body.append(Hint(HintKind.RELEASE, page, npages=1))
+    body.append(work([read(tab, ElemOf(key, j * 16 + i))], 0.3))
+    b.append(loop("j", 0, 256, [loop("i", 0, 16, body),
+                                work([write(out, j)], 1.7)]))
+    return b.build()
+
+
+@pytest.mark.parametrize("release", [False, True],
+                         ids=["prefetch", "prefetch-release"])
+@pytest.mark.parametrize("prefetching", [True, False],
+                         ids=["runtime", "no-runtime"])
+def test_leaf_hints_on_long_tapes_are_bit_identical(prefetching, release,
+                                                    monkeypatch):
+    """Leaf hints on long tapes take kernel paths no app takes: with a
+    run-time layer, the inline filter's overhead laid out with a tape's
+    static flushes and each release dispatched as a slow event; without
+    one, hints the kernel counts as fast and the scalar loop skips.  The
+    run matches the scalar loop's."""
+    reached = collections.Counter()
+    run_chunk_scalar = Machine._run_chunk_scalar
+    run_chunk_vector = Machine._run_chunk_vector
+    static_flushes = Machine._static_flushes
+    slow_event = Machine._slow_event
+
+    def spy_scalar(self, kinds, pages, costs):
+        reached["scalar hints"] += PREFETCH in kinds
+        return run_chunk_scalar(self, kinds, pages, costs)
+
+    def spy_vector(self, kinds, *args):
+        reached["kernel hints"] += bool((kinds == PREFETCH).any())
+        return run_chunk_vector(self, kinds, *args)
+
+    def spy_static(self, *args):
+        layout = static_flushes(self, *args)
+        _, edge_flush, _, static, _ = layout
+        reached["inline overhead"] += (static is not None
+                                       and static[3 * edge_flush + 1].any())
+        return layout
+
+    def spy_slow(self, kind, *args):
+        reached["releases"] += kind == RELEASE
+        return slow_event(self, kind, *args)
+
+    monkeypatch.setattr(Machine, "_run_chunk_scalar", spy_scalar)
+    monkeypatch.setattr(Machine, "_run_chunk_vector", spy_vector)
+    monkeypatch.setattr(Machine, "_static_flushes", spy_static)
+    monkeypatch.setattr(Machine, "_slow_event", spy_slow)
+    runs = []
+    for scalar in (False, True):
+        machine = Machine(PlatformConfig(memory_pages=64),
+                          prefetching=prefetching, scalar_chunks=scalar)
+        runs.append((Executor(machine).run(_hinted_walk(release)), machine))
+    _assert_identical(*runs)
+    assert runs[0][1].clock.breakdown() == runs[1][1].clock.breakdown()
+    assert reached["kernel hints"] and reached["scalar hints"]
+    if prefetching:
+        assert reached["inline overhead"]
+        assert bool(reached["releases"]) == release
 
 
 def _snapshots(app_name: str, scalar: bool, every_us: float, plan=None,
